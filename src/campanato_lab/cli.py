@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,20 +41,42 @@ def parse_phi_config(cfg, where="phi"):
     if family == "psi":
         return phimod.psi()
     if family in ("powerlog", "power"):
-        return phimod.powerlog(cfg.get("alpha", 0.0), cfg.get("beta", 0.0),
-                               cfg.get("gamma", 0.0))
+        return phimod.powerlog(*(_finite(cfg.get(k, 0.0), f"{where}.{k}")
+                                 for k in ("alpha", "beta", "gamma")))
     if family == "table":
         points = cfg.get("points")
         if not points:
             raise ConfigError(f"{where}.points: table weight needs points")
         try:
             return phimod.table(points)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.points: {exc}")
     if family == "quotient":
         return phimod.quotient_phi(parse_phi_config(cfg.get("base"),
                                                     f"{where}.base"))
     raise ConfigError(f"{where}.family: unknown weight family {family!r}")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, where):
+    if not _is_number(value) or not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(value, where, minimum=0):
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        raise ConfigError(f"{where}: must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
+FUNCTION_KINDS = ("indicator", "extremal", "h", "sin_h", "random",
+                  "leaf_values")
 
 
 class ExperimentConfig:
@@ -64,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
         tree_cfg = raw.get("tree")
-        if tree_cfg is None:
-            raise ConfigError("tree: missing")
+        if not isinstance(tree_cfg, dict):
+            raise ConfigError("tree: expected an object with a 'type' key")
         if depth_override is not None:
             if tree_cfg.get("type") != "dyadic":
                 raise ConfigError("--depth override only applies to dyadic trees")
@@ -83,51 +106,87 @@ class ExperimentConfig:
             self.phis = [parse_phi_config(phi_cfg)]
 
         p_cfg = raw.get("p", 1)
-        self.ps = [float(p) for p in (p_cfg if isinstance(p_cfg, list) else [p_cfg])]
-        for p in self.ps:
-            if p < 1:
-                raise ConfigError(f"p: must be >= 1, got {p}")
+        p_list = p_cfg if isinstance(p_cfg, list) else [p_cfg]
+        if not p_list:
+            raise ConfigError("p: expected a number or a non-empty list")
+        self.ps = []
+        for i, p in enumerate(p_list):
+            where = f"p[{i}]" if isinstance(p_cfg, list) else "p"
+            if not _is_number(p) or not math.isfinite(p) or p < 1:
+                raise ConfigError(f"{where}: must be a finite number >= 1, "
+                                  f"got {p!r}")
+            self.ps.append(float(p))
 
         seed = raw.get("seed") if seed_override is None else seed_override
-        self.seed = int(seed) if seed is not None else None
+        self.seed = None if seed is None else _int(seed, "seed")
 
         self.function_specs = raw.get("functions",
                                       [{"kind": "sin_h", "leaf": 0}])
         if not isinstance(self.function_specs, list):
             raise ConfigError("functions: expected a list")
         for i, spec in enumerate(self.function_specs):
-            if spec.get("kind") == "random" and self.seed is None \
-                    and spec.get("seed") is None:
-                raise ConfigError(
-                    f"functions[{i}]: random functions need a seed")
+            self._check_function(spec, f"functions[{i}]")
 
         self.suites = raw.get("suites", ["verify"])
+        if not isinstance(self.suites, list):
+            raise ConfigError(f"suites: expected a list of suite names, "
+                              f"got {self.suites!r}")
         for s in self.suites:
             if s not in ALL_SUITES:
                 raise ConfigError(f"suites: unknown suite {s!r}")
         self.out = raw.get("out", "reports")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out: expected a path string, got {self.out!r}")
+
+    def _check_function(self, spec, where):
+        """Reject a malformed function entry before any suite runs."""
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where}: expected an object, got {spec!r}")
+        kind = spec.get("kind")
+        if kind not in FUNCTION_KINDS:
+            raise ConfigError(f"{where}: unknown function kind {kind!r}")
+        tree = self.tree
+        if kind == "indicator":
+            if "level" not in spec:
+                raise ConfigError(f"{where}: indicator needs 'level'")
+            level = _int(spec["level"], f"{where}.level")
+            index = _int(spec.get("index", 0), f"{where}.index")
+            try:
+                tree.atom(level, index)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}")
+        elif kind in ("extremal", "h", "sin_h"):
+            leaf = _int(spec.get("leaf", 0), f"{where}.leaf")
+            if leaf >= tree.leaf_count:
+                raise ConfigError(f"{where}: leaf {leaf} out of range "
+                                  f"[0, {tree.leaf_count})")
+        elif kind == "random":
+            _int(spec.get("count", 1), f"{where}.count", minimum=1)
+            if spec.get("seed") is not None:
+                _int(spec["seed"], f"{where}.seed")
+            elif self.seed is None:
+                raise ConfigError(f"{where}: random functions need a seed")
+        else:
+            values = spec.get("values")
+            if not isinstance(values, list) \
+                    or len(values) != tree.leaf_count:
+                raise ConfigError(
+                    f"{where}: 'values' must list {tree.leaf_count} numbers")
+            for j, v in enumerate(values):
+                _finite(v, f"{where}.values[{j}]")
 
     def build_functions(self, phi_spec):
         """Instantiate the configured functions for one weight."""
         tree = self.tree
         out = []
         for i, spec in enumerate(self.function_specs):
-            kind = spec.get("kind")
-            where = f"functions[{i}]"
+            kind = spec["kind"]
             if kind == "indicator":
-                level, index = spec.get("level"), spec.get("index", 0)
-                if level is None:
-                    raise ConfigError(f"{where}: indicator needs 'level'")
-                try:
-                    atom = tree.atom(level, index)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}")
-                out.append((f"indicator:{level},{index}", indicator(tree, atom)))
+                level, index = spec["level"], spec.get("index", 0)
+                out.append((f"indicator:{level},{index}",
+                            indicator(tree, tree.atom(level, index))))
             elif kind in ("extremal", "h", "sin_h"):
                 leaf = spec.get("leaf", 0)
-                if not 0 <= leaf < tree.leaf_count:
-                    raise ConfigError(f"{where}: leaf {leaf} out of range "
-                                      f"[0, {tree.leaf_count})")
                 chain = chain_to_root(tree, tree.leaves[leaf])
                 if kind == "extremal":
                     f = extremal_chain_function(tree, chain, phi_spec).f
@@ -137,19 +196,13 @@ class ExperimentConfig:
                     f = sin_h_multiplier(tree, chain, phi_spec)
                 out.append((f"{kind}:leaf={leaf}", f))
             elif kind == "random":
-                count = int(spec.get("count", 1))
+                count = spec.get("count", 1)
                 seed = spec.get("seed", self.seed)
                 for k, f in enumerate(random_functions(tree, count, seed)):
                     out.append((f"random:{seed}:{k}", f))
-            elif kind == "leaf_values":
-                values = spec.get("values")
-                if not isinstance(values, list) \
-                        or len(values) != tree.leaf_count:
-                    raise ConfigError(
-                        f"{where}: 'values' must list {tree.leaf_count} numbers")
-                out.append((f"leaf_values:{i}", LeafFunction(tree, values)))
             else:
-                raise ConfigError(f"{where}: unknown function kind {kind!r}")
+                out.append((f"leaf_values:{i}",
+                            LeafFunction(tree, spec["values"])))
         return out
 
 
@@ -231,6 +284,9 @@ def execute(config):
                     ctx = VerifyContext(tree=config.tree, spec=spec, p=p,
                                         seed=config.seed or 0)
                     functions = config.build_functions(spec)
+                    if not functions:
+                        raise ConfigError("functions: the multiplier suite "
+                                          "needs at least one function")
                     label, g = functions[0]
                     cert, reps = run_multiplier_suite(ctx, g, g_label=label)
                     entry = {"suite": "multiplier", "phi": spec.describe(),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .filtration import build_dyadic, chain_to_root
 from .functions import LeafFunction, MartingaleSequence, conditional_expectation
 from .phi import eval_phi, quotient_phi
@@ -89,6 +91,35 @@ def extremal_chain_function(tree, chain, phi_spec):
         f=partial,
         sequence=MartingaleSequence(tree, partials),
     )
+
+
+def chain_values(tree, chain, phi_spec):
+    """Leaf values of extremal_chain_function(tree, chain, phi_spec).f as a
+    float array, built without the increments.
+
+    A leaf in B_K but in no deeper chain atom has the value
+
+        1 + sum_{k <= K} phi(P(B_k)) (P(B_{k-1})/P(B_k) - 1) - phi(P(B_{K+1}))
+
+    (no last term when K = N), so the row is a table of N + 1 running sums
+    indexed by K, and K is a cumulative sum of +-1 steps at the edges of
+    the chain atoms' leaf spans.  For float weights the running sums add
+    the same terms in the same order as the increments do.
+    """
+    _validate_chain(tree, chain)
+    coeff = [float(eval_phi(phi_spec, float(B.measure))) for B in chain[1:]]
+    coeff.append(0.0)
+    ring = [1.0 - coeff[0]]
+    total = 1.0
+    for k in range(1, len(chain)):
+        ratio = chain[k - 1].measure / chain[k].measure
+        total += coeff[k - 1] * float(ratio - 1)
+        ring.append(total - coeff[k])
+    edges = np.zeros(tree.leaf_count + 1, dtype=np.int64)
+    for B in chain:
+        edges[B.leaf_start] += 1
+        edges[B.leaf_end] -= 1
+    return np.asarray(ring)[np.cumsum(edges[:-1]) - 1]
 
 
 def h_function(tree, chain, phi_spec):

@@ -377,7 +377,7 @@ def parse_tree_config(config):
     kind = config["type"]
     if kind == "dyadic":
         depth = config.get("depth")
-        if not isinstance(depth, int) or depth < 0:
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise TreeSpecError(f"tree.depth must be a non-negative int, got {depth!r}")
         return build_dyadic(depth)
     if kind == "splits":

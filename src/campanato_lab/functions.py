@@ -165,6 +165,18 @@ def atom_average(f, B):
     return total / B.measure
 
 
+def level_means(tree, n, values):
+    """Averages over every level-n atom of leaf-value rows.
+
+    `values` is a float array whose last axis runs over the leaves (one
+    function, or a block of them); the last axis of the result runs over
+    the level-n atoms.
+    """
+    starts, _, measures = tree.level_arrays(n)
+    weighted = np.asarray(values, dtype=np.float64) * tree.leaf_measures_f()
+    return np.add.reduceat(weighted, starts, axis=-1) / measures
+
+
 def conditional_expectation(f, n):
     """Average f over every level-n atom; returns a leaf function."""
     tree = f.tree

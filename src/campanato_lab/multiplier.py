@@ -9,38 +9,30 @@ inequalities, never exact operator norms.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import phi as phimod
-from .constructions import extremal_chain_function
-from .filtration import chain_to_root, regularity_constant, truncate
-from .functions import LeafFunction, constant, expectation, indicator, linf_norm
-from .norms import (campanato_norm, campanato_seminorm, oscillation_scan,
-                    phi_level_values)
+from .constructions import chain_values
+from .filtration import Atom, chain_to_root, regularity_constant, truncate
+from .functions import (LeafFunction, expectation, indicator, level_means,
+                        linf_norm)
+from .norms import (_level_scan, campanato_norm, campanato_seminorm,
+                    phi_level_values, phi_star_level_values, scan_block)
 from .report import Check, VerificationReport
 
 INEQ_SLACK = 1e-10
 EXACT_SLACK = 1e-12
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("CAMPANATO_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    threads = _thread_count()
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+# A family member is the witness of L when its ratio is at least
+# L (1 - WITNESS_TIE): the first such member in family order, so that the
+# summation order of a scan cannot move the label between tied members.
+WITNESS_TIE = 1e-12
+# Leaf values per block of dense family members.  The block scan keeps a
+# few temporaries of this size, so the family costs about as much memory
+# as one member scanned at a time did.
+BLOCK_ELEMENTS = 1 << 14
 
 
 # -- the product functional ---------------------------------------------------
@@ -99,6 +91,25 @@ def check_product_estimate(f, g, p, spec):
 # -- families and operator-norm lower bounds ----------------------------------
 
 
+def _family_members(tree, spec, chains, randoms, seed, indicators=True):
+    """The default test family as (label, member) pairs: an Atom stands for
+    its indicator, every other member is an array of leaf values."""
+    rng = np.random.default_rng(seed)
+    yield "const:1", np.ones(tree.leaf_count)
+    if indicators:
+        for n in range(tree.depth + 1):
+            for atom in tree.atoms(n):
+                yield f"chi:{n},{atom.index}", atom
+    count = min(chains, tree.leaf_count)
+    if count > 0:
+        picks = rng.choice(tree.leaf_count, size=count, replace=False)
+        for j in sorted(int(x) for x in picks):
+            chain = chain_to_root(tree, tree.leaves[j])
+            yield f"chain:leaf={j}", chain_values(tree, chain, spec)
+    for k in range(randoms):
+        yield f"rand:{k}", rng.standard_normal(tree.leaf_count)
+
+
 def default_test_family(tree, spec, chains=8, randoms=32, seed=0,
                         indicators=True):
     """Deterministic test family: the constant 1, all atom indicators,
@@ -107,49 +118,177 @@ def default_test_family(tree, spec, chains=8, randoms=32, seed=0,
     Yields (label, function) pairs lazily; the composition mirrors the
     witnesses the lower-bound arguments actually use.
     """
-    rng = np.random.default_rng(seed)
-    yield "const:1", constant(tree, 1.0)
-    if indicators:
-        for n in range(tree.depth + 1):
-            for atom in tree.atoms(n):
-                yield f"chi:{n},{atom.index}", indicator(tree, atom)
-    count = min(chains, tree.leaf_count)
-    if count > 0:
-        picks = rng.choice(tree.leaf_count, size=count, replace=False)
-        for j in sorted(int(x) for x in picks):
-            chain = chain_to_root(tree, tree.leaves[j])
-            yield f"chain:leaf={j}", extremal_chain_function(tree, chain, spec).f
-    for k in range(randoms):
-        values = rng.standard_normal(tree.leaf_count)
-        yield f"rand:{k}", LeafFunction.from_float_array(tree, values)
+    for label, member in _family_members(tree, spec, chains, randoms, seed,
+                                         indicators):
+        if isinstance(member, Atom):
+            yield label, indicator(tree, member)
+        else:
+            yield label, LeafFunction.from_float_array(tree, member)
+
+
+def _subtree_max(tree, per_level):
+    """Per level, the max of per_level over each atom and its descendants
+    (per_level holds one array per level, one value per atom)."""
+    out = [per_level[-1]]
+    for n in range(tree.depth - 1, -1, -1):
+        kids = np.searchsorted(tree.level_arrays(n + 1)[0],
+                               tree.level_arrays(n)[0])
+        out.append(np.maximum(per_level[n], np.maximum.reduceat(out[-1], kids)))
+    return out[::-1]
+
+
+def _indicator_norms(g, p, spec, atoms, want_fb=False):
+    """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
+    over atoms A, for each atom B, without a leaf pass per member.
+
+    On atoms inside B or disjoint from it chi_B has zero oscillation, and
+    chi_B g has g's own oscillation or none, so subtree maxima of g's
+    per-atom oscillation (and of 1/phi_star) cover those atoms.  Only the
+    strict ancestors A of B need leaves: chi_B g averages S_B / P(A) on A,
+    with S_B = int_B g, and each leaf of A outside B deviates by exactly
+    that average, so a pass over B's leaves suffices.  It runs once per
+    pair (level of B, level of A) for all atoms of B's level together, so
+    the whole indicator family costs O(leaves * depth^2).
+    """
+    tree = g.tree
+    gv = g.values_array
+    leafm = tree.leaf_measures_f()
+    phis = phi_level_values(tree, spec)
+    stars = phi_star_level_values(tree, spec) if want_fb else None
+    invp = 1.0 / p
+    osc = [ratios[0]
+           for _, _, ratios in _level_scan(tree, gv[None, :], p, spec)]
+    sub_osc = _subtree_max(tree, osc + [np.zeros(tree.leaf_count)])
+    sub_inv = _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None
+
+    by_level = {}
+    for m in sorted({B.level for B in atoms}):
+        starts, lengths, meas = tree.level_arrays(m)
+        S = np.add.reduceat(gv * leafm, starts)
+        sem_f = np.zeros(len(meas))
+        sem_fg = sub_osc[m].copy()
+        fb = sub_inv[m].copy() if want_fb else None
+        for n in range(m):
+            a_starts, _, a_meas = tree.level_arrays(n)
+            anc = np.searchsorted(a_starts, starts, side="right") - 1
+            PA = a_meas[anc]
+            r = meas / PA
+            avg = S / PA
+            dev = np.abs(gv - np.repeat(avg, lengths))
+            if p == 1:
+                chi = (meas * (1.0 - r) + (PA - meas) * r) / PA
+                cint = np.add.reduceat(dev * leafm, starts) \
+                    + (PA - meas) * np.abs(avg)
+                prod = cint / PA
+            else:
+                chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
+                       / PA) ** invp
+                cint = np.add.reduceat(dev ** p * leafm, starts) \
+                    + (PA - meas) * np.abs(avg) ** p
+                prod = (cint / PA) ** invp
+            np.maximum(sem_f, chi / phis[n][anc], out=sem_f)
+            np.maximum(sem_fg, prod / phis[n][anc], out=sem_fg)
+            if want_fb:
+                np.maximum(fb, r / stars[n][anc], out=fb)
+        by_level[m] = (sem_f + meas, sem_fg + np.abs(S), fb)
+    rows = [(B.level, B.index) for B in atoms]
+    norm_f = np.array([by_level[m][0][i] for m, i in rows])
+    norm_fg = np.array([by_level[m][1][i] for m, i in rows])
+    fb = np.array([by_level[m][2][i] for m, i in rows]) if want_fb else None
+    return norm_f, norm_fg, fb
+
+
+def _family_norms(g, p, spec, members, want_fb=False):
+    """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
+    every family member, in family order.
+
+    Members are (label, member) pairs, consumed lazily; an Atom stands for
+    its indicator and takes the ancestors-only path, any other member is a
+    leaf-value array, scanned in blocks of at most BLOCK_ELEMENTS leaf
+    values.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    """
+    tree = g.tree
+    gv = g.values_array
+    step = max(1, BLOCK_ELEMENTS // tree.leaf_count)
+    labels, atoms, pending, parts = [], [], [], []
+
+    def scan_pending():
+        block = np.array([row for _, row in pending])
+        sem, mean, fb = scan_block(tree, block, p, spec, want_fb)
+        sem_g, mean_g, _ = scan_block(tree, block * gv, p, spec)
+        parts.append(([k for k, _ in pending], sem + np.abs(mean),
+                      sem_g + np.abs(mean_g), fb))
+        pending.clear()
+
+    for pos, (label, member) in enumerate(members):
+        labels.append(label)
+        if isinstance(member, Atom):
+            atoms.append((pos, member))
+            continue
+        pending.append((pos, member))
+        if len(pending) == step:
+            scan_pending()
+    if pending:
+        scan_pending()
+    if atoms:
+        parts.append(([k for k, _ in atoms],
+                      *_indicator_norms(g, p, spec, [a for _, a in atoms],
+                                        want_fb)))
+    norm_f = np.empty(len(labels))
+    norm_fg = np.empty(len(labels))
+    fb = np.empty(len(labels)) if want_fb else None
+    for pos, nf, nfg, part_fb in parts:
+        norm_f[pos], norm_fg[pos] = nf, nfg
+        if want_fb:
+            fb[pos] = part_fb
+    return labels, norm_f, norm_fg, fb
+
+
+def _lower_bound(labels, norm_f, norm_fg):
+    """(L, witness, usable): L is the max of norm_fg / norm_f over members
+    with nonzero norm (the others are skipped with a warning), the witness
+    is the first member in family order whose ratio is at least
+    L (1 - WITNESS_TIE), and usable masks the members that count."""
+    usable = norm_f != 0.0
+    for k in np.flatnonzero(~usable):
+        warnings.warn(f"family member {labels[k]!r} has zero norm; skipped")
+    if not usable.any():
+        raise ValueError("family contained no usable member")
+    ratios = np.full(len(labels), -math.inf)
+    ratios[usable] = norm_fg[usable] / norm_f[usable]
+    L = float(ratios.max())
+    witness = labels[int(np.argmax(ratios >= L * (1.0 - WITNESS_TIE)))]
+    return L, witness, usable
+
+
+def _family_lower_bound(g, p, spec, members):
+    """(L, witness) of g over (label, member) pairs, as in _family_norms."""
+    labels, norm_f, norm_fg, _ = _family_norms(g, p, spec, members)
+    L, witness, _ = _lower_bound(labels, norm_f, norm_fg)
+    return L, witness
 
 
 def op_norm_lower_bound(g, p, spec, family):
     """max over the family of norm(f*g)/norm(f); a lower bound for the
     multiplier operator norm.  Zero-norm members are skipped with a warning.
 
-    Family items may be bare functions or (label, function) pairs.
+    Family items may be bare members or (label, member) pairs.  A member is
+    a LeafFunction on g's tree, or an Atom of that tree standing for its
+    indicator.  The witness follows the tie rule of WITNESS_TIE.
     """
-    best = 0.0
-    witness = None
-    seen = 0
-    for item in family:
-        label, f = item if isinstance(item, tuple) else (f"f#{seen}", item)
-        seen += 1
-        norm_f = float(campanato_norm(f, p, spec, exact=False).value)
-        if norm_f == 0.0:
-            warnings.warn(f"family member {label!r} has zero norm; skipped")
-            continue
-        ratio = float(campanato_norm(f * g, p, spec, exact=False).value) / norm_f
-        if ratio > best or witness is None:
-            if ratio > best:
-                best = ratio
-                witness = label
-            elif witness is None:
-                witness = label
-    if witness is None:
-        raise ValueError("family contained no usable member")
-    return best, witness
+    tree = g.tree
+    members = []
+    for k, item in enumerate(family):
+        label, f = item if isinstance(item, tuple) else (f"f#{k}", item)
+        if isinstance(f, Atom):
+            if tree.atom(f.level, f.index) is not f:
+                raise ValueError(f"atom {f.id} does not belong to g's tree")
+            members.append((label, f))
+        else:
+            if f.tree is not tree:
+                raise ValueError("functions live on different trees")
+            members.append((label, f.values_array))
+    return _family_lower_bound(g, p, spec, members)
 
 
 # -- the main certificate ------------------------------------------------------
@@ -216,7 +355,8 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
                     * norm(f)
 
     for every family member.  Weight-condition failures downgrade the
-    certificate status to "assumptions unmet".
+    certificate status to "assumptions unmet".  The witness of L follows
+    the tie rule of WITNESS_TIE.
     """
     tree = g.tree
     if grid is None:
@@ -233,43 +373,20 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
     sup_g = float(linf_norm(g))
     T = sem_q + sup_g
 
-    def member_stats(item):
-        label, f = item
-        sem, _, _, fb = oscillation_scan(f, p, spec, want_fb=True, exact=False)
-        norm_f = float(sem) + abs(float(expectation(f)))
-        norm_fg = float(campanato_norm(f * g, p, spec, exact=False).value)
-        return label, norm_f, norm_fg, fb
-
-    family = default_test_family(tree, spec, chains=sample_chains,
-                                 randoms=randoms, seed=seed)
-    stats = _map(member_stats, family)
-
-    L = 0.0
-    L_witness = None
-    c_fb = 0.0
-    usable = []
-    for label, norm_f, norm_fg, fb in stats:
-        if norm_f == 0.0:
-            warnings.warn(f"family member {label!r} has zero norm; skipped")
-            continue
-        usable.append((label, norm_f, norm_fg))
-        ratio = norm_fg / norm_f
-        if ratio > L or L_witness is None:
-            if ratio > L:
-                L, L_witness = ratio, label
-            elif L_witness is None:
-                L_witness = label
-        c_fb = max(c_fb, fb / norm_f)
+    family = _family_members(tree, spec, chains=sample_chains,
+                             randoms=randoms, seed=seed)
+    labels, norm_f, norm_fg, fb = _family_norms(g, p, spec, family,
+                                                want_fb=True)
+    L, L_witness, usable = _lower_bound(labels, norm_f, norm_fg)
+    norm_f, norm_fg = norm_f[usable], norm_fg[usable]
+    c_fb = float(np.max(fb[usable] / norm_f))
 
     phi_at_1 = float(phimod.eval_phi(spec, 1.0))
     upper_coeff = c_fb * sem_q + (2.0 + max(1.0, phi_at_1)) * sup_g
-    violations = 0
-    worst_margin = -math.inf
-    for label, norm_f, norm_fg in usable:
-        margin = norm_fg - upper_coeff * norm_f
-        worst_margin = max(worst_margin, margin)
-        if margin > INEQ_SLACK:
-            violations += 1
+    margins = norm_fg - upper_coeff * norm_f
+    worst_margin = float(np.max(margins))
+    violations = int(np.count_nonzero(margins > INEQ_SLACK))
+    members = int(np.count_nonzero(usable))
 
     return MultiplierReport(
         g_label=g_label,
@@ -277,11 +394,11 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
         seminorm_quotient=sem_q,
         T=T,
         op_lower=L,
-        op_witness=L_witness or "",
+        op_witness=L_witness,
         ratio=(T / L) if L > 0 else math.inf,
         c_fb=c_fb,
-        family_size=len(usable),
-        upper_checked=len(usable),
+        family_size=members,
+        upper_checked=members,
         upper_violations=violations,
         upper_worst_margin=worst_margin,
         conditions=conditions,
@@ -306,14 +423,12 @@ def linf_bound_check(g, p, spec):
     checks = []
 
     # E_n |g| grows by at most R per level, pointwise.
-    abs_g = g.apply(abs)
-    leafm = tree.leaf_measures_f()
-    av = abs_g.values_array
+    gv = g.values_array
+    av = np.abs(gv)
     prev = None
     growth_margin = -math.inf
     for n in range(tree.depth + 1):
-        starts, lengths, measures = tree.level_arrays(n)
-        cur = np.repeat(np.add.reduceat(av * leafm, starts) / measures, lengths)
+        cur = np.repeat(level_means(tree, n, av), tree.level_arrays(n)[1])
         if prev is not None:
             growth_margin = max(growth_margin, float(np.max(cur - R * prev)))
         prev = cur
@@ -325,14 +440,12 @@ def linf_bound_check(g, p, spec):
         passed=growth_margin <= INEQ_SLACK,
     ))
 
-    gv = g.values_array
     worst_margin = -math.inf
     worst_witness = None
     levels_checked = 0
     skipped = 0
     for n in range(1, tree.depth + 1):
-        starts, lengths, measures = tree.level_arrays(n)
-        avg = np.add.reduceat(gv * leafm, starts) / measures
+        avg = level_means(tree, n, gv)
         j = int(np.argmax(np.abs(avg)))
         sup_en = float(np.abs(avg[j]))
         B = tree.atoms(n)[j]
@@ -363,11 +476,8 @@ def linf_bound_check(g, p, spec):
         witness=worst_witness,
     ))
 
-    fam = [("const:1", constant(tree, 1.0))]
-    for n in range(tree.depth + 1):
-        for atom in tree.atoms(n):
-            fam.append((f"chi:{n},{atom.index}", indicator(tree, atom)))
-    L_chi, witness = op_norm_lower_bound(g, p, spec, fam)
+    fam = list(_family_members(tree, spec, chains=0, randoms=0, seed=0))
+    L_chi, witness = _family_lower_bound(g, p, spec, fam)
     sup_g = float(linf_norm(g))
     checks.append(Check(
         name="sup_norm_vs_indicator_lower_bound",
@@ -384,13 +494,19 @@ def linf_bound_check(g, p, spec):
 # -- truncation compatibility ----------------------------------------------------
 
 
-def _project(f, n, trunc):
-    """E_n f as a leaf function on the depth-n truncated tree."""
-    tree = f.tree
-    starts, _, measures = tree.level_arrays(n)
-    leafm = tree.leaf_measures_f()
-    avg = np.add.reduceat(f.values_array * leafm, starts) / measures
-    return LeafFunction.from_float_array(trunc, avg)
+def _project(member, n, tree, trunc):
+    """E_n of a family member, as a member on the depth-n truncation.
+
+    Rows are averaged over the level-n atoms.  An indicator of an atom at
+    level n or above stays an indicator; a deeper atom B projects to
+    (P(B)/P(A)) chi_A for its level-n ancestor A, which has the ratio
+    norm(fg)/norm(f) of chi_A itself, so chi_A stands for it.
+    """
+    if isinstance(member, Atom):
+        while member.level > n:
+            member = member.parent
+        return trunc.atom(member.level, member.index)
+    return level_means(tree, n, member)
 
 
 def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
@@ -401,59 +517,46 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     conditioning (projections of indicators and constants are scalar
     multiples of shallower members, so only chain and random members need
     explicit closure), which makes the per-level lower bounds L_n provably
-    dominated by the full-tree bound L(g) up to float slack.
+    dominated by the full-tree bound L(g) up to float slack.  Level N runs
+    on a fresh depth-N truncation too, so its values check the full-tree
+    computation independently.
     """
     tree = g.tree
     N = tree.depth
-    base = list(default_test_family(tree, spec, chains=chains,
-                                    randoms=randoms, seed=seed))
+    base = list(_family_members(tree, spec, chains=chains, randoms=randoms,
+                                seed=seed))
     shared = list(base)
-    for label, f in base:
+    for label, row in base:
         if label.startswith(("chain:", "rand:")):
             for n in range(1, N):
-                starts, _, measures = tree.level_arrays(n)
-                leafm = tree.leaf_measures_f()
-                avg = np.add.reduceat(f.values_array * leafm, starts) / measures
-                lifted = np.repeat(avg, tree.level_arrays(n)[1])
-                shared.append((f"E{n}[{label}]",
-                               LeafFunction.from_float_array(tree, lifted)))
+                lifted = np.repeat(level_means(tree, n, row),
+                                   tree.level_arrays(n)[1])
+                shared.append((f"E{n}[{label}]", lifted))
 
-    def ratios_on(tree_n, g_n, members):
-        best, witness = 0.0, None
-        for label, f in members:
-            norm_f = float(campanato_norm(f, p, spec, exact=False).value)
-            if norm_f == 0.0:
-                continue
-            ratio = float(campanato_norm(f * g_n, p, spec, exact=False).value) / norm_f
-            if ratio > best or witness is None:
-                if ratio > best:
-                    best, witness = ratio, label
-                elif witness is None:
-                    witness = label
-        return best, witness
-
-    L_full, _ = ratios_on(tree, g, shared)
     quotient = phimod.quotient_phi(spec)
-    T_full = float(campanato_seminorm(g, p, quotient, exact=False).value) \
-        + float(linf_norm(g))
 
+    def T_of(g_n):
+        return float(campanato_seminorm(g_n, p, quotient, exact=False).value) \
+            + float(linf_norm(g_n))
+
+    L_full, _ = _family_lower_bound(g, p, spec, shared)
+    T_full = T_of(g)
     L_n = []
     T_n = []
     for n in range(N + 1):
-        if n == N:
-            L_n.append(ratios_on(tree, g, shared)[0])
-            T_n.append(T_full)
-            continue
         trunc = truncate(tree, n)
-        g_proj = _project(g, n, trunc)
-        members = [(label, _project(f, n, trunc)) for label, f in shared]
-        L_n.append(ratios_on(trunc, g_proj, members)[0])
-        T_n.append(float(campanato_seminorm(g_proj, p, quotient,
-                                            exact=False).value)
-                   + float(linf_norm(g_proj)))
+        g_proj = LeafFunction.from_float_array(
+            trunc, level_means(tree, n, g.values_array))
+        members = [(label, _project(m, n, tree, trunc)) for label, m in shared]
+        L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
+        T_n.append(T_of(g_proj))
 
     forward_margin = max(l - L_full for l in L_n)
-    sup_margin = max(t - T_n[N] for t in T_n)
+    sup_margin = max(t - T_full for t in T_n)
+    identity_diff = abs(L_n[N] - L_full)
+    identity_tol = EXACT_SLACK * max(1.0, L_full)
+    T_diff = abs(T_n[N] - T_full)
+    T_tol = EXACT_SLACK * max(1.0, T_full)
     eg = abs(float(expectation(g)))
     checks = [
         Check(
@@ -467,11 +570,12 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
         ),
         Check(
             name="deepest_truncation_identity",
-            anchor="depth-N truncation reproduces the full computation",
+            anchor="the depth-N truncation, rebuilt with projected members, "
+                   "reproduces the full-tree lower bound",
             measured={"L_N": L_n[N], "L_full": L_full,
-                      "diff": abs(L_n[N] - L_full)},
-            threshold="exact (same computation)",
-            passed=L_n[N] == L_full,
+                      "diff": identity_diff},
+            threshold=f"diff <= {EXACT_SLACK} * max(1, L_full)",
+            passed=identity_diff <= identity_tol,
         ),
         Check(
             name="level0_lower_bound_is_mean",
@@ -485,9 +589,10 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
             name="quotient_norm_sup_at_deepest",
             anchor="quotient-weight norms of truncations peak at full depth",
             measured={"T_full": T_full, "T_n": T_n, "worst_margin": sup_margin,
-                      "diff_at_N": abs(T_n[N] - T_full)},
-            threshold=f"margin <= {INEQ_SLACK}",
-            passed=sup_margin <= INEQ_SLACK and T_n[N] == T_full,
+                      "diff_at_N": T_diff},
+            threshold=f"margin <= {INEQ_SLACK} and diff at N <= "
+                      f"{EXACT_SLACK} * max(1, T_full)",
+            passed=sup_margin <= INEQ_SLACK and T_diff <= T_tol,
         ),
     ]
     return VerificationReport(suite="conditional_multipliers", checks=checks)

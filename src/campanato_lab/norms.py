@@ -144,49 +144,82 @@ def _use_exact(f, p, spec):
             and f.has_exact_values)
 
 
+def _level_scan(tree, block, p, spec):
+    """Yield (n, averages, ratios) for every level n above the deepest.
+
+    `block` is a (members x leaves) float array; both arrays have one row
+    per member and one column per level-n atom: the atom averages f_B and
+    the weighted oscillations ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).
+    The deepest level is left out: every leaf function is measurable there.
+    """
+    leafm = tree.leaf_measures_f()
+    w = block * leafm
+    invp = 1.0 / p
+    phis = phi_level_values(tree, spec)
+    for n in range(tree.depth):
+        starts, lengths, measures = tree.level_arrays(n)
+        avg = np.add.reduceat(w, starts, axis=1) / measures
+        dev = np.abs(block - np.repeat(avg, lengths, axis=1))
+        if p != 1:
+            dev = dev ** p
+        ratios = np.add.reduceat(dev * leafm, starts, axis=1) / measures
+        if p != 1:
+            ratios = ratios ** invp
+        yield n, avg, ratios / phis[n]
+
+
+def scan_block(tree, block, p, spec, want_fb=False):
+    """Float scan of a block of leaf functions, one row per member.
+
+    Returns three arrays with one value per row: the seminorm, the mean
+    Ef, and the sup over all atoms of |f_B| / phi_star(P(B)) (None unless
+    want_fb).  Each level reduces the whole block at once (np.add.reduceat
+    along the leaf axis), so the Python-level cost is per level, not per
+    member.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    block = np.asarray(block, dtype=np.float64)
+    sup = np.zeros(block.shape[0])
+    fb = None
+    if want_fb:
+        stars = phi_star_level_values(tree, spec)
+        fb = (np.abs(block) / stars[tree.depth]).max(axis=1)
+    for n, avg, ratios in _level_scan(tree, block, p, spec):
+        np.maximum(sup, ratios.max(axis=1), out=sup)
+        if want_fb:
+            np.maximum(fb, (np.abs(avg) / stars[n]).max(axis=1), out=fb)
+    mean = (block * tree.leaf_measures_f()).sum(axis=1)
+    return sup, mean, fb
+
+
 def _scan_float(f, p, spec, want_fb=False):
     """Vectorized sup scan: returns (sup, witness, per_level, fb_sup).
 
-    fb_sup is the sup over all atoms of |f_B| / phi_star(P(B)), reusing
-    the per-level averages already in hand; None unless requested.
+    The one-row case of the block scan.  fb_sup is the sup over all atoms
+    of |f_B| / phi_star(P(B)), reusing the per-level averages already in
+    hand; None unless requested.
     """
     tree = f.tree
     values = f.values_array
-    leafm = tree.leaf_measures_f()
-    w = values * leafm
-    invp = 1.0 / p
-    phis = phi_level_values(tree, spec)
     stars = phi_star_level_values(tree, spec) if want_fb else None
     best = -math.inf
     witness = None
     per_level = []
     fb_sup = 0.0
-    for n in range(tree.depth + 1):
-        starts, lengths, measures = tree.level_arrays(n)
-        if n == tree.depth:
-            # deepest level: f is measurable, zero oscillation by definition
-            per_level.append(0.0)
-            if want_fb:
-                fb_sup = max(fb_sup, float(np.max(np.abs(values) / stars[n])))
-            continue
-        sums = np.add.reduceat(w, starts)
-        avg = sums / measures
+    for n, avg, ratios in _level_scan(tree, values[None, :], p, spec):
         if want_fb:
-            fb_sup = max(fb_sup, float(np.max(np.abs(avg) / stars[n])))
-        dev = np.abs(values - np.repeat(avg, lengths))
-        if p != 1:
-            dev = dev ** p
-        cint = np.add.reduceat(dev * leafm, starts)
-        ratios = cint / measures
-        if p != 1:
-            ratios = ratios ** invp
-        ratios = ratios / phis[n]
-        i = int(np.argmax(ratios))
-        level_sup = float(ratios[i])
+            fb_sup = max(fb_sup, float(np.max(np.abs(avg[0]) / stars[n])))
+        i = int(np.argmax(ratios[0]))
+        level_sup = float(ratios[0, i])
         per_level.append(level_sup)
         if level_sup > best:
             best = level_sup
             witness = (n, i)
+    # deepest level: f is measurable, zero oscillation by definition
+    per_level.append(0.0)
+    if want_fb:
+        fb_sup = max(fb_sup, float(np.max(np.abs(values) / stars[tree.depth])))
     if witness is None:  # depth-0 tree: only the zero deepest level
         best, witness = 0.0, (0, 0)
     return best, witness, tuple(per_level), (fb_sup if want_fb else None)

@@ -180,3 +180,56 @@ def test_shipped_example_configs(tmp_path):
     assert regime["label"] == "neither"
     assert regime["quotient_at_rmin"] < 0.05
     assert run(str(root / "splits.json"), out_dir=str(tmp_path / "s")) == 0
+
+
+def run_config_error(tmp_path, capsys, **changes):
+    """Run BASE with `changes`; return (exit code, the config-error line)."""
+    cfg = dict(BASE, **changes)
+    code = run(write_config(tmp_path / "cfg.json", cfg),
+               out_dir=str(tmp_path / "out"))
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("config error:")]
+    return code, lines
+
+
+def names_key(lines, key):
+    import re
+    return any(re.search(rf"\b{re.escape(key)}\b", line) for line in lines)
+
+
+def test_function_entry_not_an_object_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys, functions=[1])
+    assert code == 2 and names_key(lines, "functions"), lines
+
+
+def test_p_string_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys, p="x")
+    assert code == 2 and names_key(lines, "p"), lines
+
+
+def test_p_nan_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys, p=float("nan"))
+    assert code == 2 and names_key(lines, "p"), lines
+
+
+def test_p_inf_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys, p=[1, float("inf")])
+    assert code == 2 and names_key(lines, "p"), lines
+
+
+def test_seed_string_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys, seed="abc")
+    assert code == 2 and names_key(lines, "seed"), lines
+
+
+def test_suites_string_exits_2(tmp_path, capsys):
+    # a string is not iterated one character at a time
+    code, lines = run_config_error(tmp_path, capsys, suites="verify")
+    assert code == 2 and names_key(lines, "suites"), lines
+    assert "list" in lines[0], lines
+
+
+def test_tree_depth_bool_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(tmp_path, capsys,
+                                   tree={"type": "dyadic", "depth": True})
+    assert code == 2 and names_key(lines, "depth"), lines

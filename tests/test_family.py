@@ -1,0 +1,198 @@
+"""The batched multiplier family against a per-member loop.
+
+The certificate and op_norm_lower_bound scan the test family in blocks and
+take an ancestors-only path for indicators; the reference here scans one
+member at a time with the public single-function norms, on random split
+trees with persistence steps, in exact and float mode.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from campanato_lab import (LeafFunction, build_from_spec, campanato_norm,
+                           campanato_seminorm, chain_to_root,
+                           chi_norm_closed_form, constant, eval_phi,
+                           expectation, extremal_chain_function, indicator,
+                           linf_norm, one, op_norm_lower_bound, powerlog, psi,
+                           quotient_phi, sin_h_multiplier,
+                           theorem1_certificate)
+from campanato_lab.constructions import chain_values
+from campanato_lab.multiplier import _family_members, _family_norms
+from campanato_lab.norms import oscillation_scan
+
+TOL = 1e-12
+WEIGHTS = {"one": one(), "psi": psi(), "powerlog(0.3)": powerlog(0.3)}
+
+
+@st.composite
+def split_trees(draw, max_depth=5):
+    """Random split trees: persistence steps, early stops (padded with
+    persistence), binary and ternary splits; exact or float fractions."""
+    exact = draw(st.booleans())
+
+    def node(level, must_split=False):
+        if level == max_depth:
+            return None
+        kind = draw(st.integers(2, 3) if must_split else st.integers(0, 3))
+        if kind == 0:
+            return None
+        if kind == 1:
+            return {"persist": node(level + 1)}
+        weights = draw(st.lists(st.integers(1, 5), min_size=kind,
+                                max_size=kind))
+        total = sum(weights)
+        fractions = [f"{w}/{total}" if exact else w / total for w in weights]
+        return {"fractions": fractions,
+                "children": [node(level + 1) for _ in range(kind)]}
+
+    return build_from_spec(node(0, must_split=True))
+
+
+def rel(a, b):
+    scale = max(abs(a), abs(b))
+    return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def reference_family(tree, spec, chains, randoms, seed):
+    """The default family built member by member from the public
+    constructors (Fraction chain functions where the tree is exact)."""
+    rng = np.random.default_rng(seed)
+    members = [("const:1", constant(tree, 1.0))]
+    for n in range(tree.depth + 1):
+        for atom in tree.atoms(n):
+            members.append((f"chi:{n},{atom.index}", indicator(tree, atom)))
+    picks = rng.choice(tree.leaf_count, size=min(chains, tree.leaf_count),
+                       replace=False)
+    for j in sorted(int(x) for x in picks):
+        chain = chain_to_root(tree, tree.leaves[j])
+        members.append((f"chain:leaf={j}",
+                        extremal_chain_function(tree, chain, spec).f))
+    for k in range(randoms):
+        members.append((f"rand:{k}", LeafFunction.from_float_array(
+            tree, rng.standard_normal(tree.leaf_count))))
+    return members
+
+
+def reference_stats(g, p, spec, members):
+    """{label: (norm f, norm f g, sup |f_B| / phi_star)}, one scan each."""
+    out = {}
+    for label, f in members:
+        sem, _, _, fb = oscillation_scan(f, p, spec, want_fb=True, exact=False)
+        norm_f = float(sem) + abs(float(expectation(f)))
+        norm_fg = float(campanato_norm(f * g, p, spec, exact=False).value)
+        out[label] = (norm_f, norm_fg, fb)
+    return out
+
+
+def multiplier_for(tree, spec, kind, seed):
+    if kind == "sin_h":
+        leaf = seed % tree.leaf_count
+        return sin_h_multiplier(tree, chain_to_root(tree, tree.leaves[leaf]),
+                                spec)
+    rng = np.random.default_rng(seed + 1)
+    return LeafFunction.from_float_array(tree,
+                                         rng.standard_normal(tree.leaf_count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=split_trees(), p=st.sampled_from([1, 1.5, 2]),
+       weight=st.sampled_from(sorted(WEIGHTS)),
+       g_kind=st.sampled_from(["sin_h", "random"]),
+       seed=st.integers(0, 2 ** 16))
+def test_certificate_matches_per_member_loop(tree, p, weight, g_kind, seed):
+    spec = WEIGHTS[weight]
+    g = multiplier_for(tree, spec, g_kind, seed)
+    chains, randoms = 6, 4
+    cert = theorem1_certificate(g, p, spec, sample_chains=chains,
+                                randoms=randoms, seed=seed)
+    members = reference_family(tree, spec, chains, randoms, seed)
+    stats = reference_stats(g, p, spec, members)
+
+    sem_q = float(campanato_seminorm(g, p, quotient_phi(spec),
+                                     exact=False).value)
+    sup_g = float(linf_norm(g))
+    usable = {k: v for k, v in stats.items() if v[0] != 0.0}
+    L = max(nfg / nf for nf, nfg, _ in usable.values())
+    c_fb = max(fb / nf for nf, _, fb in usable.values())
+    coeff = c_fb * sem_q + (2.0 + max(1.0, float(eval_phi(spec, 1.0)))) * sup_g
+    margin = max(nfg - coeff * nf for nf, nfg, _ in usable.values())
+    scale = max(max(nfg, coeff * nf) for nf, nfg, _ in usable.values())
+
+    assert rel(cert.T, sem_q + sup_g) <= TOL
+    assert rel(cert.op_lower, L) <= TOL
+    assert rel(cert.c_fb, c_fb) <= TOL
+    assert abs(cert.upper_worst_margin - margin) <= TOL * scale
+    assert cert.family_size == len(usable)
+    w_nf, w_nfg, _ = stats[cert.op_witness]
+    assert rel(w_nfg / w_nf, cert.op_lower) <= TOL
+    # the witness is the first member in family order within the tie band
+    # L (1 - 1e-12); half the band is slack for the two summation orders
+    for label, _ in members:
+        if label == cert.op_witness:
+            break
+        if label in usable:
+            nf, nfg, _ = usable[label]
+            assert nfg / nf < L * (1.0 - TOL / 2), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=split_trees(), p=st.sampled_from([1, 1.5, 2]),
+       weight=st.sampled_from(sorted(WEIGHTS)),
+       g_kind=st.sampled_from(["sin_h", "random"]),
+       seed=st.integers(0, 2 ** 16))
+def test_family_norms_match_per_member_scans(tree, p, weight, g_kind, seed):
+    spec = WEIGHTS[weight]
+    g = multiplier_for(tree, spec, g_kind, seed)
+    family = list(_family_members(tree, spec, chains=4, randoms=3, seed=seed))
+    labels, norm_f, norm_fg, fb = _family_norms(g, p, spec, family,
+                                                want_fb=True)
+    stats = reference_stats(g, p, spec,
+                            reference_family(tree, spec, 4, 3, seed))
+    assert labels == list(stats)
+    for k, (label, member) in enumerate(family):
+        ref_nf, ref_nfg, ref_fb = stats[label]
+        assert rel(norm_f[k], ref_nf) <= TOL, label
+        assert rel(norm_fg[k], ref_nfg) <= TOL, label
+        assert rel(fb[k], ref_fb) <= TOL, label
+        if label.startswith("chi:"):
+            closed = float(chi_norm_closed_form(member, p, spec).value)
+            assert rel(norm_f[k], closed + float(member.measure)) <= TOL, label
+
+    # op_norm_lower_bound takes indicators as atoms or as functions alike
+    as_atoms = op_norm_lower_bound(g, p, spec, [
+        (label, m if not isinstance(m, np.ndarray)
+         else LeafFunction.from_float_array(tree, m)) for label, m in family])
+    as_functions = op_norm_lower_bound(g, p, spec, [
+        (label, indicator(tree, m) if not isinstance(m, np.ndarray)
+         else LeafFunction.from_float_array(tree, m)) for label, m in family])
+    assert rel(as_atoms[0], as_functions[0]) <= TOL
+    L = max(nfg / nf for nf, nfg, _ in stats.values() if nf != 0.0)
+    assert rel(as_atoms[0], L) <= TOL
+    w_nf, w_nfg, _ = stats[as_atoms[1]]
+    assert rel(w_nfg / w_nf, L) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=split_trees(), weight=st.sampled_from(sorted(WEIGHTS)),
+       leaf=st.integers(0, 10 ** 6))
+def test_chain_values_match_increment_sums(tree, weight, leaf):
+    spec = WEIGHTS[weight]
+    chain = chain_to_root(tree, tree.leaves[leaf % tree.leaf_count])
+    built = extremal_chain_function(tree, chain, spec).f.values_array
+    row = chain_values(tree, chain, spec)
+    scale = max(1.0, float(np.max(np.abs(built))))
+    assert np.max(np.abs(row - built)) <= TOL * scale
+
+
+def test_equal_measure_ancestor_gives_zero_oscillation():
+    # the root persists once, so chi of the level-1 atom is the constant 1
+    tree = build_from_spec({"persist": {"fractions": ["1/3", "2/3"]}})
+    g = LeafFunction.from_float_array(tree, np.array([0.5, -2.0]))
+    B = tree.atoms(1)[0]
+    labels, norm_f, norm_fg, _ = _family_norms(g, 1, one(), [("chi", B)])
+    assert norm_f[0] == 1.0
+    assert math.isclose(norm_fg[0], float(campanato_norm(g, 1, one()).value),
+                        rel_tol=TOL)

@@ -229,14 +229,3 @@ def test_conditional_norm_of_products_never_increases():
             assert float(campanato_norm(truncated, 1, one(),
                                         exact=False).value) \
                 <= norm_fg + 1e-12
-
-
-def test_thread_env_var_does_not_change_results(monkeypatch):
-    tree = build_dyadic(5)
-    g = sin_h_multiplier(tree, chain_through_leaf(tree, 0), one())
-    base = theorem1_certificate(g, 1, one(), sample_chains=4, seed=5)
-    monkeypatch.setenv("CAMPANATO_LAB_THREADS", "4")
-    threaded = theorem1_certificate(g, 1, one(), sample_chains=4, seed=5)
-    assert threaded.T == base.T
-    assert threaded.op_lower == base.op_lower
-    assert threaded.c_fb == base.c_fb
