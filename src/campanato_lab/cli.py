@@ -100,6 +100,9 @@ class ExperimentConfig:
 
         phi_cfg = raw.get("phi", {"family": "one"})
         if isinstance(phi_cfg, list):
+            if not phi_cfg:
+                raise ConfigError("phi: expected a weight object or a "
+                                  "non-empty list")
             self.phis = [parse_phi_config(c, f"phi[{i}]")
                          for i, c in enumerate(phi_cfg)]
         else:

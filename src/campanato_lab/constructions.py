@@ -191,9 +191,8 @@ def lipschitz_compose_check(f, lip_constant, composed):
     worst_ratio = 0.0
     worst_witness = None
     atoms_checked = 0
-    for n in range(tree.depth + 1):
-        lhs, _ = _level_cints(composed, 1, n)
-        rhs, _ = _level_cints(f, 1, n)
+    block = np.stack([composed.values_array, f.values_array])
+    for n, ((lhs, rhs), _) in enumerate(_level_cints(tree, block, 1)):
         for j, (a, b) in enumerate(zip(lhs, rhs)):
             atoms_checked += 1
             margin = float(a - 2.0 * lip_constant * b)

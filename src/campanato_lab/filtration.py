@@ -171,7 +171,7 @@ class FiltrationTree:
                         f"children of {atom.id} sum to {child_total!r}, "
                         f"expected {atom.measure!r}")
 
-    # -- float views for the vectorized norm scans --------------------------
+    # -- array views for the vectorized norm scans --------------------------
 
     def leaf_measures_f(self):
         arr = self._arrays.get("leafm")
@@ -192,6 +192,23 @@ class FiltrationTree:
             measures = np.array([float(a.measure) for a in level], dtype=np.float64)
             arrs = (starts, lengths, measures)
             self._arrays[key] = arrs
+        return arrs
+
+    def measure_arrays(self, dtype):
+        """(leaf measures, per-level atom measures) for rows of the given
+        dtype: the tree's own numbers as object arrays for object rows, so
+        that sums of exact values stay exact, and float64 otherwise."""
+        exact = np.dtype(dtype) == object
+        arrs = self._arrays.get(("measures", exact))
+        if arrs is None:
+            if exact:
+                levels = tuple(np.array([a.measure for a in level], dtype=object)
+                               for level in self.levels)
+            else:
+                levels = tuple(self.level_arrays(n)[2]
+                               for n in range(self.depth + 1))
+            arrs = (levels[-1], levels)
+            self._arrays[("measures", exact)] = arrs
         return arrs
 
 

@@ -144,16 +144,6 @@ def random_functions(tree, count, seed):
             for _ in range(count)]
 
 
-def random_rational_functions(tree, count, seed, denominator=256, span=512):
-    """Random exact-valued functions: numerators in [-span, span]."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        nums = rng.integers(-span, span + 1, size=tree.leaf_count)
-        out.append(LeafFunction(tree, [Fraction(int(k), denominator) for k in nums]))
-    return out
-
-
 # -- conditional expectation and friends -------------------------------------
 
 
@@ -168,13 +158,19 @@ def atom_average(f, B):
 def level_means(tree, n, values):
     """Averages over every level-n atom of leaf-value rows.
 
-    `values` is a float array whose last axis runs over the leaves (one
+    `values` is an array whose last axis runs over the leaves (one
     function, or a block of them); the last axis of the result runs over
-    the level-n atoms.
+    the level-n atoms.  Float rows are averaged in float64.  An object
+    array is averaged with the tree's own measures, adding the leaves of
+    each atom one after another: exact values stay exact, and float
+    values get the bits of the same sum written as a loop.
     """
-    starts, _, measures = tree.level_arrays(n)
-    weighted = np.asarray(values, dtype=np.float64) * tree.leaf_measures_f()
-    return np.add.reduceat(weighted, starts, axis=-1) / measures
+    values = np.asarray(values)
+    if values.dtype != object:
+        values = values.astype(np.float64, copy=False)
+    leafm, measures = tree.measure_arrays(values.dtype)
+    starts = tree.level_arrays(n)[0]
+    return np.add.reduceat(values * leafm, starts, axis=-1) / measures[n]
 
 
 def conditional_expectation(f, n):
@@ -184,12 +180,8 @@ def conditional_expectation(f, n):
         raise ValueError(f"level {n} out of range [0, {tree.depth}]")
     if n == tree.depth:
         return f
-    values = [None] * tree.leaf_count
-    for B in tree.atoms(n):
-        avg = atom_average(f, B)
-        for i in range(B.leaf_start, B.leaf_end):
-            values[i] = avg
-    return LeafFunction(tree, values)
+    means = level_means(tree, n, np.array(f.values, dtype=object))
+    return LeafFunction(tree, np.repeat(means, tree.level_arrays(n)[1]))
 
 
 def martingale_of(f):

@@ -20,7 +20,8 @@ from .filtration import Atom, chain_to_root, regularity_constant, truncate
 from .functions import (LeafFunction, expectation, indicator, level_means,
                         linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
-                    phi_level_values, phi_star_level_values, scan_block)
+                    level_reductions, phi_level_values, phi_star_level_values,
+                    scan_block)
 from .report import Check, VerificationReport
 
 INEQ_SLACK = 1e-10
@@ -46,24 +47,14 @@ def capital_F(f, g, p, spec):
     tree = f.tree
     if g.tree is not tree:
         raise ValueError("functions live on different trees")
-    fv = f.values_array
-    gv = g.values_array
-    leafm = tree.leaf_measures_f()
     phis = phi_level_values(tree, spec)
     invp = 1.0 / p
     best = 0.0
-    for n in range(tree.depth):  # deepest level has zero oscillation
-        starts, lengths, measures = tree.level_arrays(n)
-        avg_f = np.add.reduceat(fv * leafm, starts) / measures
-        avg_g = np.add.reduceat(gv * leafm, starts) / measures
-        dev = np.abs(gv - np.repeat(avg_g, lengths))
-        if p != 1:
-            dev = dev ** p
-        cint = np.add.reduceat(dev * leafm, starts)
+    for n, _, cint, measures in level_reductions(tree, g.values_array, p):
         osc = cint / measures
         if p != 1:
             osc = osc ** invp
-        terms = np.abs(avg_f) / phis[n] * osc
+        terms = np.abs(level_means(tree, n, f.values_array)) / phis[n] * osc
         best = max(best, float(np.max(terms)))
     return best
 

@@ -6,9 +6,10 @@ The seminorm of f is the sup over levels n and level-n atoms B of
 
 and the norm adds |Ef|.  For functions measurable at the deepest level
 the sup over deeper levels vanishes, so finite trees give exact values.
-Two code paths: exact rational arithmetic (p = 1, constant weight,
-rational tree and values) and a vectorized float path for everything
-else.  Ties in the sup are broken by (level, atom index).
+One per-level reduction serves every scan: float rows reduce in
+float64, and for p = 1 with the constant weight on a rational tree with
+rational values the scan runs on an object row of exact values instead.
+Ties in the sup are broken by (level, atom index).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import phi as phimod
 from .functions import expectation
-
-COMPARE_SLACK = 1e-12  # float-mode comparison slack on norm identities
 
 
 @dataclass(frozen=True)
@@ -55,117 +55,80 @@ def _num(x):
     return str(x) if isinstance(x, Fraction) else float(x)
 
 
-# -- weight caches per tree ----------------------------------------------------
+# -- weights at atom measures ---------------------------------------------------
+
+
+def _weigh(fn, measures):
+    """fn at every entry of a float array of measures, as a float array;
+    fn is called once per distinct value."""
+    distinct, where = np.unique(measures, return_inverse=True)
+    return np.array([float(fn(m)) for m in distinct])[where]
+
+
+def _level_weights(tree, key, fn):
+    """fn at every atom measure, one float array per level, cached on the
+    tree under `key`."""
+    cached = tree._phi_cache.get(key)
+    if cached is None:
+        measures = [tree.level_arrays(n)[2] for n in range(tree.depth + 1)]
+        cached = np.split(_weigh(fn, np.concatenate(measures)),
+                          np.cumsum([len(m) for m in measures])[:-1])
+        tree._phi_cache[key] = cached
+    return cached
 
 
 def phi_level_values(tree, spec):
     """phi evaluated at every atom measure, one float array per level."""
-    key = ("phi", spec)
-    cached = tree._phi_cache.get(key)
-    if cached is None:
-        cached = []
-        memo = {}
-        for n in range(tree.depth + 1):
-            measures = tree.level_arrays(n)[2]
-            vals = np.empty_like(measures)
-            for i, m in enumerate(measures):
-                v = memo.get(m)
-                if v is None:
-                    v = float(phimod.eval_phi(spec, m))
-                    memo[m] = v
-                vals[i] = v
-            cached.append(vals)
-        tree._phi_cache[key] = cached
-    return cached
+    return _level_weights(tree, ("phi", spec), partial(phimod.eval_phi, spec))
 
 
 def phi_star_level_values(tree, spec):
     """phi_star at every atom measure, one float array per level."""
-    key = ("phi_star", spec)
-    cached = tree._phi_cache.get(key)
-    if cached is None:
-        cached = []
-        memo = {}
-        for n in range(tree.depth + 1):
-            measures = tree.level_arrays(n)[2]
-            vals = np.empty_like(measures)
-            for i, m in enumerate(measures):
-                v = memo.get(m)
-                if v is None:
-                    v = phimod.phi_star(spec, m)
-                    memo[m] = v
-                vals[i] = v
-            cached.append(vals)
-        tree._phi_cache[key] = cached
-    return cached
-
-
-def _eval_phi_array(spec, r):
-    """Vectorized weight evaluation for the closed-form families."""
-    r = np.minimum(np.asarray(r, dtype=np.float64), 1.0)
-    if spec.family == "one":
-        return np.ones_like(r)
-    if spec.family == "psi":
-        return 1.0 / (1.0 - np.log(r))
-    if spec.family == "powerlog":
-        out = np.ones_like(r)
-        if spec.alpha:
-            out = out * r ** spec.alpha
-        if spec.beta:
-            out = out * (1.0 - np.log(r)) ** (-spec.beta)
-        if spec.gamma:
-            out = out * np.log(math.e - np.log(r)) ** (-spec.gamma)
-        return out
-    if spec.family == "quotient":
-        base = spec.base
-        star = _phi_star_array(base, r)
-        if star is not None:
-            return _eval_phi_array(base, r) / star
-    return np.array([float(phimod.eval_phi(spec, x)) for x in np.atleast_1d(r)])
-
-
-def _phi_star_array(spec, r):
-    if spec.family == "one":
-        return 1.0 - np.log(r)
-    if spec.family == "psi":
-        return 1.0 + np.log(1.0 - np.log(r))
-    if spec.family == "powerlog" and spec.beta == 0.0 and spec.gamma == 0.0:
-        if spec.alpha == 0.0:
-            return 1.0 - np.log(r)
-        return 1.0 + (1.0 - r ** spec.alpha) / spec.alpha
-    return None
+    return _level_weights(tree, ("phi_star", spec),
+                          partial(phimod.phi_star, spec))
 
 
 # -- core scans -----------------------------------------------------------------
 
 
-def _use_exact(f, p, spec):
-    return (f.tree.mode == "exact" and p == 1 and spec.family == "one"
-            and f.has_exact_values)
+def level_reductions(tree, block, p):
+    """Yield (n, averages, central integrals, measures) for every level n
+    above the deepest.
+
+    `block` is an array whose last axis runs over the leaves (one row or a
+    block of rows); the averages f_B and the integrals int_B |f - f_B|^p dP
+    have one entry per level-n atom along the last axis, and measures holds
+    the P(B).  Float rows reduce with the float64 measures, a whole block
+    at once.  An object row of exact values reduces with the tree's own
+    rational measures, so p = 1 sums stay exact.  The deepest level is left
+    out: every leaf function is measurable there.
+    """
+    leafm, levels = tree.measure_arrays(block.dtype)
+    w = block * leafm
+    for n in range(tree.depth):
+        starts, lengths, _ = tree.level_arrays(n)
+        avg = np.add.reduceat(w, starts, axis=-1) / levels[n]
+        dev = np.abs(block - np.repeat(avg, lengths, axis=-1))
+        if p != 1:
+            dev = dev ** p
+        yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), levels[n]
 
 
 def _level_scan(tree, block, p, spec):
     """Yield (n, averages, ratios) for every level n above the deepest.
 
-    `block` is a (members x leaves) float array; both arrays have one row
-    per member and one column per level-n atom: the atom averages f_B and
-    the weighted oscillations ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).
-    The deepest level is left out: every leaf function is measurable there.
+    Both arrays have one row per member of `block` and one column per
+    level-n atom: the atom averages f_B and the weighted oscillations
+    ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).  The constant weight
+    divides by nothing, which keeps exact ratios exact.
     """
-    leafm = tree.leaf_measures_f()
-    w = block * leafm
     invp = 1.0 / p
-    phis = phi_level_values(tree, spec)
-    for n in range(tree.depth):
-        starts, lengths, measures = tree.level_arrays(n)
-        avg = np.add.reduceat(w, starts, axis=1) / measures
-        dev = np.abs(block - np.repeat(avg, lengths, axis=1))
-        if p != 1:
-            dev = dev ** p
-        ratios = np.add.reduceat(dev * leafm, starts, axis=1) / measures
+    phis = None if spec.family == "one" else phi_level_values(tree, spec)
+    for n, avg, cint, measures in level_reductions(tree, block, p):
+        ratios = cint / measures
         if p != 1:
             ratios = ratios ** invp
-        yield n, avg, ratios / phis[n]
+        yield n, avg, (ratios if phis is None else ratios / phis[n])
 
 
 def scan_block(tree, block, p, spec, want_fb=False):
@@ -193,91 +156,52 @@ def scan_block(tree, block, p, spec, want_fb=False):
     return sup, mean, fb
 
 
-def _scan_float(f, p, spec, want_fb=False):
-    """Vectorized sup scan: returns (sup, witness, per_level, fb_sup).
+def _use_exact(f, p, spec):
+    return (f.tree.mode == "exact" and p == 1 and spec.family == "one"
+            and f.has_exact_values)
 
-    The one-row case of the block scan.  fb_sup is the sup over all atoms
-    of |f_B| / phi_star(P(B)), reusing the per-level averages already in
-    hand; None unless requested.
+
+def oscillation_scan(f, p, spec, want_fb=False, exact=None):
+    """Sup scan of one function: returns (sup, witness, per_level, fb_sup).
+
+    The one-row case of the block scan.  The exact path scans an object
+    row of f's rational values, so its sup and per-level sups are
+    Fractions; the float path scans f's float64 values.  fb_sup is the sup
+    over all atoms of |f_B| / phi_star(P(B)), reusing the per-level
+    averages already in hand; None unless requested.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if exact is None:
+        exact = _use_exact(f, p, spec)
+    if exact and not _use_exact(f, p, spec):
+        raise ValueError("exact scan needs a rational tree and values, "
+                         "p = 1 and the constant weight")
     tree = f.tree
-    values = f.values_array
+    row = np.array(f.values, dtype=object) if exact else f.values_array
     stars = phi_star_level_values(tree, spec) if want_fb else None
     best = -math.inf
     witness = None
     per_level = []
     fb_sup = 0.0
-    for n, avg, ratios in _level_scan(tree, values[None, :], p, spec):
+    for n, avg, ratios in _level_scan(tree, row[None, :], p, spec):
         if want_fb:
             fb_sup = max(fb_sup, float(np.max(np.abs(avg[0]) / stars[n])))
         i = int(np.argmax(ratios[0]))
-        level_sup = float(ratios[0, i])
+        level_sup = ratios[0, i] if exact else float(ratios[0, i])
         per_level.append(level_sup)
         if level_sup > best:
             best = level_sup
             witness = (n, i)
     # deepest level: f is measurable, zero oscillation by definition
-    per_level.append(0.0)
+    zero = Fraction(0) if exact else 0.0
+    per_level.append(zero)
     if want_fb:
-        fb_sup = max(fb_sup, float(np.max(np.abs(values) / stars[tree.depth])))
+        fb_sup = max(fb_sup,
+                     float(np.max(np.abs(f.values_array) / stars[tree.depth])))
     if witness is None:  # depth-0 tree: only the zero deepest level
-        best, witness = 0.0, (0, 0)
+        best, witness = zero, (0, 0)
     return best, witness, tuple(per_level), (fb_sup if want_fb else None)
-
-
-def _scan_exact(f, want_fb=False):
-    """Exact rational sup scan for p = 1 with the constant weight."""
-    tree = f.tree
-    values = f.values
-    leaves = tree.leaves
-    best = None
-    witness = None
-    per_level = []
-    fb_sup = 0.0
-    stars = phi_star_level_values(tree, phimod.one()) if want_fb else None
-    for n in range(tree.depth + 1):
-        if n == tree.depth:
-            per_level.append(Fraction(0))
-            if want_fb:
-                for i, v in enumerate(values):
-                    fb_sup = max(fb_sup, abs(float(v)) / stars[n][i])
-            continue
-        level_sup = None
-        level_arg = 0
-        for j, atom in enumerate(tree.atoms(n)):
-            total = Fraction(0)
-            for i in range(atom.leaf_start, atom.leaf_end):
-                total += values[i] * leaves[i].measure
-            avg = total / atom.measure
-            if want_fb:
-                fb_sup = max(fb_sup, abs(float(avg)) / stars[n][j])
-            cint = Fraction(0)
-            for i in range(atom.leaf_start, atom.leaf_end):
-                cint += abs(values[i] - avg) * leaves[i].measure
-            val = cint / atom.measure
-            if level_sup is None or val > level_sup:
-                level_sup = val
-                level_arg = j
-        per_level.append(level_sup)
-        if best is None or level_sup > best:
-            best = level_sup
-            witness = (n, level_arg)
-    if best is None:  # depth-0 tree: only the zero-oscillation deepest level
-        best, witness = Fraction(0), (0, 0)
-    return best, witness, tuple(per_level), (fb_sup if want_fb else None)
-
-
-def oscillation_scan(f, p, spec, want_fb=False, exact=None):
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if exact is None:
-        exact = _use_exact(f, p, spec)
-    if exact:
-        if not _use_exact(f, p, spec):
-            raise ValueError("exact scan needs a rational tree and values, "
-                             "p = 1 and the constant weight")
-        return _scan_exact(f, want_fb)
-    return _scan_float(f, p, spec, want_fb)
 
 
 # -- public norms ----------------------------------------------------------------
@@ -344,21 +268,13 @@ def chi_norm_closed_form(B, p, phi_spec):
 F_NORM_LEVEL_BOUND = 20  # enumeration refuses levels with more atoms than this
 
 
-def _level_cints(f, p, n):
-    """Per-atom central integrals and measures at one level (floats)."""
-    tree = f.tree
-    values = f.values_array
-    leafm = tree.leaf_measures_f()
-    starts, lengths, measures = tree.level_arrays(n)
-    if n == tree.depth:
-        return np.zeros_like(measures), measures
-    sums = np.add.reduceat(values * leafm, starts)
-    avg = sums / measures
-    dev = np.abs(values - np.repeat(avg, lengths))
-    if p != 1:
-        dev = dev ** p
-    cint = np.add.reduceat(dev * leafm, starts)
-    return cint, measures
+def _level_cints(tree, block, p):
+    """Yield (central integrals, measures) for every level of the tree,
+    the deepest (where the integrals vanish) included."""
+    for _, _, cint, measures in level_reductions(tree, block, p):
+        yield cint, measures
+    measures = tree.level_arrays(tree.depth)[2]
+    yield np.zeros(block.shape[:-1] + measures.shape), measures
 
 
 def f_norm_exact(f, p, spec):
@@ -380,8 +296,8 @@ def f_norm_exact(f, p, spec):
     witness = None
     per_level = []
     invp = 1.0 / p
-    for n in range(tree.depth + 1):
-        cints, measures = _level_cints(f, p, n)
+    for n, (cints, measures) in enumerate(
+            _level_cints(tree, f.values_array, p)):
         k = len(measures)
         masks = np.arange(1, 2 ** k, dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
@@ -390,7 +306,7 @@ def f_norm_exact(f, p, spec):
         vals = csum / msum
         if p != 1:
             vals = vals ** invp
-        vals = vals / _eval_phi_array(spec, msum)
+        vals = vals / _weigh(partial(phimod.eval_phi, spec), msum)
         i = int(np.argmax(vals))
         level_sup = float(vals[i])
         per_level.append(level_sup)
@@ -418,10 +334,11 @@ def f_norm_lower(f, p, spec, budget):
     witness = None
     per_level = []
     invp = 1.0 / p
-    for n in range(tree.depth + 1):
-        cints, measures = _level_cints(f, p, n)
+    phi = partial(phimod.eval_phi, spec)
+    for n, (cints, measures) in enumerate(
+            _level_cints(tree, f.values_array, p)):
         k = len(measures)
-        phis = _eval_phi_array(spec, measures)
+        phis = _weigh(phi, measures)
         singles = cints / measures
         if p != 1:
             singles = singles ** invp
@@ -436,7 +353,7 @@ def f_norm_lower(f, p, spec, budget):
         vals = csum / msum
         if p != 1:
             vals = vals ** invp
-        vals = vals / _eval_phi_array(spec, msum)
+        vals = vals / _weigh(phi, msum)
         j = int(np.argmax(vals))
         if float(vals[j]) > level_sup:
             level_sup = float(vals[j])

@@ -182,6 +182,26 @@ def test_shipped_example_configs(tmp_path):
     assert run(str(root / "splits.json"), out_dir=str(tmp_path / "s")) == 0
 
 
+# content_hash prefixes of the committed configs.  A change to one of
+# these is a change of report content, to be made on purpose and recorded.
+PINNED_HASHES = {
+    "dyadic": "37a5c94148e24264",
+    "psi": "94bde01bd76f36ef",
+    "sinh": "f134ea98475e1f2a",
+    "splits": "babd9bed236deb56",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_committed_config_content_hash_pinned(tmp_path, name):
+    from pathlib import Path
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert run(str(config), out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["content_hash"].startswith(PINNED_HASHES[name]), \
+        report["content_hash"]
+
+
 def run_config_error(tmp_path, capsys, **changes):
     """Run BASE with `changes`; return (exit code, the config-error line)."""
     cfg = dict(BASE, **changes)
@@ -233,3 +253,9 @@ def test_tree_depth_bool_exits_2(tmp_path, capsys):
     code, lines = run_config_error(tmp_path, capsys,
                                    tree={"type": "dyadic", "depth": True})
     assert code == 2 and names_key(lines, "depth"), lines
+
+
+def test_empty_phi_list_exits_2(tmp_path, capsys):
+    # zero weights would run no suite and report an overall pass
+    code, lines = run_config_error(tmp_path, capsys, phi=[])
+    assert code == 2 and names_key(lines, "phi"), lines

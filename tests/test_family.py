@@ -7,13 +7,15 @@ trees with persistence steps, in exact and float mode.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from campanato_lab import (LeafFunction, build_from_spec, campanato_norm,
-                           campanato_seminorm, chain_to_root,
+                           campanato_seminorm, central_p_integral,
+                           chain_to_root,
                            chi_norm_closed_form, constant, eval_phi,
                            expectation, extremal_chain_function, indicator,
                            linf_norm, one, op_norm_lower_bound, powerlog, psi,
@@ -28,10 +30,12 @@ WEIGHTS = {"one": one(), "psi": psi(), "powerlog(0.3)": powerlog(0.3)}
 
 
 @st.composite
-def split_trees(draw, max_depth=5):
+def split_trees(draw, max_depth=5, exact=None):
     """Random split trees: persistence steps, early stops (padded with
-    persistence), binary and ternary splits; exact or float fractions."""
-    exact = draw(st.booleans())
+    persistence), binary and ternary splits; exact or float fractions
+    (drawn unless `exact` is given)."""
+    if exact is None:
+        exact = draw(st.booleans())
 
     def node(level, must_split=False):
         if level == max_depth:
@@ -185,6 +189,28 @@ def test_chain_values_match_increment_sums(tree, weight, leaf):
     row = chain_values(tree, chain, spec)
     scale = max(1.0, float(np.max(np.abs(built))))
     assert np.max(np.abs(row - built)) <= TOL * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=split_trees(exact=True), data=st.data())
+def test_exact_scan_matches_central_integral_definition(tree, data):
+    # small denominators make tied atoms common, large ones rare
+    den = data.draw(st.sampled_from([1, 3, 50]))
+    values = data.draw(st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=den),
+        min_size=tree.leaf_count, max_size=tree.leaf_count))
+    f = LeafFunction(tree, values)
+    sem, witness, per_level, _ = oscillation_scan(f, 1, one())
+    oscillations = [(n, B.index,
+                     central_p_integral(f, B, n, 1) / B.measure)
+                    for n in range(tree.depth + 1) for B in tree.atoms(n)]
+    top = max(v for _, _, v in oscillations)
+    assert isinstance(sem, Fraction) and sem == top
+    assert all(isinstance(v, Fraction) for v in per_level)
+    # the witness is the first atom in (level, index) order attaining the sup
+    assert witness == next((n, i) for n, i, v in oscillations if v == top)
+    flt, _, _, _ = oscillation_scan(f, 1, one(), exact=False)
+    assert rel(flt, float(top)) <= TOL
 
 
 def test_equal_measure_ancestor_gives_zero_oscillation():

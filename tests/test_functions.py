@@ -62,6 +62,17 @@ def test_conditional_expectation_matches_oracle_on_uneven_tree():
     for n in range(tree.depth + 1):
         assert list(conditional_expectation(f, n).values) == \
             brute_conditional_expectation(f, n)
+    # float values on an exact tree whose atoms hold up to 64 leaves: each
+    # average is the in-order sum of atom_average, to the bit, which a
+    # pairwise float64 summation would not give
+    tree = build_dyadic(6)
+    for f in random_functions(tree, 3, seed=5):
+        for n in range(tree.depth):
+            values = conditional_expectation(f, n).values
+            for B in tree.atoms(n):
+                want = atom_average(f, B)
+                for v in values[B.leaf_start:B.leaf_end]:
+                    assert v == want and type(v) is type(want)
 
 
 def test_conditional_expectation_out_of_range():
