@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .filtration import build_dyadic, chain_to_root
-from .functions import LeafFunction, MartingaleSequence, conditional_expectation
-from .phi import eval_phi, quotient_phi
+from .filtration import build_dyadic, chain_to_root, is_dyadic
+from .functions import (LeafFunction, MartingaleSequence, atom_average,
+                        level_means)
+from .norms import _level_cints, campanato_norm
+from .phi import eval_phi, phi_star, quotient_phi
 from .report import Check, VerificationReport
 
 INEQ_SLACK = 1e-10
@@ -31,32 +34,75 @@ def _validate_chain(tree, chain):
             raise ValueError(f"chain is not nested at atom {cur.id}")
 
 
-def _increment(tree, coeff, prev, cur):
-    """coeff * ((P(prev)/P(cur)) * chi_cur - chi_prev) as leaf values.
+def _chain_table(tree, chain, phi_spec, start):
+    """The running sums behind every chain construction.
 
-    Persistence steps (equal measures, same leaf span) produce the zero
-    function without special-casing.
+    With c_k = phi(P(B_k)), totals[n] = start + sum_{k <= n} c_k
+    (P(B_{k-1})/P(B_k) - 1) is the value of the n-th partial sum on B_n.
+    A leaf in B_K but in no deeper chain atom has the value ring[K] =
+    totals[K] - c_{K+1} (ring[N] = totals[N]); `deepest` holds K per leaf,
+    a cumulative sum of +-1 steps at the edges of the chain atoms' leaf
+    spans.  The sums use the scalars the weight and the tree provide:
+    ints and Fractions stay exact, anything float makes them floats.
     """
-    ratio = prev.measure / cur.measure
-    values = [0] * tree.leaf_count
-    for i in range(prev.leaf_start, prev.leaf_end):
-        values[i] = -coeff
-    on_cur = coeff * (ratio - 1)
-    for i in range(cur.leaf_start, cur.leaf_end):
-        values[i] = on_cur
-    return LeafFunction(tree, values)
+    _validate_chain(tree, chain)
+    # totals[k] and ring[k - 1] depend on B_k alone, so they are kept per
+    # atom on the tree and shared by every chain through it
+    sums = tree._phi_cache.setdefault(("chain sums", phi_spec, start), {})
+    totals, ring = [start], []
+    for prev, cur in zip(chain, chain[1:]):
+        entry = sums.get(cur.id)
+        if entry is None:
+            c, t = eval_phi(phi_spec, float(cur.measure)), totals[-1]
+            entry = sums[cur.id] = (
+                t + c * (prev.measure / cur.measure - 1), t - c)
+        totals.append(entry[0])
+        ring.append(entry[1])
+    ring.append(totals[-1])
+    edges = np.zeros(tree.leaf_count + 1, dtype=np.int64)
+    for B in chain:
+        edges[B.leaf_start] += 1
+        edges[B.leaf_end] -= 1
+    return totals, ring, np.cumsum(edges[:-1]) - 1
 
 
-@dataclass(frozen=True)
+def _from_table(tree, row, index):
+    """The leaf function with value row[index[i]] on leaf i: exact when
+    every entry of the row is, float64 otherwise."""
+    if all(isinstance(v, (int, Fraction)) for v in row):
+        return LeafFunction(tree, [row[k] for k in index.tolist()])
+    return LeafFunction.from_float_array(
+        tree, np.array([float(v) for v in row])[index])
+
+
+@dataclass(frozen=True, eq=False)
 class ChainConstruction:
-    """The chain function f = chi_root + sum of increments, with its
-    martingale of partial sums."""
+    """The chain function f = chi_root + sum_k phi(P(B_k)) (P(B_{k-1})/P(B_k)
+    chi_{B_k} - chi_{B_{k-1}}), with the running sums it was built from."""
 
     chain: tuple
     phi: object
-    u_terms: tuple
     f: LeafFunction
-    sequence: MartingaleSequence
+    totals: tuple
+    ring: tuple
+    deepest: np.ndarray
+
+    def _partial_row(self, n):
+        # ring[K] on a leaf whose deepest chain atom B_K has K < n,
+        # totals[n] on B_n: index the row by min(K, n)
+        return list(self.ring[:n]) + [self.totals[n]]
+
+    def partial_sum(self, n):
+        """The n-th partial sum, measurable at level n."""
+        return _from_table(self.f.tree, self._partial_row(n),
+                           np.minimum(self.deepest, n))
+
+    @property
+    def sequence(self):
+        """The martingale of partial sums, built on demand."""
+        return MartingaleSequence(self.f.tree,
+                                  [self.partial_sum(n)
+                                   for n in range(len(self.chain))])
 
     def truncation_tail_scale(self, p):
         """phi(P(B_N)) * P(B_N)^(1/p): the scale of the difference between
@@ -73,63 +119,25 @@ def extremal_chain_function(tree, chain, phi_spec):
     measurable at level k, and the conditional expectations of the full
     sum reproduce the partial sums exactly.
     """
-    _validate_chain(tree, chain)
-    ones = [1] * tree.leaf_count
-    u_terms = []
-    partial = LeafFunction(tree, ones)
-    partials = [partial]
-    for k in range(1, len(chain)):
-        coeff = eval_phi(phi_spec, float(chain[k].measure))
-        u = _increment(tree, coeff, chain[k - 1], chain[k])
-        u_terms.append(u)
-        partial = partial + u
-        partials.append(partial)
-    return ChainConstruction(
-        chain=tuple(chain),
-        phi=phi_spec,
-        u_terms=tuple(u_terms),
-        f=partial,
-        sequence=MartingaleSequence(tree, partials),
-    )
+    totals, ring, deepest = _chain_table(tree, chain, phi_spec, 1)
+    return ChainConstruction(chain=tuple(chain), phi=phi_spec,
+                             f=_from_table(tree, ring, deepest),
+                             totals=tuple(totals), ring=tuple(ring),
+                             deepest=deepest)
 
 
 def chain_values(tree, chain, phi_spec):
     """Leaf values of extremal_chain_function(tree, chain, phi_spec).f as a
-    float array, built without the increments.
-
-    A leaf in B_K but in no deeper chain atom has the value
-
-        1 + sum_{k <= K} phi(P(B_k)) (P(B_{k-1})/P(B_k) - 1) - phi(P(B_{K+1}))
-
-    (no last term when K = N), so the row is a table of N + 1 running sums
-    indexed by K, and K is a cumulative sum of +-1 steps at the edges of
-    the chain atoms' leaf spans.  For float weights the running sums add
-    the same terms in the same order as the increments do.
-    """
-    _validate_chain(tree, chain)
-    coeff = [float(eval_phi(phi_spec, float(B.measure))) for B in chain[1:]]
-    coeff.append(0.0)
-    ring = [1.0 - coeff[0]]
-    total = 1.0
-    for k in range(1, len(chain)):
-        ratio = chain[k - 1].measure / chain[k].measure
-        total += coeff[k - 1] * float(ratio - 1)
-        ring.append(total - coeff[k])
-    edges = np.zeros(tree.leaf_count + 1, dtype=np.int64)
-    for B in chain:
-        edges[B.leaf_start] += 1
-        edges[B.leaf_end] -= 1
-    return np.asarray(ring)[np.cumsum(edges[:-1]) - 1]
+    float array: the ring of its running-sum table in float64, indexed by
+    each leaf's deepest chain level."""
+    _, ring, deepest = _chain_table(tree, chain, phi_spec, 1)
+    return np.array([float(v) for v in ring])[deepest]
 
 
 def h_function(tree, chain, phi_spec):
     """The mean-zero part: the sum of the chain increments alone."""
-    _validate_chain(tree, chain)
-    total = LeafFunction(tree, [0] * tree.leaf_count)
-    for k in range(1, len(chain)):
-        coeff = eval_phi(phi_spec, float(chain[k].measure))
-        total = total + _increment(tree, coeff, chain[k - 1], chain[k])
-    return total
+    _, ring, deepest = _chain_table(tree, chain, phi_spec, 0)
+    return _from_table(tree, ring, deepest)
 
 
 def dyadic_h_closed_form(depth, leaf_index, tree=None):
@@ -143,23 +151,18 @@ def dyadic_h_closed_form(depth, leaf_index, tree=None):
     """
     if tree is None:
         tree = build_dyadic(depth)
-    elif tree.depth != depth or tree.leaf_count != 2 ** depth:
+    elif tree.depth != depth or not is_dyadic(tree):
         raise ValueError("tree is not dyadic of the requested depth")
-    leaf = tree.leaves[leaf_index]
-    chain = chain_to_root(tree, leaf)
+    chain = chain_to_root(tree, tree.leaves[leaf_index])
     log2 = math.log(2.0)
-    coeff = [0.0] + [1.0 / (1.0 + k * log2) for k in range(1, depth + 2)]
     values = [0.0] * tree.leaf_count
     running = 0.0
-    for n in range(depth):
-        ring_value = running - coeff[n + 1]
-        cur, nxt = chain[n], chain[n + 1]
-        for i in range(cur.leaf_start, cur.leaf_end):
-            if not nxt.leaf_start <= i < nxt.leaf_end:
-                values[i] = ring_value
-        running += coeff[n + 1]
-    for i in range(chain[depth].leaf_start, chain[depth].leaf_end):
-        values[i] = running
+    for n, B in enumerate(chain):
+        # B_n's value; the chain atoms below overwrite all but its ring
+        coeff = 1.0 / (1.0 + (n + 1) * log2) if n < depth else 0.0
+        values[B.leaf_start:B.leaf_end] = \
+            [running - coeff] * (B.leaf_end - B.leaf_start)
+        running += coeff
     return LeafFunction(tree, values)
 
 
@@ -182,8 +185,6 @@ def lipschitz_compose_check(f, lip_constant, composed):
 
     The caller asserts that `composed` is F(f) with |F' | <= lip_constant.
     """
-    from .norms import _level_cints
-
     tree = f.tree
     if composed.tree is not tree:
         raise ValueError("functions live on different trees")
@@ -228,10 +229,6 @@ def measure_chain_constants(construction, p, phi_spec):
     promises upper bounded and lower bounded away from 0, uniformly over
     chains.
     """
-    from .functions import atom_average
-    from .norms import campanato_norm
-    from .phi import phi_star
-
     f = construction.f
     upper = float(campanato_norm(f, p, phi_spec, exact=False).value)
     lower = math.inf
@@ -242,13 +239,22 @@ def measure_chain_constants(construction, p, phi_spec):
 
 
 def martingale_identity_defect(construction):
-    """max deviation between E_n f and the stored n-th partial sum."""
+    """max deviation between E_n f and the n-th partial sum.
+
+    E_n f is averaged from f's leaf values, one number per level-n atom,
+    and compared with the partial sum on that atom's first leaf (partial
+    sums are constant on level-n atoms).  E_N f is f itself.
+    """
     f = construction.f
+    tree = f.tree
+    row = np.array(f.values, dtype=object)
     worst = 0
-    for n, fn in enumerate(construction.sequence.levels):
-        en = conditional_expectation(f, n)
-        for a, b in zip(en.values, fn.values):
-            d = abs(a - b)
+    for n in range(tree.depth):
+        partial = construction._partial_row(n)
+        first = construction.deepest[tree.level_arrays(n)[0]]
+        for a, k in zip(level_means(tree, n, row),
+                        np.minimum(first, n).tolist()):
+            d = abs(a - partial[k])
             if d > worst:
                 worst = d
     return worst

@@ -423,6 +423,13 @@ def regularity_constant(tree):
     return best
 
 
+def is_dyadic(tree):
+    """True when level n holds 2**n atoms, each of measure exactly 2**-n."""
+    return all(len(level) == 2 ** n and
+               all(a.measure == Fraction(1, 2 ** n) for a in level)
+               for n, level in enumerate(tree.levels))
+
+
 def chain_to_root(tree, leaf):
     """Ancestor chain [B_0, ..., B_N] ending at the given deepest-level atom."""
     if leaf.level != tree.depth:

@@ -208,7 +208,12 @@ def oscillation_scan(f, p, spec, want_fb=False, exact=None):
 
 
 def campanato_seminorm(f, p, spec, exact=None):
-    """Weighted mean-oscillation seminorm with witness; 0 iff f is constant."""
+    """Weighted mean-oscillation seminorm with witness.
+
+    On the exact path it is 0 iff f is constant.  The float path averages
+    in float64, so on non-dyadic measures a constant f can give a sup of
+    a few ulps of max |f| instead of 0.
+    """
     value, witness, per_level, _ = oscillation_scan(f, p, spec, exact=exact)
     return NormResult(value=value, witness=witness, per_level=per_level)
 

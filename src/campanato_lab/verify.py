@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,8 +17,10 @@ from .constructions import (extremal_chain_function,
                             lipschitz_compose_check,
                             martingale_identity_defect,
                             measure_chain_constants, sin_h_multiplier)
-from .filtration import chain_to_root, check_chain_gaps, regularity_constant
-from .functions import LeafFunction, indicator, level_means, random_functions
+from .filtration import (chain_to_root, check_chain_gaps, is_dyadic,
+                         regularity_constant)
+from .functions import (LeafFunction, expectation, indicator, level_means,
+                        random_functions)
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
 from .norms import (campanato_seminorm, chi_norm_closed_form,
@@ -39,12 +40,6 @@ class VerifyContext:
     random_count: int = 50
     chain_count: int = 16
     atom_sample: int = 256
-
-
-def is_dyadic(tree):
-    return all(len(level) == 2 ** n and
-               all(a.measure == Fraction(1, 2 ** n) for a in level)
-               for n, level in enumerate(tree.levels))
 
 
 def _known_regime(ctx):
@@ -96,31 +91,22 @@ def suite_indicator_norms(ctx):
             worst_atom = B.id
         norm_B = float(closed.value) + float(B.measure)
         bound = max(bound, norm_B * float(phimod.eval_phi(spec, float(B.measure))))
-    checks = [Check(
+    known = _known_regime(ctx)
+    return VerificationReport(suite="indicator_norms", checks=[Check(
         name="indicator_closed_form_equivalence",
         anchor="ancestor-chain closed form equals the full sup scan",
         measured={"atoms": len(atoms), "worst_rel_err": worst_rel},
         threshold=f"rel err <= {REL_TOL}",
         passed=worst_rel <= REL_TOL,
         witness=list(worst_atom) if worst_atom else None,
-    )]
-    if _known_regime(ctx):
-        checks.append(Check(
-            name="indicator_norm_bound",
-            anchor="weighted indicator norms are uniformly bounded",
-            measured={"max_norm_times_phi": bound},
-            threshold="<= 1 (dyadic, constant weight, p=1)",
-            passed=bound <= 1.0 + 1e-12,
-        ))
-    else:
-        checks.append(Check(
-            name="indicator_norm_bound",
-            anchor="weighted indicator norms are uniformly bounded",
-            measured={"max_norm_times_phi": bound},
-            threshold="reported",
-            passed=True,
-        ))
-    return VerificationReport(suite="indicator_norms", checks=checks)
+    ), Check(
+        name="indicator_norm_bound",
+        anchor="weighted indicator norms are uniformly bounded",
+        measured={"max_norm_times_phi": bound},
+        threshold="<= 1 (dyadic, constant weight, p=1)" if known
+                  else "reported",
+        passed=(bound <= 1.0 + 1e-12) if known else True,
+    )])
 
 
 def suite_atom_average_growth(ctx):
@@ -131,7 +117,7 @@ def suite_atom_average_growth(ctx):
     worst = 0.0
     for f in family:
         sem, _, _, fb = oscillation_scan(f, p, spec, want_fb=True, exact=False)
-        norm_f = float(sem) + abs(float(_mean(f)))
+        norm_f = float(sem) + abs(float(expectation(f)))
         if norm_f > 0:
             worst = max(worst, fb / norm_f)
     known = _known_regime(ctx)
@@ -142,11 +128,6 @@ def suite_atom_average_growth(ctx):
         threshold="<= 3 (dyadic, constant weight, p=1)" if known else "reported",
         passed=(worst <= 3.0) if known else True,
     )])
-
-
-def _mean(f):
-    from .functions import expectation
-    return expectation(f)
 
 
 def suite_extremal_chain(ctx):

@@ -182,24 +182,28 @@ def test_shipped_example_configs(tmp_path):
     assert run(str(root / "splits.json"), out_dir=str(tmp_path / "s")) == 0
 
 
-# content_hash prefixes of the committed configs.  A change to one of
-# these is a change of report content, to be made on purpose and recorded.
+# content_hash prefixes of the committed configs, by their directory under
+# the repository root (the benchmark reads the two under perfbench/).  A
+# change to one of these is a change of report content, to be made on
+# purpose and recorded.
 PINNED_HASHES = {
-    "dyadic": "37a5c94148e24264",
-    "psi": "94bde01bd76f36ef",
-    "sinh": "f134ea98475e1f2a",
-    "splits": "babd9bed236deb56",
+    "dyadic": ("configs", "37a5c94148e24264"),
+    "psi": ("configs", "94bde01bd76f36ef"),
+    "sinh": ("configs", "f134ea98475e1f2a"),
+    "splits": ("configs", "babd9bed236deb56"),
+    "verify_depth8": ("perfbench/configs", "0765331502241dae"),
+    "phi_weights": ("perfbench/configs", "0ddb76e48b9ab473"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_committed_config_content_hash_pinned(tmp_path, name):
     from pathlib import Path
-    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    folder, pinned = PINNED_HASHES[name]
+    config = Path(__file__).resolve().parents[1] / folder / f"{name}.json"
     assert run(str(config), out_dir=str(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["content_hash"].startswith(PINNED_HASHES[name]), \
-        report["content_hash"]
+    assert report["content_hash"].startswith(pinned), report["content_hash"]
 
 
 def run_config_error(tmp_path, capsys, **changes):

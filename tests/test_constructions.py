@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from campanato_lab import (LeafFunction, atom_average, build_dyadic,
-                           build_from_spec, campanato_seminorm,
-                           chain_through_leaf, chain_to_root,
-                           dyadic_h_closed_form, expectation,
+from campanato_lab import (atom_average, build_dyadic, build_from_spec,
+                           campanato_seminorm, chain_through_leaf,
+                           chain_to_root, dyadic_h_closed_form, expectation,
                            extremal_chain_function, h_function, indicator,
                            linf_norm, lipschitz_compose_check, one, phi_star,
                            psi, random_functions, sin_h_multiplier)
@@ -62,14 +61,15 @@ def test_extremal_martingale_identity_exact():
 
 
 def test_extremal_increment_structure():
+    # mean-zero increments: every partial sum has mean 1, the partial sums
+    # form a martingale, and the last one is f
     tree = build_dyadic(4)
     con = extremal_chain_function(tree, chain_through_leaf(tree, 0), one())
-    for u in con.u_terms:
-        assert expectation(u) == 0
-    total = LeafFunction(tree, [1] * tree.leaf_count)
-    for u in con.u_terms:
-        total = total + u
-    assert total.values == con.f.values
+    seq = con.sequence
+    assert seq.martingale_defect() == 0
+    assert all(expectation(fn) == 1 for fn in seq.levels)
+    assert seq.levels[0].values == (1,) * tree.leaf_count
+    assert seq.levels[-1].values == con.f.values
 
 
 def test_chain_tree_construction_collapses():
@@ -77,7 +77,7 @@ def test_chain_tree_construction_collapses():
     chain = chain_to_root(tree, tree.leaves[0])
     con = extremal_chain_function(tree, chain, one())
     assert set(con.f.values) == {1}
-    assert all(set(u.values) == {0} for u in con.u_terms)
+    assert all(set(fn.values) == {1} for fn in con.sequence.levels)
     h = h_function(tree, chain, one())
     assert set(h.values) == {0}
 
@@ -91,8 +91,9 @@ def test_persistence_steps_produce_zero_increments():
     persisted = [k for k in range(1, len(chain))
                  if chain[k].measure == chain[k - 1].measure]
     assert persisted
+    assert con.sequence.martingale_defect() <= 1e-15
     for k in persisted:
-        assert set(con.u_terms[k - 1].values) == {0}
+        assert con.partial_sum(k).values == con.partial_sum(k - 1).values
 
 
 def test_chain_validation():
@@ -161,6 +162,12 @@ def test_dyadic_h_wrong_tree_rejected():
     tree = build_dyadic(3)
     with pytest.raises(ValueError):
         dyadic_h_closed_form(4, 0, tree=tree)
+    # depth 2 with four leaves, but the level-1 measures are 1/4 and 3/4
+    halves = {"fractions": ["1/2", "1/2"]}
+    split = build_from_spec({"fractions": ["1/4", "3/4"],
+                             "children": [halves, halves]})
+    with pytest.raises(ValueError):
+        dyadic_h_closed_form(2, 0, tree=split)
 
 
 def test_sin_h_bounded_and_small_oscillation():
