@@ -350,6 +350,8 @@ def load_config(path, seed_override=None, depth_override=None):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply to parse") from None
     return ExperimentConfig(raw, seed_override=seed_override,
                             depth_override=depth_override)
 
@@ -362,11 +364,16 @@ def run(config_path, out_dir=None, fmt="both", seed=None, depth=None,
                              depth_override=depth)
         if suites is not None:
             config.suites = list(suites)
+        out_dir = out_dir or config.out
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from None
         report, tables = execute(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    write_outputs(report, tables, out_dir or config.out, fmt)
+    write_outputs(report, tables, out_dir, fmt)
     for entry in report["suites"]:
         name = entry.get("suite")
         status = "pass" if entry.get("passed", True) else "FAIL"

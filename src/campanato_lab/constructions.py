@@ -15,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .filtration import build_dyadic, chain_to_root, is_dyadic
-from .functions import (LeafFunction, MartingaleSequence, atom_average,
-                        level_means)
+from .functions import LeafFunction, MartingaleSequence
 from .norms import _level_cints, campanato_norm
 from .phi import eval_phi, phi_star, quotient_phi
 from .report import Check, VerificationReport
@@ -231,11 +230,20 @@ def measure_chain_constants(construction, p, phi_spec):
     """
     f = construction.f
     upper = float(campanato_norm(f, p, phi_spec, exact=False).value)
+    weighted = _weighted_row(f)
     lower = math.inf
     for B in construction.chain:
         star = phi_star(phi_spec, float(B.measure))
-        lower = min(lower, abs(float(atom_average(f, B))) / star)
+        average = weighted[B.leaf_start:B.leaf_end].sum() / B.measure
+        lower = min(lower, abs(float(average)) / star)
     return upper, lower
+
+
+def _weighted_row(f):
+    """f times the leaf measures as an object row, in the tree's own
+    numbers (exact values stay exact), for sums over atoms."""
+    leafm, _ = f.tree.measure_arrays(object)
+    return np.array(f.values, dtype=object) * leafm
 
 
 def martingale_identity_defect(construction):
@@ -247,13 +255,15 @@ def martingale_identity_defect(construction):
     """
     f = construction.f
     tree = f.tree
-    row = np.array(f.values, dtype=object)
+    weighted = _weighted_row(f)
+    _, measures = tree.measure_arrays(object)
     worst = 0
     for n in range(tree.depth):
         partial = construction._partial_row(n)
-        first = construction.deepest[tree.level_arrays(n)[0]]
-        for a, k in zip(level_means(tree, n, row),
-                        np.minimum(first, n).tolist()):
+        starts = tree.level_arrays(n)[0]
+        means = np.add.reduceat(weighted, starts) / measures[n]
+        for a, k in zip(means, np.minimum(construction.deepest[starts],
+                                          n).tolist()):
             d = abs(a - partial[k])
             if d > worst:
                 worst = d

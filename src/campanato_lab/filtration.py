@@ -4,6 +4,11 @@ Level n of the tree is the atom partition of the n-th sigma-algebra; the
 root is the whole space with measure 1.  An atom that survives unsplit to
 the next level is encoded as a single child of equal measure, so every
 level is a full partition and all leaves sit at the deepest level.
+
+The level arrays are the tree: for each level, the parent index and the
+measure of every atom.  Each level lists its atoms in parent order, so
+the children of an atom, and its leaves, are contiguous.  `Atom` objects
+are views that the tree makes from these arrays on first access.
 """
 
 from __future__ import annotations
@@ -22,32 +27,28 @@ class TreeSpecError(ValueError):
 
 
 class Atom:
-    """One cell of a filtration level.
+    """One cell of a filtration level, as its tree hands it out.
 
-    Atoms are identified by (level, index) in construction order.  After
-    the tree is built, ``leaf_start:leaf_end`` is the contiguous range of
-    deepest-level atoms contained in this one.
+    Atoms are identified by (level, index) in level order, and
+    ``leaf_start:leaf_end`` is the contiguous range of deepest-level atoms
+    contained in this one.  A tree makes one view per atom, so views
+    compare by identity.
     """
 
-    __slots__ = ("level", "index", "measure", "parent", "children",
-                 "leaf_start", "leaf_end")
+    __slots__ = ("level", "index", "measure", "parent", "leaf_start",
+                 "leaf_end")
 
-    def __init__(self, level, index, measure, parent=None):
+    def __init__(self, level, index, measure, parent, leaf_start, leaf_end):
         self.level = level
         self.index = index
         self.measure = measure
         self.parent = parent
-        self.children = []
-        self.leaf_start = -1
-        self.leaf_end = -1
+        self.leaf_start = leaf_start
+        self.leaf_end = leaf_end
 
     @property
     def id(self):
         return (self.level, self.index)
-
-    @property
-    def is_leaf(self):
-        return not self.children
 
     def __repr__(self):
         return f"Atom(level={self.level}, index={self.index}, measure={self.measure})"
@@ -56,160 +57,164 @@ class Atom:
 class FiltrationTree:
     """A finite filtration: one atom partition per level, refining downward.
 
-    ``mode`` is "exact" when all measures are rationals (Fraction/int) and
-    "float" otherwise; structural checks are exact in the former and use
-    PARTITION_TOL in the latter.  Trees are immutable after construction;
-    concurrent reads are safe.
+    ``parents[n - 1]`` gives, for each level-n atom, the index of its
+    parent at level n - 1; it is non-decreasing, so each atom's children
+    are contiguous.  ``measures[n]`` gives the level-n atom measures.
+    ``mode`` is "exact" when all measures are rationals (Fraction/int),
+    kept as object arrays, and "float" otherwise, kept as float64;
+    structural checks are exact in the former and use PARTITION_TOL in the
+    latter.  Trees are immutable after construction (their caches only
+    fill).
     """
 
-    def __init__(self, levels, mode):
+    def __init__(self, parents, measures, mode):
         if mode not in ("exact", "float"):
             raise TreeSpecError(f"unknown arithmetic mode {mode!r}")
-        self.levels = tuple(tuple(level) for level in levels)
         self.mode = mode
-        self._assign_leaf_spans()
+        dtype = object if mode == "exact" else np.float64
+        self._measures = tuple(np.asarray(m, dtype=dtype) for m in measures)
+        self._parents = tuple(np.asarray(p, dtype=np.int64) for p in parents)
         self._validate()
-        self._arrays = {}
+        # leaf-span lengths upward (an atom spans its children's leaves),
+        # then each level's starts from its lengths
+        lengths = [np.ones(self.leaf_count, dtype=np.int64)]
+        for up in reversed(self._parents):
+            lengths.append(np.bincount(up, weights=lengths[-1]).astype(np.int64))
+        self._lengths = tuple(reversed(lengths))
+        self._starts = tuple(np.cumsum(n) - n for n in self._lengths)
+        self._float = (self._measures if mode == "float" else
+                       tuple(m.astype(np.float64) for m in self._measures))
+        self._views = []
         self._phi_cache = {}
 
     # -- structure ---------------------------------------------------------
 
     @property
     def depth(self):
-        return len(self.levels) - 1
-
-    @property
-    def leaves(self):
-        return self.levels[-1]
+        return len(self._measures) - 1
 
     @property
     def leaf_count(self):
-        return len(self.levels[-1])
+        return len(self._measures[-1])
+
+    def _level(self, n):
+        """The atom views of level n, made with those of the levels above
+        on first access."""
+        views = self._views
+        while len(views) <= n:
+            k = len(views)
+            ups = ([views[k - 1][i] for i in self._parents[k - 1].tolist()]
+                   if k else [None])
+            views.append(tuple(
+                Atom(k, i, m, up, s, s + length) for i, (m, up, s, length)
+                in enumerate(zip(self._measures[k].tolist(), ups,
+                                 self._starts[k].tolist(),
+                                 self._lengths[k].tolist()))))
+        return views[n]
+
+    @property
+    def levels(self):
+        self._level(self.depth)
+        return tuple(self._views)
+
+    @property
+    def leaves(self):
+        return self._level(self.depth)
 
     @property
     def root(self):
-        return self.levels[0][0]
+        return self._level(0)[0]
 
     def atoms(self, n):
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} out of range [0, {self.depth}]")
-        return self.levels[n]
-
-    def all_atoms(self):
-        for level in self.levels:
-            yield from level
+        return self._level(n)
 
     def atom(self, level, index):
         try:
-            return self.levels[level][index]
+            return self._level(range(self.depth + 1)[level])[index]
         except IndexError:
             raise ValueError(f"no atom ({level}, {index}) in tree") from None
 
     def same_structure(self, other):
         """True when both trees have identical shape and measures."""
-        if self.depth != other.depth:
-            return False
-        for mine, theirs in zip(self.levels, other.levels):
-            if len(mine) != len(theirs):
-                return False
-            for a, b in zip(mine, theirs):
-                if a.measure != b.measure:
-                    return False
-                pa = None if a.parent is None else a.parent.index
-                pb = None if b.parent is None else b.parent.index
-                if pa != pb:
-                    return False
-        return True
-
-    def _assign_leaf_spans(self):
-        for i, leaf in enumerate(self.levels[-1]):
-            leaf.leaf_start = i
-            leaf.leaf_end = i + 1
-        for level in reversed(self.levels[:-1]):
-            for atom in level:
-                if not atom.children:
-                    raise TreeSpecError(
-                        f"non-leaf atom {atom.id} has no children")
-                atom.leaf_start = atom.children[0].leaf_start
-                atom.leaf_end = atom.children[-1].leaf_end
+        return (self.depth == other.depth
+                and all(map(np.array_equal, self._parents, other._parents))
+                and all(map(np.array_equal, self._measures, other._measures)))
 
     def _validate(self):
-        if len(self.levels) == 0 or len(self.levels[0]) != 1:
+        levels, exact = self._measures, self.mode == "exact"
+        if not levels or len(levels[0]) != 1:
             raise TreeSpecError("level 0 must contain exactly one atom")
-        root = self.levels[0][0]
-        if root.measure != 1:
-            raise TreeSpecError(f"root measure must be 1, got {root.measure}")
-        for n, level in enumerate(self.levels):
-            if not level:
+        if len(self._parents) != len(levels) - 1:
+            raise TreeSpecError(
+                f"{len(self._parents)} parent arrays for {len(levels)} "
+                f"levels, expected one per level below the root")
+        root = levels[0].tolist()[0]
+        if root != 1:
+            raise TreeSpecError(f"root measure must be 1, got {root}")
+        for n, m in enumerate(levels):
+            if not len(m):
                 raise TreeSpecError(f"level {n} is empty")
-            total = sum(atom.measure for atom in level)
-            if self.mode == "exact":
+            total = m.sum()
+            if exact:
                 if total != 1:
                     raise TreeSpecError(
                         f"level {n} measures sum to {total}, expected 1")
             elif abs(total - 1) > PARTITION_TOL:
                 raise TreeSpecError(
-                    f"level {n} measures sum to {total!r}, drift exceeds "
-                    f"{PARTITION_TOL}")
-            for atom in level:
-                if atom.measure <= 0:
-                    raise TreeSpecError(f"atom {atom.id} has non-positive measure")
-                if n == 0:
-                    continue
-                if atom.parent is None or atom.parent.level != n - 1:
-                    raise TreeSpecError(f"atom {atom.id} has no level-{n-1} parent")
-        for n, level in enumerate(self.levels[:-1]):
-            for atom in level:
-                child_total = sum(c.measure for c in atom.children)
-                if self.mode == "exact":
-                    if child_total != atom.measure:
-                        raise TreeSpecError(
-                            f"children of {atom.id} sum to {child_total}, "
-                            f"expected {atom.measure}")
-                elif abs(child_total - atom.measure) > PARTITION_TOL:
-                    raise TreeSpecError(
-                        f"children of {atom.id} sum to {child_total!r}, "
-                        f"expected {atom.measure!r}")
+                    f"level {n} measures sum to {float(total)!r}, drift "
+                    f"exceeds {PARTITION_TOL}")
+            bad = np.flatnonzero(~(m > 0))
+            if bad.size:
+                raise TreeSpecError(
+                    f"atom {(n, int(bad[0]))} has non-positive measure")
+            if n == 0:
+                continue
+            up, above = self._parents[n - 1], levels[n - 1]
+            if up.shape != m.shape:
+                raise TreeSpecError(f"level {n} has {len(m)} atoms but "
+                                    f"{len(up)} parent indices")
+            bad = np.flatnonzero((up < 0) | (up >= len(above)))
+            if bad.size:
+                raise TreeSpecError(
+                    f"atom {(n, int(bad[0]))} has no level-{n - 1} parent")
+            bad = np.flatnonzero(np.diff(up) < 0)
+            if bad.size:
+                raise TreeSpecError(
+                    f"atom {(n, int(bad[0]) + 1)} is out of parent order")
+            counts = np.bincount(up, minlength=len(above))
+            bad = np.flatnonzero(counts == 0)
+            if bad.size:
+                raise TreeSpecError(
+                    f"non-leaf atom {(n - 1, int(bad[0]))} has no children")
+            sums = np.add.reduceat(m, np.cumsum(counts) - counts)
+            bad = np.flatnonzero(sums != above if exact else
+                                 np.abs(sums - above) > PARTITION_TOL)
+            if bad.size:
+                j = int(bad[0])
+                got, want = sums[j], above[j]
+                if exact:
+                    raise TreeSpecError(f"children of {(n - 1, j)} sum to "
+                                        f"{got}, expected {want}")
+                raise TreeSpecError(f"children of {(n - 1, j)} sum to "
+                                    f"{float(got)!r}, expected {float(want)!r}")
 
-    # -- array views for the vectorized norm scans --------------------------
+    # -- the level arrays ----------------------------------------------------
 
     def leaf_measures_f(self):
-        arr = self._arrays.get("leafm")
-        if arr is None:
-            arr = np.array([float(a.measure) for a in self.leaves], dtype=np.float64)
-            self._arrays["leafm"] = arr
-        return arr
+        return self._float[-1]
 
     def level_arrays(self, n):
-        """(span starts, span lengths, atom measures) as float64/int64 arrays."""
-        key = ("level", n)
-        arrs = self._arrays.get(key)
-        if arrs is None:
-            level = self.atoms(n)
-            starts = np.array([a.leaf_start for a in level], dtype=np.int64)
-            lengths = np.array([a.leaf_end - a.leaf_start for a in level],
-                               dtype=np.int64)
-            measures = np.array([float(a.measure) for a in level], dtype=np.float64)
-            arrs = (starts, lengths, measures)
-            self._arrays[key] = arrs
-        return arrs
+        """(span starts, span lengths, atom measures) as int64/float64 arrays."""
+        return self._starts[n], self._lengths[n], self._float[n]
 
     def measure_arrays(self, dtype):
         """(leaf measures, per-level atom measures) for rows of the given
-        dtype: the tree's own numbers as object arrays for object rows, so
-        that sums of exact values stay exact, and float64 otherwise."""
-        exact = np.dtype(dtype) == object
-        arrs = self._arrays.get(("measures", exact))
-        if arrs is None:
-            if exact:
-                levels = tuple(np.array([a.measure for a in level], dtype=object)
-                               for level in self.levels)
-            else:
-                levels = tuple(self.level_arrays(n)[2]
-                               for n in range(self.depth + 1))
-            arrs = (levels[-1], levels)
-            self._arrays[("measures", exact)] = arrs
-        return arrs
+        dtype: the tree's own numbers for object rows, so that sums of
+        exact values stay exact, and float64 otherwise."""
+        levels = self._measures if np.dtype(dtype) == object else self._float
+        return levels[-1], levels
 
 
 # -- builders ---------------------------------------------------------------
@@ -222,18 +227,10 @@ def build_dyadic(depth):
     """
     if depth < 0:
         raise TreeSpecError("depth must be >= 0")
-    levels = [[Atom(0, 0, Fraction(1))]]
-    for n in range(1, depth + 1):
-        prev = levels[-1]
-        level = []
-        for parent in prev:
-            half = parent.measure / 2
-            for _ in range(2):
-                child = Atom(n, len(level), half, parent)
-                parent.children.append(child)
-                level.append(child)
-        levels.append(level)
-    return FiltrationTree(levels, "exact")
+    return FiltrationTree(
+        [np.arange(2 ** n) // 2 for n in range(1, depth + 1)],
+        [np.full(2 ** n, Fraction(1, 2 ** n)) for n in range(depth + 1)],
+        "exact")
 
 
 def _parse_fraction(value, where):
@@ -253,34 +250,22 @@ def _parse_fraction(value, where):
     raise TreeSpecError(f"{where}: unsupported fraction type {type(value).__name__}")
 
 
-class _Node:
-    __slots__ = ("fraction", "children")
+def _split(spec, measure, where):
+    """The children of one spec node as (spec, measure, where) triples,
+    and whether the node's own fractions are exact.
 
-    def __init__(self, fraction):
-        self.fraction = fraction
-        self.children = []
-
-
-def _expand_spec(spec, fraction, where):
-    """Recursively expand a split description into a _Node tree.
-
-    Returns (node, all_exact).  ``spec`` may be None (stop splitting),
-    the string "persist", or {"fractions": [...], "children": [...]}
-    / {"persist": subspec}.
+    ``spec`` may be None (stop splitting), the string "persist", or
+    {"fractions": [...], "children": [...]} / {"persist": subspec}.  A
+    stopped or persisting node has one child of its own measure.
     """
-    node = _Node(fraction)
     if spec is None:
-        return node, True
+        return [(None, measure, where)], True
     if spec == "persist":
-        child, _ = _expand_spec(None, fraction, where + ".persist")
-        node.children.append(child)
-        return node, True
+        return [(None, measure, where + ".persist")], True
     if not isinstance(spec, dict):
         raise TreeSpecError(f"{where}: expected dict, 'persist' or null, got {spec!r}")
     if "persist" in spec:
-        child, exact = _expand_spec(spec["persist"], fraction, where + ".persist")
-        node.children.append(child)
-        return node, exact
+        return [(spec["persist"], measure, where + ".persist")], True
     fractions = spec.get("fractions")
     if not fractions:
         raise TreeSpecError(f"{where}: node needs a non-empty 'fractions' list")
@@ -296,7 +281,7 @@ def _expand_spec(spec, fraction, where):
     for i, raw in enumerate(fractions):
         frac, exact = _parse_fraction(raw, f"{where}.fractions[{i}]")
         all_exact = all_exact and exact
-        if frac <= 0:
+        if not frac > 0:
             raise TreeSpecError(f"{where}.fractions[{i}]: fraction {frac} is not positive")
         parsed.append(frac)
     total = sum(parsed)
@@ -305,28 +290,8 @@ def _expand_spec(spec, fraction, where):
             raise TreeSpecError(f"{where}: fractions sum to {total}, expected 1")
     elif abs(float(total) - 1.0) > PARTITION_TOL:
         raise TreeSpecError(f"{where}: fractions sum to {float(total)!r}, expected 1")
-    for i, (frac, child_spec) in enumerate(zip(parsed, child_specs)):
-        child_fraction = fraction * frac if all_exact else float(fraction) * float(frac)
-        child, exact = _expand_spec(child_spec, child_fraction, f"{where}.children[{i}]")
-        all_exact = all_exact and exact
-        node.children.append(child)
-    return node, all_exact
-
-
-def _node_depth(node):
-    if not node.children:
-        return 0
-    return 1 + max(_node_depth(c) for c in node.children)
-
-
-def _pad_to_depth(node, depth):
-    # Shallow branches persist (single equal-measure child) down to `depth`.
-    if depth == 0:
-        return
-    if not node.children:
-        node.children.append(_Node(node.fraction))
-    for child in node.children:
-        _pad_to_depth(child, depth - 1)
+    return [(child, measure * frac, f"{where}.children[{i}]")
+            for i, (frac, child) in enumerate(zip(parsed, child_specs))], all_exact
 
 
 def build_from_spec(spec):
@@ -336,52 +301,26 @@ def build_from_spec(spec):
     single equal-measure child, or null to stop splitting; shorter branches
     are padded with persistence steps so all leaves share the deepest level.
     Fractions given as strings or ints are parsed exactly and produce an
-    exact-mode tree; float fractions switch the tree to floating mode.
+    exact-mode tree; float fractions switch the tree to floating mode.  A
+    measure is the product of the fractions on its path, exact until a
+    float fraction appears on that path.
+
+    The spec is expanded one level at a time, children in order, so its
+    nesting depth is not limited by the interpreter's recursion limit.
     """
-    root_node, all_exact = _expand_spec(spec, Fraction(1), "root")
-    depth = _node_depth(root_node)
-    _pad_to_depth(root_node, depth)
-    if not all_exact:
-        _to_float(root_node)
-    levels = [[] for _ in range(depth + 1)]
-    root_atom = Atom(0, 0, root_node.fraction)
-    levels[0].append(root_atom)
-    stack = [(root_node, root_atom)]
-    # DFS keeps each atom's leaves contiguous in construction order.
-    while stack:
-        node, atom = stack.pop()
-        for child_node in reversed(node.children):
-            n = atom.level + 1
-            child_atom = Atom(n, 0, child_node.fraction, atom)
-            atom.children.append(child_atom)
-            stack.append((child_node, child_atom))
-    _collect_levels(root_atom, levels)
-    for level in levels:
-        for i, atom in enumerate(level):
-            atom.index = i
-    return FiltrationTree(levels, "exact" if all_exact else "float")
-
-
-def _to_float(node):
-    node.fraction = float(node.fraction)
-    for child in node.children:
-        _to_float(child)
-
-
-def _collect_levels(root_atom, levels):
-    # Children were appended in reversed DFS pop order; restore left-to-right.
-    for level in levels:
-        level.clear()
-    frontier = [root_atom]
-    n = 0
-    while frontier:
-        levels[n].extend(frontier)
-        nxt = []
-        for atom in frontier:
-            atom.children.reverse()
-            nxt.extend(atom.children)
-        frontier = nxt
-        n += 1
+    frontier = [(spec, Fraction(1), "root")]
+    parents, measures, all_exact = [], [[Fraction(1)]], True
+    while any(node is not None for node, _, _ in frontier):
+        level, up = [], []
+        for i, node in enumerate(frontier):
+            children, exact = _split(*node)
+            all_exact = all_exact and exact
+            level.extend(children)
+            up.extend([i] * len(children))
+        frontier = level
+        parents.append(up)
+        measures.append([m for _, m, _ in level])
+    return FiltrationTree(parents, measures, "exact" if all_exact else "float")
 
 
 def parse_tree_config(config):
@@ -414,20 +353,19 @@ def regularity_constant(tree):
     non-negative function one level up shrinks atom averages by at most R.
     A tree with no splits (or depth 0) gets R = 1.
     """
-    best = Fraction(1) if tree.mode == "exact" else 1.0
-    for level in tree.levels[1:]:
-        for atom in level:
-            ratio = atom.parent.measure / atom.measure
-            if ratio > best:
-                best = ratio
+    exact = tree.mode == "exact"
+    best = Fraction(1) if exact else 1.0
+    for up, above, m in zip(tree._parents, tree._measures, tree._measures[1:]):
+        ratio = (above[up] / m).max()
+        if ratio > best:
+            best = ratio if exact else float(ratio)
     return best
 
 
 def is_dyadic(tree):
     """True when level n holds 2**n atoms, each of measure exactly 2**-n."""
-    return all(len(level) == 2 ** n and
-               all(a.measure == Fraction(1, 2 ** n) for a in level)
-               for n, level in enumerate(tree.levels))
+    return all(len(m) == 2 ** n and bool((m == Fraction(1, 2 ** n)).all())
+               for n, m in enumerate(tree._measures))
 
 
 def chain_to_root(tree, leaf):
@@ -448,19 +386,8 @@ def truncate(tree, depth):
     """Fresh tree consisting of levels 0..depth of the given one."""
     if not 0 <= depth <= tree.depth:
         raise ValueError(f"truncation depth {depth} out of range [0, {tree.depth}]")
-    old_to_new = {}
-    levels = []
-    for n in range(depth + 1):
-        level = []
-        for atom in tree.levels[n]:
-            parent = old_to_new[atom.parent.id] if atom.parent is not None else None
-            copy = Atom(n, atom.index, atom.measure, parent)
-            if parent is not None:
-                parent.children.append(copy)
-            old_to_new[atom.id] = copy
-            level.append(copy)
-        levels.append(level)
-    return FiltrationTree(levels, tree.mode)
+    return FiltrationTree(tree._parents[:depth], tree._measures[:depth + 1],
+                          tree.mode)
 
 
 def check_chain_gaps(tree, R):

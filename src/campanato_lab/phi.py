@@ -427,11 +427,12 @@ def phi_report(spec, ps=(1.0, 2.0), grid=None):
     if grid is None:
         grid = default_grid()
     grid = tuple(_check_grid(grid))
+    increasing, decreasing = almost_monotone_constants(spec, grid)
     return PhiReport(
         spec=spec,
         doubling=doubling_constant(spec, grid),
-        almost_increasing=almost_monotone_constants(spec, grid)[0],
-        almost_decreasing=almost_monotone_constants(spec, grid)[1],
+        almost_increasing=increasing,
+        almost_decreasing=decreasing,
         int_condition={p: int_condition_constant(spec, p, grid) for p in ps},
         int_condition_power={p: int_condition_power_weight(spec, p, grid)
                              for p in ps},

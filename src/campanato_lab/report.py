@@ -72,10 +72,6 @@ def _jsonable(obj):
     return str(obj)
 
 
-def jsonable(obj):
-    return _jsonable(obj)
-
-
 def canonical_json(payload):
     """Deterministic JSON text: sorted keys, no whitespace surprises."""
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2)

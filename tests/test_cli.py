@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import campanato_lab
 from campanato_lab.cli import ConfigError, load_config, main, run
 from campanato_lab.report import content_hash
 
@@ -161,16 +164,19 @@ def test_function_reference_validation(tmp_path):
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path / "cfg.json",
                         dict(BASE, tree={"type": "dyadic", "depth": 3}))
+    # the child imports the package the tests import, installed or not
+    src = str(Path(campanato_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "campanato_lab.cli", "verify",
          "--config", path, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert "overall: pass" in result.stdout
 
 
 def test_shipped_example_configs(tmp_path):
-    from pathlib import Path
     root = Path(__file__).resolve().parents[1] / "configs"
     assert run(str(root / "dyadic.json"), out_dir=str(tmp_path / "d")) == 0
     assert run(str(root / "psi.json"), out_dir=str(tmp_path / "p")) == 0
@@ -198,7 +204,6 @@ PINNED_HASHES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_committed_config_content_hash_pinned(tmp_path, name):
-    from pathlib import Path
     folder, pinned = PINNED_HASHES[name]
     config = Path(__file__).resolve().parents[1] / folder / f"{name}.json"
     assert run(str(config), out_dir=str(tmp_path)) == 0
@@ -263,3 +268,43 @@ def test_empty_phi_list_exits_2(tmp_path, capsys):
     # zero weights would run no suite and report an overall pass
     code, lines = run_config_error(tmp_path, capsys, phi=[])
     assert code == 2 and names_key(lines, "phi"), lines
+
+
+def persist_chain(depth):
+    spec = None
+    for _ in range(depth):
+        spec = {"persist": spec}
+    return spec
+
+
+def test_deep_chain_config_runs(tmp_path):
+    # a 400-level spec once overflowed the recursion limit in the builder
+    cfg = dict(BASE, tree={"type": "splits", "root": persist_chain(400)},
+               functions=[{"kind": "random", "count": 1, "seed": 3}],
+               suites=["norms"])
+    assert run(write_config(tmp_path / "cfg.json", cfg),
+               out_dir=str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tree"] == {"depth": 400, "leaves": 1}
+
+
+def test_config_too_deep_to_parse_exits_2(tmp_path, capsys):
+    depth = 1500
+    path = tmp_path / "deep.json"
+    path.write_text('{"tree": {"type": "splits", "root": '
+                    + '{"persist": ' * depth + "null" + "}" * depth + "}}",
+                    encoding="utf-8")
+    assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_out_path_of_a_file_exits_2_before_any_suite(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    code = run(write_config(tmp_path / "cfg.json", BASE), out_dir=str(blocker))
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines()
+             if line.startswith("config error:")]
+    assert code == 2 and lines and lines[0].startswith("config error: out:"), lines
+    assert captured.out == ""  # no suite ran
+    assert blocker.read_text() == "not a directory"

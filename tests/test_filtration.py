@@ -1,11 +1,14 @@
 """Tree construction, partition invariants, regularity, and chain gaps."""
 
+import re
+
 import pytest
 from fractions import Fraction
 
 from campanato_lab import (TreeSpecError, build_dyadic, build_from_spec,
                            chain_to_root, check_chain_gaps, parse_tree_config,
                            regularity_constant, truncate)
+from campanato_lab.filtration import FiltrationTree
 
 
 def chain_spec(depth):
@@ -77,6 +80,7 @@ def test_uneven_branches_padded_with_persistence():
     {"fractions": ["1/2", "-1/2", "1"]},    # non-positive
     {"fractions": []},                       # empty split
     {"fractions": ["1/2", "0"]},            # zero fraction
+    {"fractions": [float("nan"), 1.0]},     # NaN compares false with everything
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(TreeSpecError):
@@ -200,3 +204,76 @@ def test_leaf_spans_are_contiguous_partition():
             assert atom.leaf_start == cursor
             cursor = atom.leaf_end
         assert cursor == tree.leaf_count
+
+
+def test_deep_persist_chain_builds_without_recursion():
+    # far beyond the interpreter's recursion limit of 1000 frames
+    tree = build_from_spec(chain_spec(900))
+    assert tree.depth == 900
+    assert tree.leaves[0].measure == 1
+    assert len(chain_to_root(tree, tree.leaves[0])) == 901
+
+
+def test_atoms_are_views_of_one_tree():
+    tree = build_from_spec({"fractions": ["1/3", "2/3"],
+                            "children": [None, {"fractions": ["1/2", "1/2"]}]})
+    assert tree.atom(2, 1) is tree.leaves[1] is tree.levels[2][1]
+    assert tree.leaves[2].parent is tree.atoms(1)[1]
+    assert tree.atoms(1)[0].parent is tree.root
+    assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 1), (1, 3)]
+    with pytest.raises(ValueError):
+        tree.atom(3, 0)
+
+
+F = Fraction
+HALVES = [F(1, 2), F(1, 2)]
+
+
+@pytest.mark.parametrize("parents, measures, mode, message", [
+    ([], [[F(1, 2)]], "exact", "root measure must be 1"),
+    ([], [[F(1, 2), F(1, 2)]], "exact", "level 0 must contain exactly one atom"),
+    ([[]], [[1], []], "exact", "level 1 is empty"),
+    ([[0, 0]], [[1], [F(1, 2), F(1, 3)]], "exact",
+     "level 1 measures sum to 5/6, expected 1"),
+    ([[0, 0]], [[1.0], [0.5, 0.5 + 1e-9]], "float", "drift exceeds"),
+    ([[0, 0]], [[1], [F(3, 2), F(-1, 2)]], "exact",
+     "atom (1, 1) has non-positive measure"),
+    ([[0, 1]], [[1], HALVES], "exact", "atom (1, 1) has no level-0 parent"),
+    ([[0, 0], [0, 0]], [[1], HALVES, HALVES], "exact",
+     "non-leaf atom (1, 1) has no children"),
+    ([[0, 0], [1, 0]], [[1], HALVES, HALVES], "exact",
+     "atom (2, 1) is out of parent order"),
+    ([[0, 0], [0, 1]], [[1], [F(1, 4), F(3, 4)], HALVES], "exact",
+     "children of (1, 0) sum to 1/2, expected 1/4"),
+    ([[0, 0], [0, 1]], [[1.0], [0.25, 0.75], [0.5, 0.5]], "float",
+     "children of (1, 0) sum to 0.5, expected 0.25"),
+    ([[0]], [[1], [1], [1]], "exact", "expected one per level below the root"),
+    ([[0, 0]], [[1], [1]], "exact", "level 1 has 1 atoms but 2 parent indices"),
+    ([], [[1]], "rational", "unknown arithmetic mode"),
+])
+def test_hand_built_tree_validation(parents, measures, mode, message):
+    with pytest.raises(TreeSpecError, match=re.escape(message)):
+        FiltrationTree(parents, measures, mode)
+
+
+def test_hand_built_tree_accepted():
+    tree = FiltrationTree([[0, 0], [0, 1, 1]],
+                          [[1], HALVES, [F(1, 2), F(1, 4), F(1, 4)]], "exact")
+    assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 1), (1, 3)]
+    assert tree.leaves[2].parent is tree.atoms(1)[1]
+    assert regularity_constant(tree) == 2
+
+
+@pytest.mark.parametrize("second", [("1/7", "6/7"), ("3/10", "7/10")])
+def test_measure_exact_until_a_float_on_its_path(second):
+    # a float split under the first child does not make the second child's
+    # products float: each measure is rounded once, at the end
+    spec = {"fractions": ["1/3", "2/3"],
+            "children": [{"fractions": [0.25, 0.75]},
+                         {"fractions": list(second)}]}
+    tree = build_from_spec(spec)
+    assert tree.mode == "float"
+    got = [leaf.measure for leaf in tree.leaves]
+    assert got[:2] == [float(Fraction(1, 3)) * 0.25, float(Fraction(1, 3)) * 0.75]
+    assert got[2:] == [float(Fraction(2, 3) * Fraction(q)) for q in second]
+    assert all(type(m) is float for m in got)
