@@ -75,6 +75,23 @@ def _int(value, where, minimum=0):
     return value
 
 
+def _nesting(value):
+    """Levels of objects and lists nested in a parsed JSON value."""
+    depth, level = 0, [value]
+    while True:
+        level = [x for x in level if isinstance(x, (dict, list))]
+        if not level:
+            return depth
+        depth += 1
+        level = [v for x in level
+                 for v in (x.values() if isinstance(x, dict) else x)]
+
+
+# The report echoes the config and is serialised recursively, so a config
+# nested close to the interpreter's recursion limit would run every suite
+# and then fail to write; such configs are refused up front.
+MAX_NESTING = 500
+
 FUNCTION_KINDS = ("indicator", "extremal", "h", "sin_h", "random",
                   "leaf_values")
 
@@ -85,6 +102,10 @@ class ExperimentConfig:
     def __init__(self, raw, seed_override=None, depth_override=None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        for key, value in raw.items():
+            if _nesting(value) > MAX_NESTING:
+                raise ConfigError(f"{key}: nested more than {MAX_NESTING} "
+                                  "levels deep")
         self.raw = raw
         tree_cfg = raw.get("tree")
         if not isinstance(tree_cfg, dict):

@@ -59,10 +59,12 @@ def _num(x):
 
 
 def _weigh(fn, measures):
-    """fn at every entry of a float array of measures, as a float array;
-    fn is called once per distinct value."""
+    """fn at every entry of a float array of measures in (0,1], as a float
+    array; fn takes a float and is called once per distinct value."""
     distinct, where = np.unique(measures, return_inverse=True)
-    return np.array([float(fn(m)) for m in distinct])[where]
+    phimod._check_r(distinct[0])
+    phimod._check_r(distinct[-1])
+    return np.array([float(fn(m)) for m in distinct.tolist()])[where]
 
 
 def _level_weights(tree, key, fn):
@@ -79,7 +81,7 @@ def _level_weights(tree, key, fn):
 
 def phi_level_values(tree, spec):
     """phi evaluated at every atom measure, one float array per level."""
-    return _level_weights(tree, ("phi", spec), partial(phimod.eval_phi, spec))
+    return _level_weights(tree, ("phi", spec), phimod.evaluator(spec))
 
 
 def phi_star_level_values(tree, spec):
@@ -311,7 +313,7 @@ def f_norm_exact(f, p, spec):
         vals = csum / msum
         if p != 1:
             vals = vals ** invp
-        vals = vals / _weigh(partial(phimod.eval_phi, spec), msum)
+        vals = vals / _weigh(phimod.evaluator(spec), msum)
         i = int(np.argmax(vals))
         level_sup = float(vals[i])
         per_level.append(level_sup)
@@ -339,7 +341,7 @@ def f_norm_lower(f, p, spec, budget):
     witness = None
     per_level = []
     invp = 1.0 / p
-    phi = partial(phimod.eval_phi, spec)
+    phi = phimod.evaluator(spec)
     for n, (cints, measures) in enumerate(
             _level_cints(tree, f.values_array, p)):
         k = len(measures)

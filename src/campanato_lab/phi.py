@@ -4,20 +4,29 @@ upper-integral transform phi_star(r) = 1 + int_r^1 phi(t)/t dt.
 Condition constants (doubling, almost monotone, integral conditions) are
 suprema over a grid, so they are lower bounds for the analytic constants;
 reports label them "measured over grid".  Weight specs are immutable and
-evaluation is pure (quadrature state is per-call), so concurrent use is
-safe.
+hashable, and each spec's evaluator is built once and kept.  The
+quadrature branch of phi_star is memoised process-wide, keyed by
+(spec, r) and bounded by STAR_MEMO_SIZE entries: a quotient weight's
+integrands ask for its base's phi_star at the same points many times,
+and each is one quadrature of about 100 integrand calls.  Closed forms
+are not memoised.  Evaluation stays pure, since the memo only returns
+what the quadrature would, so concurrent use is safe; two threads
+missing on the same key at once both integrate and store equal values.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from scipy import integrate
 
 QUAD_RELTOL = 1e-9
 QUAD_LIMIT = 200
+STAR_MEMO_SIZE = 1 << 16  # perfbench/configs/phi_weights.json makes 19,113
 
 _E = math.e
 
@@ -95,26 +104,7 @@ def quotient_phi(spec):
 def eval_phi(spec, r):
     """phi(r) for r in (0,1].  Exact int 1 for the constant family."""
     r = _check_r(r)
-    if spec.family == "one":
-        return 1
-    if spec.family == "psi":
-        return 1.0 / (1.0 - math.log(r))
-    if spec.family == "powerlog":
-        val = 1.0
-        if spec.alpha:
-            val *= r ** spec.alpha
-        if spec.beta:
-            # log(e/r) = 1 - log r
-            val *= (1.0 - math.log(r)) ** (-spec.beta)
-        if spec.gamma:
-            # inner constant e^e keeps the factor positive on all of (0,1]
-            val *= math.log(_E - math.log(r)) ** (-spec.gamma)
-        return val
-    if spec.family == "quotient":
-        return float(eval_phi(spec.base, r)) / phi_star(spec.base, r)
-    if spec.family == "table":
-        return _table_eval(spec, r)
-    raise ValueError(f"unknown weight family {spec.family!r}")
+    return evaluator(spec)(r)
 
 
 def _check_r(r):
@@ -124,19 +114,60 @@ def _check_r(r):
     return r
 
 
-def _table_eval(spec, r):
-    pts = spec.points
+@lru_cache(maxsize=256)
+def evaluator(spec):
+    """The function r -> phi(r) of one weight, for a float r in (0,1].
+
+    Built once per spec, so the family dispatch and the table's logarithms
+    stay out of the quadrature integrands; callers check r.
+    """
+    if spec.family == "one":
+        return lambda r: 1
+    if spec.family == "psi":
+        return lambda r: 1.0 / (1.0 - math.log(r))
+    if spec.family == "powerlog":
+        alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
+
+        def powerlog_phi(r):
+            val = 1.0
+            if alpha:
+                val *= r ** alpha
+            if beta:
+                # log(e/r) = 1 - log r
+                val *= (1.0 - math.log(r)) ** (-beta)
+            if gamma:
+                # inner constant e^e keeps the factor positive on all of (0,1]
+                val *= math.log(_E - math.log(r)) ** (-gamma)
+            return val
+
+        return powerlog_phi
+    if spec.family == "quotient":
+        base, base_phi = spec.base, evaluator(spec.base)
+        return lambda r: float(base_phi(r)) / phi_star(base, r)
+    if spec.family == "table":
+        return _table_evaluator(spec.points)
+    raise ValueError(f"unknown weight family {spec.family!r}")
+
+
+def _table_evaluator(pts):
+    """Log-linear interpolation through the points, extended linearly in
+    log-log coordinates past both ends."""
     logs_r = [math.log(p[0]) for p in pts]
     logs_v = [math.log(p[1]) for p in pts]
-    x = math.log(r)
-    if x <= logs_r[0]:
-        i = 0
-    elif x >= logs_r[-1]:
-        i = len(pts) - 2
-    else:
-        i = max(j for j in range(len(pts) - 1) if logs_r[j] <= x)
-    slope = (logs_v[i + 1] - logs_v[i]) / (logs_r[i + 1] - logs_r[i])
-    return math.exp(logs_v[i] + slope * (x - logs_r[i]))
+    last = len(pts) - 2
+
+    def table_phi(r):
+        x = math.log(r)
+        if x <= logs_r[0]:
+            i = 0
+        elif x >= logs_r[-1]:
+            i = last
+        else:
+            i = bisect.bisect_right(logs_r, x) - 1
+        slope = (logs_v[i + 1] - logs_v[i]) / (logs_r[i + 1] - logs_r[i])
+        return math.exp(logs_v[i] + slope * (x - logs_r[i]))
+
+    return table_phi
 
 
 def _table_zero_slope(spec):
@@ -162,12 +193,17 @@ def phi_star(spec, r, force_quadrature=False):
         closed = _phi_star_closed(spec, r)
         if closed is not None:
             return closed
-    upper = math.log(1.0 / r)
+    return _phi_star_quadrature(spec, r)
+
+
+@lru_cache(maxsize=STAR_MEMO_SIZE)
+def _phi_star_quadrature(spec, r):
+    phi = evaluator(spec)
 
     def integrand(s):
-        return float(eval_phi(spec, math.exp(-s)))
+        return float(phi(math.exp(-s)))
 
-    value, ok = _quad(integrand, 0.0, upper)
+    value, ok = _quad(integrand, 0.0, math.log(1.0 / r))
     return 1.0 + value if ok else math.inf
 
 
@@ -265,6 +301,7 @@ def int_condition_constant(spec, p, grid, force_quadrature=False):
             return math.inf if a <= -1.0 else 1.0 / (a + 1.0)
     if spec.family == "table" and _table_zero_slope(spec) * p <= -1.0:
         return math.inf
+    phi = evaluator(spec)
     worst = 0.0
     for r in grid:
         denom = r * float(eval_phi(spec, r)) ** p
@@ -273,7 +310,7 @@ def int_condition_constant(spec, p, grid, force_quadrature=False):
             t = r * math.exp(-s)
             if t <= 0.0:
                 return 0.0
-            return float(eval_phi(spec, t)) ** p * r * math.exp(-s)
+            return float(phi(t)) ** p * r * math.exp(-s)
 
         value, ok = _quad(integrand, 0.0, math.inf)
         if not ok:
@@ -294,6 +331,7 @@ def int_condition_power_weight(spec, p, grid, force_quadrature=False):
             return math.inf if a <= 0.0 else 1.0 / a
     if spec.family == "table" and _table_zero_slope(spec) + 1.0 / p <= 0.0:
         return math.inf
+    phi = evaluator(spec)
     worst = 0.0
     for r in grid:
         denom = float(eval_phi(spec, r)) * r ** (1.0 / p)
@@ -302,7 +340,7 @@ def int_condition_power_weight(spec, p, grid, force_quadrature=False):
             t = r * math.exp(-s)
             if t <= 0.0:
                 return 0.0
-            return float(eval_phi(spec, t)) * t ** (1.0 / p)
+            return float(phi(t)) * t ** (1.0 / p)
 
         value, ok = _quad(integrand, 0.0, math.inf)
         if not ok:

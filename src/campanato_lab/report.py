@@ -61,10 +61,12 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
+    # map keeps the recursion at one frame per nesting level, where a
+    # comprehension would add a second
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return dict(zip(map(str, obj), map(_jsonable, obj.values())))
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return list(map(_jsonable, obj))
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
     if hasattr(obj, "__float__"):

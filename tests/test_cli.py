@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import campanato_lab
-from campanato_lab.cli import ConfigError, load_config, main, run
+from campanato_lab import phi as phimod
+from campanato_lab.cli import MAX_NESTING, ConfigError, load_config, main, run
 from campanato_lab.report import content_hash
 
 
@@ -211,6 +212,20 @@ def test_committed_config_content_hash_pinned(tmp_path, name):
     assert report["content_hash"].startswith(pinned), report["content_hash"]
 
 
+def test_phi_weights_rerun_in_one_process(tmp_path):
+    # the phi_star memo and the per-weight evaluators outlive a run; a cold
+    # run and a warm one must write the same report
+    phimod._phi_star_quadrature.cache_clear()
+    phimod.evaluator.cache_clear()
+    folder, pinned = PINNED_HASHES["phi_weights"]
+    config = Path(__file__).resolve().parents[1] / folder / "phi_weights.json"
+    for out in ("cold", "warm"):
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / out)]) == 0
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["content_hash"].startswith(pinned), out
+
+
 def run_config_error(tmp_path, capsys, **changes):
     """Run BASE with `changes`; return (exit code, the config-error line)."""
     cfg = dict(BASE, **changes)
@@ -278,14 +293,31 @@ def persist_chain(depth):
 
 
 def test_deep_chain_config_runs(tmp_path):
-    # a 400-level spec once overflowed the recursion limit in the builder
-    cfg = dict(BASE, tree={"type": "splits", "root": persist_chain(400)},
-               functions=[{"kind": "random", "count": 1, "seed": 3}],
+    # a 400-level spec once overflowed the recursion limit in the builder,
+    # and a 492-level one in the report serialiser after every suite ran;
+    # the deepest config accepted must report too
+    for depth in (400, 492, MAX_NESTING - 1):
+        cfg = dict(BASE, tree={"type": "splits",
+                               "root": persist_chain(depth)},
+                   functions=[{"kind": "random", "count": 1, "seed": 3}],
+                   suites=["norms"])
+        out = tmp_path / str(depth)
+        assert run(write_config(tmp_path / "cfg.json", cfg),
+                   out_dir=str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["tree"] == {"depth": depth, "leaves": 1}
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, 800])
+def test_config_nested_too_deep_exits_2_before_any_suite(tmp_path, capsys,
+                                                          depth):
+    cfg = dict(BASE, tree={"type": "splits", "root": persist_chain(depth)},
                suites=["norms"])
-    assert run(write_config(tmp_path / "cfg.json", cfg),
-               out_dir=str(tmp_path / "out")) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["tree"] == {"depth": 400, "leaves": 1}
+    code = run(write_config(tmp_path / "cfg.json", cfg),
+               out_dir=str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("config error: tree: nested more than")
 
 
 def test_config_too_deep_to_parse_exits_2(tmp_path, capsys):

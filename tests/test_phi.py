@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from campanato_lab import phi as phimod
 from campanato_lab import (almost_monotone_constants, classify_regime,
                            default_grid, doubling_constant, eval_phi,
                            int_condition_constant, int_condition_power_weight,
@@ -17,6 +18,7 @@ GRID = default_grid()
 
 def test_eval_basics():
     assert eval_phi(one(), 0.37) == 1
+    assert type(eval_phi(one(), 0.37)) is int  # keeps exact chain sums exact
     assert eval_phi(psi(), 1.0) == pytest.approx(1.0)
     assert eval_phi(power(1), 0.5) == pytest.approx(0.5)
 
@@ -74,6 +76,10 @@ def test_phi_star_quadrature_matches_closed_form(spec, closed):
     for r in (1e-6, 1e-4, 0.01, 0.3, 0.9, 1.0):
         quad = phi_star(spec, r, force_quadrature=True)
         assert abs(quad - closed(r)) <= 1e-8 * max(1.0, closed(r))
+        # with the quadrature memoised for (spec, r), each path still
+        # answers with its own value
+        assert phi_star(spec, r, force_quadrature=True) == quad
+        assert phi_star(spec, r) == phimod._phi_star_closed(spec, r)
 
 
 def test_phi_star_nonincreasing():
@@ -200,3 +206,67 @@ def test_empty_grid_rejected():
         doubling_constant(one(), [])
     with pytest.raises(ValueError):
         int_condition_constant(one(), 0.5, GRID)
+
+
+def test_phi_star_quadrature_memoised(monkeypatch):
+    quad = phimod._quad
+    calls = []
+
+    def counting_quad(*args):
+        calls.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(phimod, "_quad", counting_quad)
+    phimod._phi_star_quadrature.cache_clear()
+    spec = quotient_phi(powerlog(0.2, 1))
+    first = phi_star(spec, 0.01)
+    cold = len(calls)
+    assert cold > 1  # the quotient's quadrature and its base's, inside it
+    assert phi_star(spec, 0.01) == first
+    assert len(calls) == cold
+    info = phimod._phi_star_quadrature.cache_info()
+    assert info.maxsize == phimod.STAR_MEMO_SIZE
+    assert info.currsize <= cold
+
+
+def test_phi_report_cold_and_warm_agree():
+    spec = quotient_phi(powerlog(0.2, 1))
+    grid = default_grid(10)
+    phimod._phi_star_quadrature.cache_clear()
+    cold = phi_report(spec, grid=grid).to_dict()
+    assert phi_report(spec, grid=grid).to_dict() == cold
+
+
+def table_reference(points, r):
+    """Log-linear interpolation by a linear search over the segments."""
+    logs_r = [math.log(p[0]) for p in points]
+    logs_v = [math.log(p[1]) for p in points]
+    x = math.log(r)
+    if x <= logs_r[0]:
+        i = 0
+    elif x >= logs_r[-1]:
+        i = len(points) - 2
+    else:
+        i = max(j for j in range(len(points) - 1) if logs_r[j] <= x)
+    slope = (logs_v[i + 1] - logs_v[i]) / (logs_r[i + 1] - logs_r[i])
+    return math.exp(logs_v[i] + slope * (x - logs_r[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1.0),
+                          st.floats(min_value=1e-3, max_value=1e3)),
+                min_size=2, max_size=8, unique_by=lambda pt: pt[0]),
+       st.floats(min_value=1e-12, max_value=1.0))
+def test_table_weight_matches_segment_search(points, r):
+    spec = table(points)
+
+    def outcome(fn):
+        # steep extrapolation overflows; points whose logs coincide give a
+        # zero-width segment
+        try:
+            return fn()
+        except (OverflowError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    assert outcome(lambda: eval_phi(spec, r)) \
+        == outcome(lambda: table_reference(spec.points, r))
