@@ -21,7 +21,7 @@ from .constructions import (extremal_chain_function, h_function,
                             sin_h_multiplier)
 from .filtration import TreeSpecError, chain_to_root, parse_tree_config
 from .functions import LeafFunction, indicator, random_functions
-from .norms import campanato_norm, campanato_seminorm
+from .norms import campanato_norm
 from .report import canonical_json, content_hash
 from .verify import VerifyContext, run_multiplier_suite, run_verify_suites
 
@@ -55,6 +55,26 @@ def parse_phi_config(cfg, where="phi"):
         return phimod.quotient_phi(parse_phi_config(cfg.get("base"),
                                                     f"{where}.base"))
     raise ConfigError(f"{where}.family: unknown weight family {family!r}")
+
+
+def _check_table_range(spec, where, r_min):
+    """Refuse a table weight, or the base of a quotient weight, that
+    overflows or underflows to 0 somewhere on [r_min, 1].  Past the points
+    the weight is extrapolated log-linearly, so it is monotone on every
+    segment and takes its extremes on [r_min, 1] at r_min, at 1 or at a
+    point."""
+    if spec.family == "quotient":
+        _check_table_range(spec.base, f"{where}.base", r_min)
+    elif spec.family == "table":
+        for r in (r_min, 1.0):
+            try:
+                value = phimod.eval_phi(spec, r)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{where}.points: log-linear extrapolation "
+                                  f"gives phi({r!r}) = {value!r}, not a "
+                                  "positive finite weight")
 
 
 def _is_number(value):
@@ -124,10 +144,16 @@ class ExperimentConfig:
             if not phi_cfg:
                 raise ConfigError("phi: expected a weight object or a "
                                   "non-empty list")
-            self.phis = [parse_phi_config(c, f"phi[{i}]")
-                         for i, c in enumerate(phi_cfg)]
+            wheres = [f"phi[{i}]" for i in range(len(phi_cfg))]
         else:
-            self.phis = [parse_phi_config(phi_cfg)]
+            phi_cfg, wheres = [phi_cfg], ["phi"]
+        self.phis = [parse_phi_config(c, w) for c, w in zip(phi_cfg, wheres)]
+        # the smallest r a run evaluates a weight at: the report grid's, or
+        # the smallest atom measure
+        r_min = min(min(phimod.default_grid()),
+                    float(self.tree.leaf_measures_f().min()))
+        for spec, where in zip(self.phis, wheres):
+            _check_table_range(spec, where, r_min)
 
         p_cfg = raw.get("p", 1)
         p_list = p_cfg if isinstance(p_cfg, list) else [p_cfg]
@@ -239,17 +265,17 @@ def _norm_rows(config):
         functions = config.build_functions(spec)
         for p in config.ps:
             for label, f in functions:
-                sem = campanato_seminorm(f, p, spec, exact=False)
                 norm = campanato_norm(f, p, spec, exact=False)
                 rows.append({
                     "function": label,
                     "phi": spec.describe(),
                     "p": p,
-                    "seminorm": float(sem.value),
+                    # the seminorm is the largest per-level sup
+                    "seminorm": float(max(norm.per_level)),
                     "norm": float(norm.value),
                     "mean_abs": float(norm.mean_abs),
-                    "witness_level": sem.witness[0] if sem.witness else None,
-                    "witness_atom": sem.witness[1] if sem.witness else None,
+                    "witness_level": norm.witness[0],
+                    "witness_atom": norm.witness[1],
                 })
     return rows
 

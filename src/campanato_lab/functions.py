@@ -173,6 +173,13 @@ def level_means(tree, n, values):
     return np.add.reduceat(values * leafm, starts, axis=-1) / measures[n]
 
 
+def level_projection(tree, n, values):
+    """E_n of leaf-value rows, as leaf-value rows: each leaf takes the
+    average of its level-n atom, computed as in level_means."""
+    return np.repeat(level_means(tree, n, values), tree.level_arrays(n)[1],
+                     axis=-1)
+
+
 def conditional_expectation(f, n):
     """Average f over every level-n atom; returns a leaf function."""
     tree = f.tree
@@ -180,8 +187,8 @@ def conditional_expectation(f, n):
         raise ValueError(f"level {n} out of range [0, {tree.depth}]")
     if n == tree.depth:
         return f
-    means = level_means(tree, n, np.array(f.values, dtype=object))
-    return LeafFunction(tree, np.repeat(means, tree.level_arrays(n)[1]))
+    return LeafFunction(tree, level_projection(
+        tree, n, np.array(f.values, dtype=object)))
 
 
 def martingale_of(f):

@@ -18,10 +18,9 @@ from . import phi as phimod
 from .constructions import chain_values
 from .filtration import Atom, chain_to_root, regularity_constant, truncate
 from .functions import (LeafFunction, expectation, indicator, level_means,
-                        linf_norm)
+                        level_projection, linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
-                    level_reductions, phi_level_values, phi_star_level_values,
-                    scan_block)
+                    phi_level_values, phi_star_level_values, scan_block)
 from .report import Check, VerificationReport
 
 INEQ_SLACK = 1e-10
@@ -30,10 +29,6 @@ EXACT_SLACK = 1e-12
 # L (1 - WITNESS_TIE): the first such member in family order, so that the
 # summation order of a scan cannot move the label between tied members.
 WITNESS_TIE = 1e-12
-# Leaf values per block of dense family members.  The block scan keeps a
-# few temporaries of this size, so the family costs about as much memory
-# as one member scanned at a time did.
-BLOCK_ELEMENTS = 1 << 14
 
 
 # -- the product functional ---------------------------------------------------
@@ -47,14 +42,9 @@ def capital_F(f, g, p, spec):
     tree = f.tree
     if g.tree is not tree:
         raise ValueError("functions live on different trees")
-    phis = phi_level_values(tree, spec)
-    invp = 1.0 / p
     best = 0.0
-    for n, _, cint, measures in level_reductions(tree, g.values_array, p):
-        osc = cint / measures
-        if p != 1:
-            osc = osc ** invp
-        terms = np.abs(level_means(tree, n, f.values_array)) / phis[n] * osc
+    for n, _, ratios in _level_scan(tree, g.values_array[None, :], p, spec):
+        terms = np.abs(level_means(tree, n, f.values_array)) * ratios[0]
         best = max(best, float(np.max(terms)))
     return best
 
@@ -195,44 +185,35 @@ def _family_norms(g, p, spec, members, want_fb=False):
 
     Members are (label, member) pairs, consumed lazily; an Atom stands for
     its indicator and takes the ancestors-only path, any other member is a
-    leaf-value array, scanned in blocks of at most BLOCK_ELEMENTS leaf
-    values.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    leaf-value array, handed to scan_block with its product f g as the next
+    row.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
     """
-    tree = g.tree
     gv = g.values_array
-    step = max(1, BLOCK_ELEMENTS // tree.leaf_count)
-    labels, atoms, pending, parts = [], [], [], []
+    labels, dense, atoms = [], [], []
 
-    def scan_pending():
-        block = np.array([row for _, row in pending])
-        sem, mean, fb = scan_block(tree, block, p, spec, want_fb)
-        sem_g, mean_g, _ = scan_block(tree, block * gv, p, spec)
-        parts.append(([k for k, _ in pending], sem + np.abs(mean),
-                      sem_g + np.abs(mean_g), fb))
-        pending.clear()
+    def rows():  # fills labels, dense and atoms as scan_block consumes it
+        for pos, (label, member) in enumerate(members):
+            labels.append(label)
+            if isinstance(member, Atom):
+                atoms.append((pos, member))
+            else:
+                dense.append(pos)
+                yield member
+                yield member * gv
 
-    for pos, (label, member) in enumerate(members):
-        labels.append(label)
-        if isinstance(member, Atom):
-            atoms.append((pos, member))
-            continue
-        pending.append((pos, member))
-        if len(pending) == step:
-            scan_pending()
-    if pending:
-        scan_pending()
+    sups, _, mean, fb = scan_block(g.tree, rows(), p, spec, want_fb)
+    norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
+    norms = sups.max(axis=1) + np.abs(mean)
+    norm_f[dense], norm_fg[dense] = norms[0::2], norms[1::2]
+    if want_fb:
+        fb_all[dense] = fb[0::2]
     if atoms:
-        parts.append(([k for k, _ in atoms],
-                      *_indicator_norms(g, p, spec, [a for _, a in atoms],
-                                        want_fb)))
-    norm_f = np.empty(len(labels))
-    norm_fg = np.empty(len(labels))
-    fb = np.empty(len(labels)) if want_fb else None
-    for pos, nf, nfg, part_fb in parts:
-        norm_f[pos], norm_fg[pos] = nf, nfg
+        pos = [k for k, _ in atoms]
+        norm_f[pos], norm_fg[pos], atom_fb = _indicator_norms(
+            g, p, spec, [a for _, a in atoms], want_fb)
         if want_fb:
-            fb[pos] = part_fb
-    return labels, norm_f, norm_fg, fb
+            fb_all[pos] = atom_fb
+    return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 
 def _lower_bound(labels, norm_f, norm_fg):
@@ -419,7 +400,7 @@ def linf_bound_check(g, p, spec):
     prev = None
     growth_margin = -math.inf
     for n in range(tree.depth + 1):
-        cur = np.repeat(level_means(tree, n, av), tree.level_arrays(n)[1])
+        cur = level_projection(tree, n, av)
         if prev is not None:
             growth_margin = max(growth_margin, float(np.max(cur - R * prev)))
         prev = cur
@@ -520,9 +501,8 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     for label, row in base:
         if label.startswith(("chain:", "rand:")):
             for n in range(1, N):
-                lifted = np.repeat(level_means(tree, n, row),
-                                   tree.level_arrays(n)[1])
-                shared.append((f"E{n}[{label}]", lifted))
+                shared.append((f"E{n}[{label}]",
+                               level_projection(tree, n, row)))
 
     quotient = phimod.quotient_phi(spec)
 

@@ -6,14 +6,16 @@ The seminorm of f is the sup over levels n and level-n atoms B of
 
 and the norm adds |Ef|.  For functions measurable at the deepest level
 the sup over deeper levels vanishes, so finite trees give exact values.
-One per-level reduction serves every scan: float rows reduce in
-float64, and for p = 1 with the constant weight on a rational tree with
-rational values the scan runs on an object row of exact values instead.
-Ties in the sup are broken by (level, atom index).
+One per-level reduction serves every scan, and one driver, scan_block,
+turns it into sups: float rows reduce in float64, and for p = 1 with the
+constant weight on a rational tree with rational values the scan runs on
+an object row of exact values instead.  Ties in the sup are broken by
+(level, atom index).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +94,11 @@ def phi_star_level_values(tree, spec):
 
 # -- core scans -----------------------------------------------------------------
 
+# Leaf values per block of rows.  A block scan keeps a few temporaries of
+# this size, so many short rows cost about as much memory as one row of
+# BLOCK_ELEMENTS leaves.
+BLOCK_ELEMENTS = 1 << 14
+
 
 def level_reductions(tree, block, p):
     """Yield (n, averages, central integrals, measures) for every level n
@@ -133,29 +140,52 @@ def _level_scan(tree, block, p, spec):
         yield n, avg, (ratios if phis is None else ratios / phis[n])
 
 
-def scan_block(tree, block, p, spec, want_fb=False):
-    """Float scan of a block of leaf functions, one row per member.
+def scan_block(tree, rows, p, spec, want_fb=False):
+    """Sup scan of leaf functions, one per row: the one per-level sup loop.
 
-    Returns three arrays with one value per row: the seminorm, the mean
-    Ef, and the sup over all atoms of |f_B| / phi_star(P(B)) (None unless
-    want_fb).  Each level reduces the whole block at once (np.add.reduceat
-    along the leaf axis), so the Python-level cost is per level, not per
-    member.
+    `rows` is an iterable of leaf-value rows: float rows, or one object
+    row of exact values (reduced with the tree's rational measures).  It
+    is consumed lazily, at most BLOCK_ELEMENTS leaf values (and at least
+    one row) at a time, and each level reduces a whole block at once.
+    Returns four arrays with one entry per row: the per-level sups (the
+    deepest zero: every leaf function is measurable there), the first
+    atom attaining each, the mean Ef, and the sup over all atoms of
+    |f_B| / phi_star(P(B)), None unless want_fb.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    block = np.asarray(block, dtype=np.float64)
-    sup = np.zeros(block.shape[0])
-    fb = None
-    if want_fb:
-        stars = phi_star_level_values(tree, spec)
-        fb = (np.abs(block) / stars[tree.depth]).max(axis=1)
-    for n, avg, ratios in _level_scan(tree, block, p, spec):
-        np.maximum(sup, ratios.max(axis=1), out=sup)
+    stars = phi_star_level_values(tree, spec) if want_fb else None
+    empty = np.zeros((0, tree.depth + 1))
+    sups, atoms = [empty], [empty.astype(np.int64)]
+    means, fbs = [empty[:, 0]], [empty[:, 0]]
+    for block in _blocks(rows, max(1, BLOCK_ELEMENTS // tree.leaf_count)):
+        sup, at, fb = [], [], []
+        for n, avg, ratios in _level_scan(tree, block, p, spec):
+            sup.append(ratios.max(axis=1))
+            at.append(ratios.argmax(axis=1))
+            if want_fb:
+                fb.append((np.abs(avg) / stars[n]).max(axis=1))
+        zero = Fraction(0) if block.dtype == object else 0.0
+        sups.append(np.array(sup + [np.full(len(block), zero)]).T)
+        atoms.append(np.array(at + [np.zeros(len(block), np.int64)]).T)
+        means.append((block * tree.measure_arrays(block.dtype)[0]).sum(axis=1))
         if want_fb:
-            np.maximum(fb, (np.abs(avg) / stars[n]).max(axis=1), out=fb)
-    mean = (block * tree.leaf_measures_f()).sum(axis=1)
-    return sup, mean, fb
+            fb.append((np.abs(block) / stars[tree.depth]).max(axis=1))
+            fbs.append(np.max(fb, axis=0))
+    return (np.concatenate(sups), np.concatenate(atoms), np.concatenate(means),
+            np.concatenate(fbs) if want_fb else None)
+
+
+def _blocks(rows, size):
+    """Stack an iterable of leaf rows `size` rows at a time, lazily; object
+    rows stay object, any other rows become float64."""
+    rows = iter(rows)
+    while True:
+        block = np.array(list(itertools.islice(rows, size)))
+        if not len(block):
+            return
+        yield (block if block.dtype == object
+               else block.astype(np.float64, copy=False))
 
 
 def _use_exact(f, p, spec):
@@ -166,44 +196,24 @@ def _use_exact(f, p, spec):
 def oscillation_scan(f, p, spec, want_fb=False, exact=None):
     """Sup scan of one function: returns (sup, witness, per_level, fb_sup).
 
-    The one-row case of the block scan.  The exact path scans an object
-    row of f's rational values, so its sup and per-level sups are
-    Fractions; the float path scans f's float64 values.  fb_sup is the sup
-    over all atoms of |f_B| / phi_star(P(B)), reusing the per-level
-    averages already in hand; None unless requested.
+    The one-row case of scan_block.  The exact path scans an object row of
+    f's rational values, so its sup and per-level sups are Fractions; the
+    float path scans f's float64 values and returns Python floats.  The
+    witness (n, i) is the first level, then the first atom, attaining the
+    sup.  fb_sup is the sup over all atoms of |f_B| / phi_star(P(B)), None
+    unless requested.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     if exact is None:
         exact = _use_exact(f, p, spec)
     if exact and not _use_exact(f, p, spec):
         raise ValueError("exact scan needs a rational tree and values, "
                          "p = 1 and the constant weight")
-    tree = f.tree
     row = np.array(f.values, dtype=object) if exact else f.values_array
-    stars = phi_star_level_values(tree, spec) if want_fb else None
-    best = -math.inf
-    witness = None
-    per_level = []
-    fb_sup = 0.0
-    for n, avg, ratios in _level_scan(tree, row[None, :], p, spec):
-        if want_fb:
-            fb_sup = max(fb_sup, float(np.max(np.abs(avg[0]) / stars[n])))
-        i = int(np.argmax(ratios[0]))
-        level_sup = ratios[0, i] if exact else float(ratios[0, i])
-        per_level.append(level_sup)
-        if level_sup > best:
-            best = level_sup
-            witness = (n, i)
-    # deepest level: f is measurable, zero oscillation by definition
-    zero = Fraction(0) if exact else 0.0
-    per_level.append(zero)
-    if want_fb:
-        fb_sup = max(fb_sup,
-                     float(np.max(np.abs(f.values_array) / stars[tree.depth])))
-    if witness is None:  # depth-0 tree: only the zero deepest level
-        best, witness = zero, (0, 0)
-    return best, witness, tuple(per_level), (fb_sup if want_fb else None)
+    sups, atoms, _, fb = scan_block(f.tree, [row], p, spec, want_fb)
+    n = int(np.argmax(sups[0]))
+    per_level = tuple(sups[0].tolist())
+    return (per_level[n], (n, int(atoms[0, n])), per_level,
+            float(fb[0]) if want_fb else None)
 
 
 # -- public norms ----------------------------------------------------------------

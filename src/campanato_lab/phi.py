@@ -87,6 +87,10 @@ def table(points):
             raise ValueError(f"table point r={r} outside (0,1]")
         if v <= 0:
             raise ValueError(f"table value {v} at r={r} is not positive")
+    for (r0, _), (r1, _) in zip(pts, pts[1:]):
+        if math.log(r0) == math.log(r1):
+            raise ValueError(f"table points r={r0!r} and r={r1!r} have the "
+                             "same logarithm")
     return PhiSpec("table", points=pts)
 
 

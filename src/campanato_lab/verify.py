@@ -19,12 +19,10 @@ from .constructions import (extremal_chain_function,
                             measure_chain_constants, sin_h_multiplier)
 from .filtration import (chain_to_root, check_chain_gaps, is_dyadic,
                          regularity_constant)
-from .functions import (LeafFunction, expectation, indicator, level_means,
-                        random_functions)
+from .functions import level_projection, random_functions
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
-from .norms import (campanato_seminorm, chi_norm_closed_form,
-                    oscillation_scan)
+from .norms import chi_norm_closed_form, scan_block
 from .report import Check, VerificationReport
 
 INEQ_SLACK = 1e-10
@@ -79,13 +77,20 @@ def suite_indicator_norms(ctx):
         rng = np.random.default_rng(ctx.seed)
         picks = rng.choice(len(atoms), size=ctx.atom_sample, replace=False)
         atoms = [atoms[i] for i in sorted(int(x) for x in picks)]
+
+    def rows():
+        for B in atoms:
+            row = np.zeros(tree.leaf_count)
+            row[B.leaf_start:B.leaf_end] = 1.0
+            yield row
+
+    full = scan_block(tree, rows(), p, spec)[0].max(axis=1)
     worst_rel = 0.0
     worst_atom = None
     bound = 0.0
-    for B in atoms:
+    for B, full_B in zip(atoms, full):
         closed = chi_norm_closed_form(B, p, spec)
-        full = campanato_seminorm(indicator(tree, B), p, spec, exact=False)
-        rel = _rel_err(closed.value, full.value)
+        rel = _rel_err(closed.value, full_B)
         if rel > worst_rel:
             worst_rel = rel
             worst_atom = B.id
@@ -114,12 +119,11 @@ def suite_atom_average_growth(ctx):
     family = random_functions(tree, min(ctx.random_count, 32), ctx.seed)
     family.append(extremal_chain_function(
         tree, chain_to_root(tree, tree.leaves[0]), spec).f)
-    worst = 0.0
-    for f in family:
-        sem, _, _, fb = oscillation_scan(f, p, spec, want_fb=True, exact=False)
-        norm_f = float(sem) + abs(float(expectation(f)))
-        if norm_f > 0:
-            worst = max(worst, fb / norm_f)
+    sups, _, mean, fb = scan_block(tree, (f.values_array for f in family), p,
+                                   spec, want_fb=True)
+    norm_f = sups.max(axis=1) + np.abs(mean)
+    usable = norm_f > 0
+    worst = float(np.max(fb[usable] / norm_f[usable], initial=0.0))
     known = _known_regime(ctx)
     return VerificationReport(suite="atom_average_growth", checks=[Check(
         name="atom_average_phistar_growth",
@@ -227,19 +231,19 @@ def suite_lipschitz(ctx):
 
 def suite_truncation_monotone(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    worst = -math.inf
-    eq_rel = 0.0
-    for f in random_functions(tree, ctx.random_count, ctx.seed):
-        sem = float(campanato_seminorm(f, p, spec, exact=False).value)
-        for n in range(tree.depth + 1):
-            projected = np.repeat(level_means(tree, n, f.values_array),
-                                  tree.level_arrays(n)[1])
-            sem_n = float(campanato_seminorm(
-                LeafFunction.from_float_array(tree, projected), p, spec,
-                exact=False).value)
-            worst = max(worst, sem_n - sem)
-        # n is the depth here: E_N f computed by averaging over the leaves
-        eq_rel = max(eq_rel, _rel_err(sem_n, sem))
+    functions = random_functions(tree, ctx.random_count, ctx.seed)
+
+    def rows():  # f, then E_0 f, ..., E_N f, for every f
+        for f in functions:
+            yield f.values_array
+            for n in range(tree.depth + 1):
+                yield level_projection(tree, n, f.values_array)
+
+    sems = scan_block(tree, rows(), p, spec)[0].max(axis=1)
+    sems = sems.reshape(len(functions), tree.depth + 2)
+    worst = float(np.max(sems[:, 1:] - sems[:, :1], initial=-math.inf))
+    # E_N f is computed by averaging over the leaves
+    eq_rel = max((_rel_err(sem[-1], sem[0]) for sem in sems), default=0.0)
     return VerificationReport(suite="truncation_monotone", checks=[
         Check(
             name="truncation_never_increases_seminorm",

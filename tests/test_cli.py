@@ -285,6 +285,29 @@ def test_empty_phi_list_exits_2(tmp_path, capsys):
     assert code == 2 and names_key(lines, "phi"), lines
 
 
+@pytest.mark.parametrize("points", [
+    [[0.5, 22.0], [0.5625, 1.0]],    # overflows at r = 2^-40
+    [[0.5, 1e-20], [0.5625, 1.0]],   # underflows to 0 there
+])
+def test_table_out_of_range_at_smallest_r_exits_2(tmp_path, capsys, points):
+    # the weight report evaluates the weight down to 2^-40
+    code, lines = run_config_error(
+        tmp_path, capsys, phi={"family": "table", "points": points},
+        suites=["phi_report"])
+    assert code == 2 and names_key(lines, "phi.points"), lines
+
+
+def test_table_points_with_equal_logs_exit_2(tmp_path, capsys):
+    # the two logarithms are equal, so the segment between has zero width
+    points = [[1e-09, 2.0], [1.0000000000000003e-09, 1.0], [1.0, 1.0]]
+    code, lines = run_config_error(
+        tmp_path, capsys, phi=[{"family": "one"},
+                               {"family": "table", "points": points}],
+        suites=["phi_report"])
+    assert code == 2 and names_key(lines, "phi[1].points"), lines
+    assert "same logarithm" in lines[0], lines
+
+
 def persist_chain(depth):
     spec = None
     for _ in range(depth):

@@ -11,25 +11,33 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            campanato_seminorm, central_p_integral,
                            chi_norm_closed_form, conditional_expectation,
                            constant, eval_phi, expectation, f_norm_exact,
-                           f_norm_lower, indicator, lp_norm, one, power, psi,
-                           random_functions)
+                           f_norm_lower, indicator, lp_norm, one, phi_star,
+                           power, powerlog, psi, random_functions)
+from campanato_lab.norms import oscillation_scan
 
 
-def brute_seminorm(f, p, spec):
-    """Oracle: direct double loop over levels and atoms via the public
-    per-atom operations, no vectorized pathway."""
-    tree = f.tree
-    best = 0.0
-    for n in range(tree.depth + 1):
-        for B in tree.atoms(n):
-            cint = central_p_integral(f, B, n, p)
-            val = (float(cint) / float(B.measure)) ** (1.0 / p) \
-                / float(eval_phi(spec, float(B.measure)))
-            best = max(best, val)
-    return best
+def brute_oscillation(f, B, p, spec):
+    """Oracle: the weighted mean oscillation of f on the atom B from the
+    public per-atom operations, no vectorized pathway."""
+    cint = central_p_integral(f, B, B.level, p)
+    return (float(cint) / float(B.measure)) ** (1.0 / p) \
+        / float(eval_phi(spec, float(B.measure)))
 
 
-def random_split_tree(seed, depth=4):
+def brute_per_level(f, p, spec):
+    """Oracle: per level, the max over its atoms of brute_oscillation."""
+    return [max(brute_oscillation(f, B, p, spec) for B in level)
+            for level in f.tree.levels]
+
+
+def brute_fb(f, spec):
+    """Oracle: the max over all atoms of |f_B| / phi_star(P(B))."""
+    return max(abs(float(atom_average(f, B)))
+               / phi_star(spec, float(B.measure))
+               for level in f.tree.levels for B in level)
+
+
+def random_split_tree(seed, depth=4, exact=True):
     rng = np.random.default_rng(seed)
 
     def node(level):
@@ -40,12 +48,13 @@ def random_split_tree(seed, depth=4):
             return {"persist": node(level + 1)}
         weights = [int(w) for w in rng.integers(1, 6, k)]
         total = sum(weights)
-        return {"fractions": [f"{w}/{total}" for w in weights],
+        return {"fractions": [f"{w}/{total}" if exact else w / total
+                              for w in weights],
                 "children": [node(level + 1) for _ in range(k)]}
 
     spec = node(0)
     if spec is None or "persist" in spec:
-        spec = {"fractions": ["1/2", "1/2"]}
+        spec = {"fractions": ["1/2", "1/2"] if exact else [0.5, 0.5]}
     return build_from_spec(spec)
 
 
@@ -95,13 +104,25 @@ def test_exact_and_float_paths_agree():
 
 def test_seminorm_matches_brute_oracle():
     for seed in range(3):
-        tree = random_split_tree(seed)
-        for f in random_functions(tree, 3, seed=seed + 10):
-            for p in (1, 2):
-                for spec in (one(), psi()):
-                    got = campanato_seminorm(f, p, spec, exact=False)
-                    assert float(got.value) == pytest.approx(
-                        brute_seminorm(f, p, spec), rel=1e-11)
+        for exact in (True, False):
+            tree = random_split_tree(seed, exact=exact)
+            assert tree.mode == ("exact" if exact else "float")
+            for f in random_functions(tree, 3, seed=seed + 10):
+                for p in (1, 1.5, 2):
+                    for spec in (one(), psi(), powerlog(0.3)):
+                        sup, witness, per_level, fb = oscillation_scan(
+                            f, p, spec, want_fb=True, exact=False)
+                        brute = brute_per_level(f, p, spec)
+                        assert per_level == pytest.approx(brute, rel=1e-11)
+                        assert sup == pytest.approx(max(brute), rel=1e-11)
+                        n, i = witness
+                        assert brute_oscillation(f, tree.atoms(n)[i], p,
+                                                 spec) \
+                            == pytest.approx(sup, rel=1e-11)
+                        assert fb == pytest.approx(brute_fb(f, spec),
+                                                   rel=1e-11)
+                        got = campanato_seminorm(f, p, spec, exact=False)
+                        assert got.value == sup
 
 
 def test_chi_closed_form_root_is_zero():

@@ -1,4 +1,5 @@
-"""Every name the benchmark tracer wraps still exists.
+"""Every name the benchmark tracer wraps still exists, and the scan
+result it reads keeps its shape.
 
 `perfbench/spans.py` looks each name up without a default, so a renamed
 or deleted function breaks traced benchmark runs.  The module imports
@@ -7,11 +8,13 @@ only the standard library, so it is loaded here by path.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from campanato_lab import cli, functions, multiplier, phi
-from campanato_lab.filtration import FiltrationTree
+from campanato_lab.filtration import FiltrationTree, build_dyadic
 from campanato_lab.functions import LeafFunction
+from campanato_lab.norms import oscillation_scan
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -43,3 +46,14 @@ def test_every_traced_name_resolves():
         if not callable(getattr(module, name, None)):
             missing.append(f"{module.__name__}.{name}")
     assert not missing, missing
+
+
+def test_scan_result_names_its_arithmetic_path():
+    # the tracer reads result[0] of oscillation_scan to label a scan exact
+    # or float
+    tree = build_dyadic(3)
+    f = LeafFunction(tree, [Fraction(k, 3) for k in range(tree.leaf_count)])
+    exact = oscillation_scan(f, 1, phi.one())
+    assert len(exact) == 4 and isinstance(exact[0], Fraction)
+    flt = oscillation_scan(f, 1, phi.one(), exact=False)
+    assert len(flt) == 4 and isinstance(flt[0], float)
