@@ -13,6 +13,7 @@ are views that the tree makes from these arrays on first access.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -60,19 +61,42 @@ class FiltrationTree:
     ``parents[n - 1]`` gives, for each level-n atom, the index of its
     parent at level n - 1; it is non-decreasing, so each atom's children
     are contiguous.  ``measures[n]`` gives the level-n atom measures.
-    ``mode`` is "exact" when all measures are rationals (Fraction/int),
-    kept as object arrays, and "float" otherwise, kept as float64;
-    structural checks are exact in the former and use PARTITION_TOL in the
-    latter.  Trees are immutable after construction (their caches only
-    fill).
+    ``mode`` is "exact" when all measures are rationals (Fraction/int) and
+    "float" otherwise.  An exact tree stores one integer D, the lcm of the
+    denominators of every atom measure, and each level's measures as
+    integer numerators over D (object arrays of Python ints); a float
+    tree stores them as float64.  Structural checks are exact integer
+    sums in the former and use PARTITION_TOL in the latter.  Trees are
+    immutable after construction (their caches only fill).
     """
 
     def __init__(self, parents, measures, mode):
         if mode not in ("exact", "float"):
             raise TreeSpecError(f"unknown arithmetic mode {mode!r}")
-        self.mode = mode
-        dtype = object if mode == "exact" else np.float64
-        self._measures = tuple(np.asarray(m, dtype=dtype) for m in measures)
+        if mode == "float":
+            self._setup(parents, measures, None)
+            return
+        try:
+            nums, den = common_denominator([m for ms in measures for m in ms])
+        except AttributeError:
+            raise TreeSpecError("exact measures must be ints or Fractions") \
+                from None
+        ends = np.cumsum([len(ms) for ms in measures], dtype=np.int64)
+        self._setup(parents, np.split(np.array(nums, dtype=object), ends[:-1]),
+                    den)
+
+    @classmethod
+    def _exact(cls, parents, numerators, den):
+        """An exact tree from integer numerators over the denominator den."""
+        tree = cls.__new__(cls)
+        tree._setup(parents, numerators, den)
+        return tree
+
+    def _setup(self, parents, levels, den):
+        self.mode = "float" if den is None else "exact"
+        self._den = den
+        dtype = np.float64 if den is None else object
+        self._levels = tuple(np.asarray(m, dtype=dtype) for m in levels)
         self._parents = tuple(np.asarray(p, dtype=np.int64) for p in parents)
         self._validate()
         # leaf-span lengths upward (an atom spans its children's leaves),
@@ -82,8 +106,10 @@ class FiltrationTree:
             lengths.append(np.bincount(up, weights=lengths[-1]).astype(np.int64))
         self._lengths = tuple(reversed(lengths))
         self._starts = tuple(np.cumsum(n) - n for n in self._lengths)
-        self._float = (self._measures if mode == "float" else
-                       tuple(m.astype(np.float64) for m in self._measures))
+        # int / int rounds correctly, as float(Fraction) does
+        self._float = (self._levels if den is None else
+                       tuple((m / den).astype(np.float64) for m in self._levels))
+        self._fractions = None
         self._views = []
         self._phi_cache = {}
 
@@ -91,11 +117,11 @@ class FiltrationTree:
 
     @property
     def depth(self):
-        return len(self._measures) - 1
+        return len(self._levels) - 1
 
     @property
     def leaf_count(self):
-        return len(self._measures[-1])
+        return len(self._levels[-1])
 
     def _level(self, n):
         """The atom views of level n, made with those of the levels above
@@ -103,11 +129,12 @@ class FiltrationTree:
         views = self._views
         while len(views) <= n:
             k = len(views)
+            measures = self.measure_arrays(object)[1][k]
             ups = ([views[k - 1][i] for i in self._parents[k - 1].tolist()]
                    if k else [None])
             views.append(tuple(
                 Atom(k, i, m, up, s, s + length) for i, (m, up, s, length)
-                in enumerate(zip(self._measures[k].tolist(), ups,
+                in enumerate(zip(measures.tolist(), ups,
                                  self._starts[k].tolist(),
                                  self._lengths[k].tolist()))))
         return views[n]
@@ -138,12 +165,17 @@ class FiltrationTree:
 
     def same_structure(self, other):
         """True when both trees have identical shape and measures."""
-        return (self.depth == other.depth
+        return (self.depth == other.depth and self._den == other._den
                 and all(map(np.array_equal, self._parents, other._parents))
-                and all(map(np.array_equal, self._measures, other._measures)))
+                and all(map(np.array_equal, self._levels, other._levels)))
 
     def _validate(self):
-        levels, exact = self._measures, self.mode == "exact"
+        levels, den = self._levels, self._den
+        exact = den is not None
+
+        def show(x):  # an exact numerator as the measure it stands for
+            return Fraction(x, den) if exact else x
+
         if not levels or len(levels[0]) != 1:
             raise TreeSpecError("level 0 must contain exactly one atom")
         if len(self._parents) != len(levels) - 1:
@@ -151,16 +183,16 @@ class FiltrationTree:
                 f"{len(self._parents)} parent arrays for {len(levels)} "
                 f"levels, expected one per level below the root")
         root = levels[0].tolist()[0]
-        if root != 1:
-            raise TreeSpecError(f"root measure must be 1, got {root}")
+        if root != (den if exact else 1):
+            raise TreeSpecError(f"root measure must be 1, got {show(root)}")
         for n, m in enumerate(levels):
             if not len(m):
                 raise TreeSpecError(f"level {n} is empty")
             total = m.sum()
             if exact:
-                if total != 1:
+                if total != den:
                     raise TreeSpecError(
-                        f"level {n} measures sum to {total}, expected 1")
+                        f"level {n} measures sum to {show(total)}, expected 1")
             elif abs(total - 1) > PARTITION_TOL:
                 raise TreeSpecError(
                     f"level {n} measures sum to {float(total)!r}, drift "
@@ -196,7 +228,7 @@ class FiltrationTree:
                 got, want = sums[j], above[j]
                 if exact:
                     raise TreeSpecError(f"children of {(n - 1, j)} sum to "
-                                        f"{got}, expected {want}")
+                                        f"{show(got)}, expected {show(want)}")
                 raise TreeSpecError(f"children of {(n - 1, j)} sum to "
                                     f"{float(got)!r}, expected {float(want)!r}")
 
@@ -209,12 +241,55 @@ class FiltrationTree:
         """(span starts, span lengths, atom measures) as int64/float64 arrays."""
         return self._starts[n], self._lengths[n], self._float[n]
 
+    def numerator_arrays(self):
+        """(per-level measure numerators, D) of an exact tree: each level's
+        measures as an object array of Python ints over the one integer D."""
+        return self._levels, self._den
+
     def measure_arrays(self, dtype):
         """(leaf measures, per-level atom measures) for rows of the given
-        dtype: the tree's own numbers for object rows, so that sums of
+        dtype: Fractions for object rows of an exact tree, so that sums of
         exact values stay exact, and float64 otherwise."""
-        levels = self._measures if np.dtype(dtype) == object else self._float
+        levels = self._float
+        if np.dtype(dtype) == object and self._den is not None:
+            if self._fractions is None:
+                memo = {x: Fraction(x, self._den)
+                        for m in self._levels for x in set(m.tolist())}
+                self._fractions = tuple(
+                    np.array([memo[x] for x in m.tolist()], dtype=object)
+                    for m in self._levels)
+            levels = self._fractions
         return levels[-1], levels
+
+
+def common_denominator(values):
+    """Rationals (ints or Fractions) as (a list of integer numerators, D)
+    over the lcm D of their denominators."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def first_max_ratio(nums, dens):
+    """Index of the first largest nums[i] / dens[i], for object arrays of
+    Python ints with nums >= 0 and dens > 0.
+
+    Floats pick the candidates within 1e-9 of the largest quotient, and
+    cross-multiplication picks the exact winner among them; when a
+    quotient is too large for a float, every index is a candidate.
+    """
+    nums, dens = nums.tolist(), dens.tolist()
+    try:
+        approx = np.array([a / b for a, b in zip(nums, dens)])
+    except OverflowError:
+        candidates = range(len(nums))
+    else:
+        candidates = np.flatnonzero(
+            approx >= approx.max() * (1 - 1e-9)).tolist()
+    best = candidates[0]
+    for i in candidates[1:]:
+        if nums[i] * dens[best] > nums[best] * dens[i]:
+            best = i
+    return best
 
 
 # -- builders ---------------------------------------------------------------
@@ -227,10 +302,11 @@ def build_dyadic(depth):
     """
     if depth < 0:
         raise TreeSpecError("depth must be >= 0")
-    return FiltrationTree(
+    return FiltrationTree._exact(
         [np.arange(2 ** n) // 2 for n in range(1, depth + 1)],
-        [np.full(2 ** n, Fraction(1, 2 ** n)) for n in range(depth + 1)],
-        "exact")
+        [np.full(2 ** n, 2 ** (depth - n), dtype=object)
+         for n in range(depth + 1)],
+        2 ** depth)
 
 
 def _parse_fraction(value, where):
@@ -355,17 +431,24 @@ def regularity_constant(tree):
     """
     exact = tree.mode == "exact"
     best = Fraction(1) if exact else 1.0
-    for up, above, m in zip(tree._parents, tree._measures, tree._measures[1:]):
-        ratio = (above[up] / m).max()
+    for up, above, m in zip(tree._parents, tree._levels, tree._levels[1:]):
+        if exact:
+            parent = above[up]
+            i = first_max_ratio(parent, m)
+            ratio = Fraction(parent[i], m[i])
+        else:
+            ratio = float((above[up] / m).max())
         if ratio > best:
-            best = ratio if exact else float(ratio)
+            best = ratio
     return best
 
 
 def is_dyadic(tree):
     """True when level n holds 2**n atoms, each of measure exactly 2**-n."""
-    return all(len(m) == 2 ** n and bool((m == Fraction(1, 2 ** n)).all())
-               for n, m in enumerate(tree._measures))
+    den = tree._den
+    return all(len(m) == 2 ** n and bool(
+        (m == 0.5 ** n).all() if den is None else (m * 2 ** n == den).all())
+        for n, m in enumerate(tree._levels))
 
 
 def chain_to_root(tree, leaf):
@@ -386,8 +469,13 @@ def truncate(tree, depth):
     """Fresh tree consisting of levels 0..depth of the given one."""
     if not 0 <= depth <= tree.depth:
         raise ValueError(f"truncation depth {depth} out of range [0, {tree.depth}]")
-    return FiltrationTree(tree._parents[:depth], tree._measures[:depth + 1],
-                          tree.mode)
+    parents, levels = tree._parents[:depth], tree._levels[:depth + 1]
+    if tree.mode == "float":
+        return FiltrationTree(parents, levels, "float")
+    # the leaf numerators' common factor with D divides every level's
+    g = math.gcd(tree._den, *levels[-1].tolist())
+    return FiltrationTree._exact(parents, [m // g for m in levels],
+                                 tree._den // g)
 
 
 def check_chain_gaps(tree, R):

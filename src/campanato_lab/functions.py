@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .filtration import common_denominator
+
 
 class LeafFunction:
     """A real function constant on each deepest-level atom.
@@ -180,15 +182,41 @@ def level_projection(tree, n, values):
                      axis=-1)
 
 
+def leaf_numerators(f):
+    """f's rational values as integer numerators over one denominator:
+    (an object array of Python ints u, the lcm E of the denominators),
+    so that f = u / E leaf by leaf."""
+    nums, den = common_denominator(f.values)
+    return np.array(nums, dtype=object), den
+
+
+def _integer_sums(f):
+    """True when f's integrals are exact sums of integer numerators: a
+    rational tree and rational values."""
+    return f.tree.mode == "exact" and f.has_exact_values
+
+
 def conditional_expectation(f, n):
-    """Average f over every level-n atom; returns a leaf function."""
+    """Average f over every level-n atom; returns a leaf function.
+
+    On a rational tree with rational values the average over B is
+    T_B / (E S_B), with S_B the numerator of P(B) and T_B the sum of the
+    leaf numerator products over B; any other values are averaged in
+    level_means' object loop."""
     tree = f.tree
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} out of range [0, {tree.depth}]")
     if n == tree.depth:
         return f
-    return LeafFunction(tree, level_projection(
-        tree, n, np.array(f.values, dtype=object)))
+    if not _integer_sums(f):
+        return LeafFunction(tree, level_projection(
+            tree, n, np.array(f.values, dtype=object)))
+    (u, den), (nums, _) = leaf_numerators(f), tree.numerator_arrays()
+    starts, lengths, _ = tree.level_arrays(n)
+    sums = np.add.reduceat(nums[-1] * u, starts).tolist()
+    means = [Fraction(t, den * s) for t, s in zip(sums, nums[n].tolist())]
+    return LeafFunction(tree, np.repeat(np.array(means, dtype=object),
+                                        lengths))
 
 
 def martingale_of(f):
@@ -221,13 +249,27 @@ def central_p_integral(f, B, n, p):
     return total
 
 
-def expectation(f):
+def _integral(f, absolute):
+    """int f dP, or int |f| dP when `absolute`.  A Fraction from integer
+    numerators on a rational tree with rational values; otherwise a
+    float, summed leaf by leaf for rational values on a float tree."""
+    if _integer_sums(f):
+        (u, den), (nums, tree_den) = (leaf_numerators(f),
+                                      f.tree.numerator_arrays())
+        return Fraction(np.dot(nums[-1], np.abs(u) if absolute else u),
+                        tree_den * den)
+    leafm = f.tree.leaf_measures_f()
     if not f.has_exact_values:
-        return float(np.dot(f.values_array, f.tree.leaf_measures_f()))
+        values = f.values_array
+        return float(np.dot(np.abs(values) if absolute else values, leafm))
     total = 0
-    for v, leaf in zip(f.values, f.tree.leaves):
-        total += v * leaf.measure
+    for v, m in zip(f.values, leafm.tolist()):
+        total += (abs(v) if absolute else v) * m
     return total
+
+
+def expectation(f):
+    return _integral(f, absolute=False)
 
 
 def linf_norm(f):
@@ -240,13 +282,7 @@ def lp_norm(f, p):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 1:
-        if not f.has_exact_values:
-            return float(np.dot(np.abs(f.values_array),
-                                f.tree.leaf_measures_f()))
-        total = 0
-        for v, leaf in zip(f.values, f.tree.leaves):
-            total += abs(v) * leaf.measure
-        return total
+        return _integral(f, absolute=True)
     total = float(np.dot(np.abs(f.values_array) ** p,
                          f.tree.leaf_measures_f()))
     return total ** (1.0 / p)

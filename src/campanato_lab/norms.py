@@ -6,11 +6,13 @@ The seminorm of f is the sup over levels n and level-n atoms B of
 
 and the norm adds |Ef|.  For functions measurable at the deepest level
 the sup over deeper levels vanishes, so finite trees give exact values.
-One per-level reduction serves every scan, and one driver, scan_block,
-turns it into sups: float rows reduce in float64, and for p = 1 with the
-constant weight on a rational tree with rational values the scan runs on
-an object row of exact values instead.  Ties in the sup are broken by
-(level, atom index).
+One per-level reduction serves every float scan, and one driver,
+scan_block, turns it into sups.  For p = 1 with the constant weight on a
+rational tree with rational values the scan is exact instead, on integer
+numerators: with leaf measures a_i / D and values u_i / E, the oscillation
+of atom B is I_B / (E S_B^2), where S_B = sum a_i, T_B = sum a_i u_i and
+I_B = sum a_i |u_i S_B - T_B| over the leaves of B.  Ties in the sup are
+broken by (level, atom index).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import partial
 import numpy as np
 
 from . import phi as phimod
-from .functions import expectation
+from .filtration import first_max_ratio
+from .functions import expectation, leaf_numerators
 
 
 @dataclass(frozen=True)
@@ -104,23 +107,22 @@ def level_reductions(tree, block, p):
     """Yield (n, averages, central integrals, measures) for every level n
     above the deepest.
 
-    `block` is an array whose last axis runs over the leaves (one row or a
-    block of rows); the averages f_B and the integrals int_B |f - f_B|^p dP
-    have one entry per level-n atom along the last axis, and measures holds
-    the P(B).  Float rows reduce with the float64 measures, a whole block
-    at once.  An object row of exact values reduces with the tree's own
-    rational measures, so p = 1 sums stay exact.  The deepest level is left
-    out: every leaf function is measurable there.
+    `block` is a float64 array whose last axis runs over the leaves (one
+    row or a block of rows); the averages f_B and the integrals
+    int_B |f - f_B|^p dP have one entry per level-n atom along the last
+    axis, and measures holds the P(B).  A whole block reduces at once.
+    The deepest level is left out: every leaf function is measurable
+    there.
     """
-    leafm, levels = tree.measure_arrays(block.dtype)
+    leafm = tree.leaf_measures_f()
     w = block * leafm
     for n in range(tree.depth):
-        starts, lengths, _ = tree.level_arrays(n)
-        avg = np.add.reduceat(w, starts, axis=-1) / levels[n]
+        starts, lengths, measures = tree.level_arrays(n)
+        avg = np.add.reduceat(w, starts, axis=-1) / measures
         dev = np.abs(block - np.repeat(avg, lengths, axis=-1))
         if p != 1:
             dev = dev ** p
-        yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), levels[n]
+        yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), measures
 
 
 def _level_scan(tree, block, p, spec):
@@ -128,8 +130,7 @@ def _level_scan(tree, block, p, spec):
 
     Both arrays have one row per member of `block` and one column per
     level-n atom: the atom averages f_B and the weighted oscillations
-    ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).  The constant weight
-    divides by nothing, which keeps exact ratios exact.
+    ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).
     """
     invp = 1.0 / p
     phis = None if spec.family == "one" else phi_level_values(tree, spec)
@@ -141,15 +142,15 @@ def _level_scan(tree, block, p, spec):
 
 
 def scan_block(tree, rows, p, spec, want_fb=False):
-    """Sup scan of leaf functions, one per row: the one per-level sup loop.
+    """Sup scan of leaf functions, one per row: the one per-level sup loop
+    of float rows.
 
-    `rows` is an iterable of leaf-value rows: float rows, or one object
-    row of exact values (reduced with the tree's rational measures).  It
-    is consumed lazily, at most BLOCK_ELEMENTS leaf values (and at least
-    one row) at a time, and each level reduces a whole block at once.
-    Returns four arrays with one entry per row: the per-level sups (the
-    deepest zero: every leaf function is measurable there), the first
-    atom attaining each, the mean Ef, and the sup over all atoms of
+    `rows` is an iterable of leaf-value rows, consumed lazily, at most
+    BLOCK_ELEMENTS leaf values (and at least one row) at a time, and
+    each level reduces a whole block at once in float64.  Returns four
+    arrays with one entry per row: the per-level sups (the deepest zero:
+    every leaf function is measurable there), the first atom attaining
+    each, the mean Ef, and the sup over all atoms of
     |f_B| / phi_star(P(B)), None unless want_fb.
     """
     if p < 1:
@@ -165,10 +166,9 @@ def scan_block(tree, rows, p, spec, want_fb=False):
             at.append(ratios.argmax(axis=1))
             if want_fb:
                 fb.append((np.abs(avg) / stars[n]).max(axis=1))
-        zero = Fraction(0) if block.dtype == object else 0.0
-        sups.append(np.array(sup + [np.full(len(block), zero)]).T)
+        sups.append(np.array(sup + [np.zeros(len(block))]).T)
         atoms.append(np.array(at + [np.zeros(len(block), np.int64)]).T)
-        means.append((block * tree.measure_arrays(block.dtype)[0]).sum(axis=1))
+        means.append((block * tree.leaf_measures_f()).sum(axis=1))
         if want_fb:
             fb.append((np.abs(block) / stars[tree.depth]).max(axis=1))
             fbs.append(np.max(fb, axis=0))
@@ -177,15 +177,57 @@ def scan_block(tree, rows, p, spec, want_fb=False):
 
 
 def _blocks(rows, size):
-    """Stack an iterable of leaf rows `size` rows at a time, lazily; object
-    rows stay object, any other rows become float64."""
+    """Stack an iterable of leaf rows `size` rows at a time, lazily, as
+    float64 blocks."""
     rows = iter(rows)
     while True:
-        block = np.array(list(itertools.islice(rows, size)))
+        block = np.array(list(itertools.islice(rows, size)), dtype=np.float64)
         if not len(block):
             return
-        yield (block if block.dtype == object
-               else block.astype(np.float64, copy=False))
+        yield block
+
+
+class _ScanResult(tuple):
+    """oscillation_scan's (sup, witness, per_level, fb_sup).  `mean` is
+    the exact Ef that the exact scan summed on the way, None on the float
+    path."""
+
+    mean = None
+
+
+def _exact_scan(f, spec, want_fb):
+    """The exact p = 1, constant-weight scan on integer numerators, as
+    oscillation_scan's result with Fraction sups and the Fraction mean.
+
+    Each level sums S_B, T_B and I_B (module docstring) over every atom
+    at once, and first_max_ratio picks the first atom with the largest
+    I_B / S_B^2.  fb_sup divides the float of each |T_B| / (E S_B) by
+    phi_star, as the float scan does with its averages.
+    """
+    tree = f.tree
+    (u, den), (nums, tree_den) = leaf_numerators(f), tree.numerator_arrays()
+    a = nums[-1]
+    au = a * u
+    stars = phi_star_level_values(tree, spec) if want_fb else None
+    fb = [(np.abs(u) / den / stars[-1]).max()] if want_fb else None
+    per_level, atoms = [], []
+    for n in range(tree.depth):
+        starts, lengths, _ = tree.level_arrays(n)
+        s, t = nums[n], np.add.reduceat(au, starts)
+        dev = np.abs(u * np.repeat(s, lengths) - np.repeat(t, lengths))
+        i_b = np.add.reduceat(a * dev, starts)
+        i = first_max_ratio(i_b, s * s)
+        per_level.append(Fraction(i_b[i], den * s[i] ** 2))
+        atoms.append(i)
+        if want_fb:
+            fb.append((np.abs(t) / (den * s) / stars[n]).max())
+    per_level.append(Fraction(0))
+    atoms.append(0)
+    n = max(range(len(per_level)), key=per_level.__getitem__)
+    result = _ScanResult((per_level[n], (n, atoms[n]), tuple(per_level),
+                          float(max(fb)) if want_fb else None))
+    result.mean = Fraction(au.sum(), tree_den * den)
+    return result
 
 
 def _use_exact(f, p, spec):
@@ -196,24 +238,24 @@ def _use_exact(f, p, spec):
 def oscillation_scan(f, p, spec, want_fb=False, exact=None):
     """Sup scan of one function: returns (sup, witness, per_level, fb_sup).
 
-    The one-row case of scan_block.  The exact path scans an object row of
-    f's rational values, so its sup and per-level sups are Fractions; the
-    float path scans f's float64 values and returns Python floats.  The
-    witness (n, i) is the first level, then the first atom, attaining the
-    sup.  fb_sup is the sup over all atoms of |f_B| / phi_star(P(B)), None
-    unless requested.
+    The exact path sums integer numerators, so its sup and per-level sups
+    are Fractions; the float path is the one-row case of scan_block and
+    returns Python floats.  The witness (n, i) is the first level, then
+    the first atom, attaining the sup.  fb_sup is the sup over all atoms
+    of |f_B| / phi_star(P(B)), None unless requested.
     """
     if exact is None:
         exact = _use_exact(f, p, spec)
     if exact and not _use_exact(f, p, spec):
         raise ValueError("exact scan needs a rational tree and values, "
                          "p = 1 and the constant weight")
-    row = np.array(f.values, dtype=object) if exact else f.values_array
-    sups, atoms, _, fb = scan_block(f.tree, [row], p, spec, want_fb)
+    if exact:
+        return _exact_scan(f, spec, want_fb)
+    sups, atoms, _, fb = scan_block(f.tree, [f.values_array], p, spec, want_fb)
     n = int(np.argmax(sups[0]))
     per_level = tuple(sups[0].tolist())
-    return (per_level[n], (n, int(atoms[0, n])), per_level,
-            float(fb[0]) if want_fb else None)
+    return _ScanResult((per_level[n], (n, int(atoms[0, n])), per_level,
+                        float(fb[0]) if want_fb else None))
 
 
 # -- public norms ----------------------------------------------------------------
@@ -231,14 +273,16 @@ def campanato_seminorm(f, p, spec, exact=None):
 
 
 def campanato_norm(f, p, spec, exact=None):
-    """Seminorm plus |Ef| (a genuine norm; zero only for f = 0)."""
-    sem = campanato_seminorm(f, p, spec, exact=exact)
-    if isinstance(sem.value, Fraction):
-        mean = abs(expectation(f))
+    """Seminorm plus |Ef| (a genuine norm; zero only for f = 0).  The
+    exact scan hands over its own Ef."""
+    scan = oscillation_scan(f, p, spec, exact=exact)
+    value, witness, per_level, _ = scan
+    if scan.mean is not None:
+        mean = abs(scan.mean)
     else:
         mean = abs(float(expectation(f)))
-    return NormResult(value=sem.value + mean, witness=sem.witness,
-                      per_level=sem.per_level, mean_abs=mean)
+    return NormResult(value=value + mean, witness=witness,
+                      per_level=per_level, mean_abs=mean)
 
 
 def chi_norm_closed_form(B, p, phi_spec):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from campanato_lab import (LeafFunction, build_from_spec, campanato_norm,
@@ -220,15 +220,37 @@ def test_chain_values_match_increment_sums(tree, weight, leaf):
     assert np.max(np.abs(row - ref)) <= TOL * scale
 
 
+@st.composite
+def exact_functions(draw):
+    """A rational function on an exact split tree.  Small denominators
+    make tied atoms common and large ones rare; denominators above 2**64
+    make the integer numerators outgrow machine words."""
+    tree = draw(split_trees(exact=True))
+    den = draw(st.sampled_from([1, 3, 50, "huge"]))
+    if den == "huge":
+        value = st.builds(lambda k, j: Fraction(k, 2 ** 64 + j),
+                          st.integers(-2 ** 66, 2 ** 66), st.integers(1, 9))
+    else:
+        value = st.fractions(min_value=-2, max_value=2, max_denominator=den)
+    return LeafFunction(tree, draw(st.lists(value, min_size=tree.leaf_count,
+                                            max_size=tree.leaf_count)))
+
+
+# Integers next to 3**-700 put every numerator over E = 3**700, so the
+# ratios I_B / S_B**2 overflow a float and the exact comparison alone
+# decides.  Level 1's first two atoms differ by 3**-700 / 2.
+TINY = Fraction(1, 3 ** 700)
+TINY_TREE = build_from_spec({
+    "fractions": ["1/3", "1/3", "1/3"],
+    "children": [{"fractions": ["1/2", "1/2"]}, {"fractions": ["1/2", "1/2"]},
+                 {"fractions": ["1/4", "3/4"]}]})
+
+
 @settings(max_examples=40, deadline=None)
-@given(tree=split_trees(exact=True), data=st.data())
-def test_exact_scan_matches_central_integral_definition(tree, data):
-    # small denominators make tied atoms common, large ones rare
-    den = data.draw(st.sampled_from([1, 3, 50]))
-    values = data.draw(st.lists(
-        st.fractions(min_value=-2, max_value=2, max_denominator=den),
-        min_size=tree.leaf_count, max_size=tree.leaf_count))
-    f = LeafFunction(tree, values)
+@given(f=exact_functions())
+@example(f=LeafFunction(TINY_TREE, [1, TINY, 0, 1, 1, 0]))
+def test_exact_scan_matches_central_integral_definition(f):
+    tree, values = f.tree, f.values
     sem, witness, per_level, _ = oscillation_scan(f, 1, one())
     oscillations = [(n, B.index,
                      central_p_integral(f, B, n, 1) / B.measure)
@@ -236,8 +258,16 @@ def test_exact_scan_matches_central_integral_definition(tree, data):
     top = max(v for _, _, v in oscillations)
     assert isinstance(sem, Fraction) and sem == top
     assert all(isinstance(v, Fraction) for v in per_level)
+    assert list(per_level) == [max(v for m, _, v in oscillations if m == n)
+                               for n in range(tree.depth + 1)]
     # the witness is the first atom in (level, index) order attaining the sup
     assert witness == next((n, i) for n, i, v in oscillations if v == top)
+    mean = sum(v * leaf.measure for v, leaf in zip(values, tree.leaves))
+    norm = campanato_norm(f, 1, one())
+    assert isinstance(norm.value, Fraction) and norm.mean_abs == abs(mean)
+    assert norm.value == sem + abs(mean)
+    if max(Fraction(v).denominator for v in values) > 50:
+        return  # distinct values this fine can round to one float
     flt, _, _, _ = oscillation_scan(f, 1, one(), exact=False)
     if top != 0:
         assert rel(flt, float(top)) <= TOL

@@ -2,13 +2,16 @@
 
 import re
 
+import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from campanato_lab import (TreeSpecError, build_dyadic, build_from_spec,
                            chain_to_root, check_chain_gaps, parse_tree_config,
                            regularity_constant, truncate)
-from campanato_lab.filtration import FiltrationTree
+from campanato_lab.filtration import FiltrationTree, is_dyadic
 
 
 def chain_spec(depth):
@@ -250,6 +253,8 @@ HALVES = [F(1, 2), F(1, 2)]
     ([[0]], [[1], [1], [1]], "exact", "expected one per level below the root"),
     ([[0, 0]], [[1], [1]], "exact", "level 1 has 1 atoms but 2 parent indices"),
     ([], [[1]], "rational", "unknown arithmetic mode"),
+    ([[0, 0]], [[1], [0.5, 0.5]], "exact",
+     "exact measures must be ints or Fractions"),
 ])
 def test_hand_built_tree_validation(parents, measures, mode, message):
     with pytest.raises(TreeSpecError, match=re.escape(message)):
@@ -277,3 +282,142 @@ def test_measure_exact_until_a_float_on_its_path(second):
     assert got[:2] == [float(Fraction(1, 3)) * 0.25, float(Fraction(1, 3)) * 0.75]
     assert got[2:] == [float(Fraction(2, 3) * Fraction(q)) for q in second]
     assert all(type(m) is float for m in got)
+
+
+# -- the exact tree store against the spec's own fractions --------------------
+
+
+@st.composite
+def exact_specs(draw, max_depth=5):
+    """Random exact split specs: persistence steps, early stops, binary
+    and ternary splits into w / total fractions, or a dyadic spec."""
+    def node(level, must_split=False):
+        if level == max_depth:
+            return None
+        kind = draw(st.integers(2, 3) if must_split else st.integers(0, 3))
+        if kind == 0:
+            return None
+        if kind == 1:
+            return {"persist": node(level + 1)}
+        weights = draw(st.lists(st.integers(1, 5), min_size=kind,
+                                max_size=kind))
+        total = sum(weights)
+        return {"fractions": [f"{w}/{total}" for w in weights],
+                "children": [node(level + 1) for _ in range(kind)]}
+
+    def halving(depth):
+        return None if depth == 0 else {"fractions": ["1/2", "1/2"],
+                                        "children": [halving(depth - 1)] * 2}
+
+    if draw(st.booleans()):
+        return halving(draw(st.integers(0, 4)))
+    return node(0, must_split=True)
+
+
+def path_levels(spec):
+    """(parents, measures) per level, walking the spec depth first: each
+    measure is the product of the fractions on the atom's path, and a
+    branch that stops early persists to the deepest level."""
+    def depth_of(node):
+        if node is None:
+            return 0
+        return 1 + max(map(depth_of, node.get("children") or
+                           [node.get("persist")]))
+
+    depth = depth_of(spec)
+    parents = [[] for _ in range(depth)]
+    measures = [[] for _ in range(depth + 1)]
+
+    def walk(node, level, measure, up):
+        index = len(measures[level])
+        measures[level].append(measure)
+        if level:
+            parents[level - 1].append(up)
+        if level == depth:
+            return
+        if node is None or "persist" in node:
+            walk(node and node["persist"], level + 1, measure, index)
+        else:
+            for q, child in zip(node["fractions"], node["children"]):
+                walk(child, level + 1, measure * Fraction(q), index)
+
+    walk(spec, 0, Fraction(1), None)
+    return parents, measures
+
+
+def reference_regularity(parents, measures):
+    return max([Fraction(1)] + [
+        measures[n - 1][up] / m for n in range(1, len(measures))
+        for up, m in zip(parents[n - 1], measures[n])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=exact_specs())
+def test_exact_tree_measures_are_path_products(spec):
+    tree = build_from_spec(spec)
+    parents, measures = path_levels(spec)
+    assert tree.mode == "exact" and tree.depth == len(measures) - 1
+    for n, level in enumerate(measures):
+        atoms = tree.atoms(n)
+        assert [B.measure for B in atoms] == level
+        assert all(type(B.measure) is Fraction for B in atoms)
+        if n:
+            assert [B.parent.index for B in atoms] == parents[n - 1]
+        floats = tree.level_arrays(n)[2]
+        want = np.array([float(q) for q in level])
+        assert floats.dtype == np.float64
+        assert np.array_equal(floats.view(np.int64), want.view(np.int64))
+    leafm, levels = tree.measure_arrays(object)
+    assert leafm.tolist() == measures[-1]
+    assert [m.tolist() for m in levels] == measures
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=exact_specs())
+def test_exact_tree_queries_match_fraction_definitions(spec):
+    tree = build_from_spec(spec)
+    parents, measures = path_levels(spec)
+    R = regularity_constant(tree)
+    assert type(R) is Fraction and R == reference_regularity(parents, measures)
+    assert is_dyadic(tree) == all(
+        len(level) == 2 ** n and all(q == Fraction(1, 2 ** n) for q in level)
+        for n, level in enumerate(measures))
+    for d in range(tree.depth + 1):
+        small = truncate(tree, d)
+        assert small.mode == "exact"
+        assert small.same_structure(
+            FiltrationTree(parents[:d], measures[:d + 1], "exact"))
+        assert [B.measure for B in small.leaves] == measures[d]
+        assert regularity_constant(small) == reference_regularity(
+            parents[:d], measures[:d + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=exact_specs(), data=st.data())
+def test_bad_exact_trees_name_the_broken_sum(spec, data):
+    parents, measures = path_levels(spec)
+    if len(measures) == 1:
+        return
+    n = data.draw(st.integers(1, len(measures) - 1))
+    bad = [list(level) for level in measures]
+    i = data.draw(st.integers(0, len(bad[n]) - 1))
+    delta = bad[n][i] / 2
+    bad[n][i] += delta
+    with pytest.raises(TreeSpecError, match=re.escape(
+            f"level {n} measures sum to {1 + delta}, expected 1")):
+        FiltrationTree(parents, bad, "exact")
+    # move delta from atom i to an atom j under another parent: the level
+    # still sums to 1, and the first parent of the two has the wrong sum
+    ups = parents[n - 1]
+    others = [j for j in range(len(ups)) if ups[j] != ups[i]]
+    if not others:
+        return
+    j = data.draw(st.sampled_from(others))
+    bad[n][i] -= 2 * delta
+    bad[n][j] += delta
+    first = min(ups[i], ups[j])
+    want = measures[n - 1][first]
+    got = want - delta if first == ups[i] else want + delta
+    with pytest.raises(TreeSpecError, match=re.escape(
+            f"children of {(n - 1, first)} sum to {got}, expected {want}")):
+        FiltrationTree(parents, bad, "exact")

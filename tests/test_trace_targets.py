@@ -12,9 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from campanato_lab import cli, functions, multiplier, phi
-from campanato_lab.filtration import FiltrationTree, build_dyadic
+from campanato_lab.filtration import (FiltrationTree, build_dyadic,
+                                      build_from_spec)
 from campanato_lab.functions import LeafFunction
-from campanato_lab.norms import oscillation_scan
+from campanato_lab.norms import campanato_norm, oscillation_scan
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,10 +51,17 @@ def test_every_traced_name_resolves():
 
 def test_scan_result_names_its_arithmetic_path():
     # the tracer reads result[0] of oscillation_scan to label a scan exact
-    # or float
-    tree = build_dyadic(3)
-    f = LeafFunction(tree, [Fraction(k, 3) for k in range(tree.leaf_count)])
-    exact = oscillation_scan(f, 1, phi.one())
-    assert len(exact) == 4 and isinstance(exact[0], Fraction)
-    flt = oscillation_scan(f, 1, phi.one(), exact=False)
-    assert len(flt) == 4 and isinstance(flt[0], float)
+    # or float, and the deep-norms workload requires an exact norm to be a
+    # Fraction: on a dyadic tree and on a rational split tree with thirds
+    thirds = build_from_spec({"fractions": ["1/3", "2/3"],
+                              "children": [{"fractions": ["1/4", "3/4"]},
+                                           {"persist": None}]})
+    for tree in (build_dyadic(3), thirds):
+        f = LeafFunction(tree, [Fraction(k, 3) for k in range(tree.leaf_count)])
+        exact = oscillation_scan(f, 1, phi.one())
+        assert len(exact) == 4 and isinstance(exact[0], Fraction)
+        assert isinstance(campanato_norm(f, 1, phi.one()).value, Fraction)
+        flt = oscillation_scan(f, 1, phi.one(), exact=False)
+        assert len(flt) == 4 and isinstance(flt[0], float)
+        assert isinstance(campanato_norm(f, 1, phi.one(), exact=False).value,
+                          float)
