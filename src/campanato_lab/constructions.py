@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .filtration import build_dyadic, chain_to_root, is_dyadic
-from .functions import LeafFunction, MartingaleSequence
+from .filtration import (build_dyadic, chain_to_root, common_denominator,
+                         is_dyadic)
+from .functions import (LeafFunction, MartingaleSequence,
+                        conditional_expectation, linf_norm)
 from .norms import _level_cints, campanato_norm
 from .phi import eval_phi, phi_star, quotient_phi
 from .report import Check, VerificationReport
@@ -66,12 +68,16 @@ def _chain_table(tree, chain, phi_spec, start):
 
 
 def _from_table(tree, row, index):
-    """The leaf function with value row[index[i]] on leaf i: exact when
-    every entry of the row is, float64 otherwise."""
-    if all(isinstance(v, (int, Fraction)) for v in row):
-        return LeafFunction(tree, [row[k] for k in index.tolist()])
-    return LeafFunction.from_float_array(
-        tree, np.array([float(v) for v in row])[index])
+    """The leaf function with value row[index[i]] on leaf i: exact, on the
+    row's numerators over its one denominator, when the row is rational
+    (common_denominator fails on a float), and float64 otherwise."""
+    try:
+        nums, den = common_denominator(row)
+    except AttributeError:
+        return LeafFunction.from_float_array(
+            tree, np.array([float(v) for v in row])[index])
+    return LeafFunction._from_numerators(
+        tree, np.array(nums, dtype=object)[index], den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +92,10 @@ class ChainConstruction:
     ring: tuple
     deepest: np.ndarray
 
-    def _partial_row(self, n):
-        # ring[K] on a leaf whose deepest chain atom B_K has K < n,
-        # totals[n] on B_n: index the row by min(K, n)
-        return list(self.ring[:n]) + [self.totals[n]]
-
     def partial_sum(self, n):
-        """The n-th partial sum, measurable at level n."""
-        return _from_table(self.f.tree, self._partial_row(n),
+        """The n-th partial sum, measurable at level n: ring[K] on a leaf
+        whose deepest chain atom B_K has K < n, totals[n] on B_n."""
+        return _from_table(self.f.tree, self.ring[:n] + (self.totals[n],),
                            np.minimum(self.deepest, n))
 
     @property
@@ -224,47 +226,27 @@ def measure_chain_constants(construction, p, phi_spec):
     """Measured constants of the chain construction.
 
     Returns (upper, lower): `upper` is the full norm of f; `lower` is the
-    min over levels of |f_{B_n}| / phi_star(P(B_n)).  The construction
-    promises upper bounded and lower bounded away from 0, uniformly over
-    chains.
+    min over levels of |f_{B_n}| / phi_star(P(B_n)), with f_{B_n} read off
+    E_n f.  The construction promises upper bounded and lower bounded
+    away from 0, uniformly over chains.
     """
     f = construction.f
     upper = float(campanato_norm(f, p, phi_spec, exact=False).value)
-    weighted = _weighted_row(f)
-    lower = math.inf
-    for B in construction.chain:
-        star = phi_star(phi_spec, float(B.measure))
-        average = weighted[B.leaf_start:B.leaf_end].sum() / B.measure
-        lower = min(lower, abs(float(average)) / star)
-    return upper, lower
-
-
-def _weighted_row(f):
-    """f times the leaf measures as an object row, in the tree's own
-    numbers (exact values stay exact), for sums over atoms."""
-    leafm, _ = f.tree.measure_arrays(object)
-    return np.array(f.values, dtype=object) * leafm
+    return upper, min(
+        abs(float(conditional_expectation(f, n).values_array[B.leaf_start]))
+        / phi_star(phi_spec, float(B.measure))
+        for n, B in enumerate(construction.chain))
 
 
 def martingale_identity_defect(construction):
-    """max deviation between E_n f and the n-th partial sum.
-
-    E_n f is averaged from f's leaf values, one number per level-n atom,
-    and compared with the partial sum on that atom's first leaf (partial
-    sums are constant on level-n atoms).  E_N f is f itself.
-    """
+    """max over n < N of sup |E_n f - (n-th partial sum)| (E_N f is f):
+    the int 0 when the identity holds, else a Fraction for rational f and
+    partial sums on a rational tree, or a float."""
     f = construction.f
-    tree = f.tree
-    weighted = _weighted_row(f)
-    _, measures = tree.measure_arrays(object)
     worst = 0
-    for n in range(tree.depth):
-        partial = construction._partial_row(n)
-        starts = tree.level_arrays(n)[0]
-        means = np.add.reduceat(weighted, starts) / measures[n]
-        for a, k in zip(means, np.minimum(construction.deepest[starts],
-                                          n).tolist()):
-            d = abs(a - partial[k])
-            if d > worst:
-                worst = d
+    for n in range(f.tree.depth):
+        d = linf_norm(conditional_expectation(f, n)
+                      - construction.partial_sum(n))
+        if d > worst:
+            worst = d if isinstance(d, float) else Fraction(d)
     return worst

@@ -2,7 +2,7 @@
 
 Every integrable function on a finite atom tree is determined by its
 values on the deepest-level atoms, so LeafFunction is the universe of all
-computations here.  Values may be ints/Fractions (exact) or floats.
+computations here.  Its values are exact rationals or float64.
 """
 
 from __future__ import annotations
@@ -19,31 +19,30 @@ from .filtration import common_denominator
 class LeafFunction:
     """A real function constant on each deepest-level atom.
 
-    Immutable after construction; concurrent reads are safe.
+    It holds float64 values, or exact ones as numerators u (an object
+    array of Python ints) over one int E > 0, with gcd(E, u_1, ..., u_n) = 1
+    so that equal functions have equal arrays.  `values` and an exact
+    `values_array` are made on first access.  Immutable; reads are safe.
     """
 
-    __slots__ = ("tree", "values", "_array", "_exact")
+    __slots__ = ("tree", "_array", "_nums", "_den", "_values")
 
     def __init__(self, tree, values):
-        values = tuple(values)
+        values = list(values)
         if len(values) != tree.leaf_count:
             raise ValueError(f"expected {tree.leaf_count} leaf values, "
                              f"got {len(values)}")
-        self.tree = tree
-        self.values = values
-        self._array = None
-        self._exact = None
-        try:
-            arr = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-            for v in values:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"leaf value {v!r} is not finite")
-        if arr is not None:
-            if not np.isfinite(arr).all():
-                raise ValueError("leaf values must be finite")
-            self._array = arr
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            nums, den = common_denominator(values)  # reduced already
+            self._set(tree, None, np.array(nums, dtype=object), den)
+        else:
+            self._set(tree, _finite(np.asarray(values, dtype=np.float64)),
+                      None, None)
+
+    def _set(self, tree, array, nums, den):
+        self.tree, self._array, self._nums, self._den = tree, array, nums, den
+        self._values = None
+        return self
 
     @classmethod
     def from_float_array(cls, tree, arr):
@@ -52,71 +51,94 @@ class LeafFunction:
         if arr.shape != (tree.leaf_count,):
             raise ValueError(f"expected {tree.leaf_count} leaf values, "
                              f"got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("leaf values must be finite")
-        f = cls.__new__(cls)
-        f.tree = tree
-        f.values = tuple(arr.tolist())
-        f._array = arr
-        f._exact = False
-        return f
+        return cls.__new__(cls)._set(tree, _finite(arr), None, None)
+
+    @classmethod
+    def _from_numerators(cls, tree, nums, den):
+        """nums / den for an object array of Python ints and an int
+        den > 0, reduced to the canonical form."""
+        g = math.gcd(den, *nums.tolist()) if den != 1 else 1
+        return cls.__new__(cls)._set(tree, None, nums // g, den // g)
+
+    @property
+    def values(self):
+        """The leaf values as a tuple: floats, or for exact values ints
+        when E = 1 and Fraction(u, E) otherwise."""
+        if self._values is None and self._nums is None:
+            self._values = tuple(self._array.tolist())
+        elif self._values is None:
+            den = self._den
+            self._values = tuple(u if den == 1 else Fraction(u, den)
+                                 for u in self._nums.tolist())
+        return self._values
 
     @property
     def values_array(self):
+        """float64 values; an exact u / E is Python int division, which
+        rounds as float(Fraction(u, E)) does."""
         if self._array is None:
-            self._array = np.array([float(v) for v in self.values],
-                                   dtype=np.float64)
+            self._array = (self._nums / self._den).astype(np.float64)
         return self._array
 
     @property
     def has_exact_values(self):
-        if self._exact is None:
-            self._exact = all(isinstance(v, (int, Fraction)) for v in self.values)
-        return self._exact
+        return self._nums is not None
+
+    @property
+    def numerators(self):
+        """(u, E) of exact values: f = u / E leaf by leaf."""
+        return self._nums, self._den
 
     def apply(self, fn):
         return LeafFunction(self.tree, [fn(v) for v in self.values])
 
-    def _check_same_tree(self, other):
-        if other.tree is not self.tree:
-            raise ValueError("functions live on different trees")
-
-    def _combine(self, other, op, np_op):
-        # Exact operands stay exact; anything float goes through numpy
-        # (same IEEE results as scalar Python arithmetic, much faster).
+    def _combine(self, other, np_op):
+        # Exact operands stay exact, on numerators; anything float goes
+        # through numpy (the IEEE results of scalar Python arithmetic).
+        exact = None
         if isinstance(other, LeafFunction):
-            self._check_same_tree(other)
-            if self.has_exact_values and other.has_exact_values:
-                return LeafFunction(self.tree,
-                                    [op(a, b) for a, b
-                                     in zip(self.values, other.values)])
-            return LeafFunction.from_float_array(
-                self.tree, np_op(self.values_array, other.values_array))
-        if self.has_exact_values and isinstance(other, (int, Fraction)):
-            return LeafFunction(self.tree, [op(v, other) for v in self.values])
-        return LeafFunction.from_float_array(
-            self.tree, np_op(self.values_array, float(other)))
+            if other.tree is not self.tree:
+                raise ValueError("functions live on different trees")
+            exact = other.has_exact_values and other.numerators
+        elif isinstance(other, (int, Fraction)):
+            exact = other.numerator, other.denominator
+        if self.has_exact_values and exact:
+            (u, e), (v, d) = self.numerators, exact
+            if np_op is np.multiply:
+                return LeafFunction._from_numerators(self.tree, u * v, e * d)
+            den = math.lcm(e, d)
+            return LeafFunction._from_numerators(
+                self.tree, np_op(u * (den // e), v * (den // d)), den)
+        return LeafFunction.from_float_array(self.tree, np_op(
+            self.values_array, other.values_array
+            if isinstance(other, LeafFunction) else float(other)))
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, np.add)
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, np.subtract)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, np.multiply)
+        return self._combine(other, np.multiply)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LeafFunction(self.tree, [-v for v in self.values])
+        return self * -1
 
     def __repr__(self):
         head = ", ".join(repr(v) for v in self.values[:4])
-        tail = ", ..." if len(self.values) > 4 else ""
+        tail = ", ..." if self.tree.leaf_count > 4 else ""
         return f"LeafFunction(depth={self.tree.depth}, values=[{head}{tail}])"
+
+
+def _finite(arr):
+    if not np.isfinite(arr).all():
+        raise ValueError("leaf values must be finite")
+    return arr
 
 
 def constant(tree, c):
@@ -129,10 +151,9 @@ def indicator(tree, atom, exact=False):
     Float values by default; exact=True uses ints for rational-mode work.
     """
     if exact:
-        values = [0] * tree.leaf_count
-        for i in range(atom.leaf_start, atom.leaf_end):
-            values[i] = 1
-        return LeafFunction(tree, values)
+        nums = np.zeros(tree.leaf_count, dtype=object)
+        nums[atom.leaf_start:atom.leaf_end] = 1
+        return LeafFunction._from_numerators(tree, nums, 1)
     values = np.zeros(tree.leaf_count)
     values[atom.leaf_start:atom.leaf_end] = 1.0
     return LeafFunction.from_float_array(tree, values)
@@ -182,12 +203,13 @@ def level_projection(tree, n, values):
                      axis=-1)
 
 
-def leaf_numerators(f):
-    """f's rational values as integer numerators over one denominator:
-    (an object array of Python ints u, the lcm E of the denominators),
-    so that f = u / E leaf by leaf."""
-    nums, den = common_denominator(f.values)
-    return np.array(nums, dtype=object), den
+def level_sums(tree, u, levels):
+    """The exact twin of level_means: with leaf measures a_i / D and an
+    object array u of integer numerators, T_B = sum of a_i u_i over every
+    atom B of each level in `levels`.  The average of u / E over B is
+    T_B / (E S_B), S_B the numerator of P(B) (tree.numerator_arrays())."""
+    au = tree.numerator_arrays()[0][-1] * u
+    return [np.add.reduceat(au, tree.level_arrays(n)[0]) for n in levels]
 
 
 def _integer_sums(f):
@@ -199,24 +221,25 @@ def _integer_sums(f):
 def conditional_expectation(f, n):
     """Average f over every level-n atom; returns a leaf function.
 
-    On a rational tree with rational values the average over B is
-    T_B / (E S_B), with S_B the numerator of P(B) and T_B the sum of the
-    leaf numerator products over B; any other values are averaged in
-    level_means' object loop."""
+    On a rational tree with rational values f = u / E the average over B
+    is T_B / (E S_B) (level_sums), put over the one denominator
+    E lcm(S_B); float values are averaged in level_means' object loop,
+    which keeps the bits of a leaf-by-leaf sum."""
     tree = f.tree
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} out of range [0, {tree.depth}]")
     if n == tree.depth:
         return f
     if not _integer_sums(f):
-        return LeafFunction(tree, level_projection(
-            tree, n, np.array(f.values, dtype=object)))
-    (u, den), (nums, _) = leaf_numerators(f), tree.numerator_arrays()
-    starts, lengths, _ = tree.level_arrays(n)
-    sums = np.add.reduceat(nums[-1] * u, starts).tolist()
-    means = [Fraction(t, den * s) for t, s in zip(sums, nums[n].tolist())]
-    return LeafFunction(tree, np.repeat(np.array(means, dtype=object),
-                                        lengths))
+        return LeafFunction.from_float_array(tree, level_projection(
+            tree, n, f.values_array.astype(object)).astype(np.float64))
+    u, den = f.numerators
+    sums, = level_sums(tree, u, [n])
+    s = tree.numerator_arrays()[0][n]
+    lcm = math.lcm(*set(s.tolist()))
+    return LeafFunction._from_numerators(
+        tree, np.repeat(sums * (lcm // s), tree.level_arrays(n)[1]),
+        den * lcm)
 
 
 def martingale_of(f):
@@ -254,16 +277,15 @@ def _integral(f, absolute):
     numerators on a rational tree with rational values; otherwise a
     float, summed leaf by leaf for rational values on a float tree."""
     if _integer_sums(f):
-        (u, den), (nums, tree_den) = (leaf_numerators(f),
-                                      f.tree.numerator_arrays())
-        return Fraction(np.dot(nums[-1], np.abs(u) if absolute else u),
-                        tree_den * den)
+        u, den = f.numerators
+        total, = level_sums(f.tree, np.abs(u) if absolute else u, [0])
+        return Fraction(total[0], f.tree.numerator_arrays()[1] * den)
     leafm = f.tree.leaf_measures_f()
+    values = f.values_array
     if not f.has_exact_values:
-        values = f.values_array
         return float(np.dot(np.abs(values) if absolute else values, leafm))
     total = 0
-    for v, m in zip(f.values, leafm.tolist()):
+    for v, m in zip(values.tolist(), leafm.tolist()):
         total += (abs(v) if absolute else v) * m
     return total
 
@@ -275,7 +297,9 @@ def expectation(f):
 def linf_norm(f):
     if not f.has_exact_values:
         return float(np.max(np.abs(f.values_array)))
-    return max(abs(v) for v in f.values)
+    u, den = f.numerators
+    top = np.abs(u).max()
+    return top if den == 1 else Fraction(top, den)
 
 
 def lp_norm(f, p):
@@ -306,12 +330,7 @@ class MartingaleSequence:
         self.levels = levels
 
     def martingale_defect(self):
-        """max over n and leaves of |E_n f_{n+1} - f_n|; 0 for a martingale."""
-        worst = 0
-        for n in range(self.tree.depth):
-            projected = conditional_expectation(self.levels[n + 1], n)
-            for a, b in zip(projected.values, self.levels[n].values):
-                d = abs(a - b)
-                if d > worst:
-                    worst = d
-        return worst
+        """max over n of sup |E_n f_{n+1} - f_n|; 0 for a martingale."""
+        return max((linf_norm(conditional_expectation(self.levels[n + 1], n)
+                              - self.levels[n])
+                    for n in range(self.tree.depth)), default=0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import phi as phimod
 from .filtration import first_max_ratio
-from .functions import expectation, leaf_numerators
+from .functions import expectation, level_sums
 
 
 @dataclass(frozen=True)
@@ -205,17 +205,16 @@ def _exact_scan(f, spec, want_fb):
     phi_star, as the float scan does with its averages.
     """
     tree = f.tree
-    (u, den), (nums, tree_den) = leaf_numerators(f), tree.numerator_arrays()
-    a = nums[-1]
-    au = a * u
+    (u, den), (nums, tree_den) = f.numerators, tree.numerator_arrays()
+    sums = level_sums(tree, u, range(max(tree.depth, 1)))  # 0 has the mean
     stars = phi_star_level_values(tree, spec) if want_fb else None
     fb = [(np.abs(u) / den / stars[-1]).max()] if want_fb else None
     per_level, atoms = [], []
     for n in range(tree.depth):
-        starts, lengths, _ = tree.level_arrays(n)
-        s, t = nums[n], np.add.reduceat(au, starts)
+        lengths = tree.level_arrays(n)[1]
+        s, t = nums[n], sums[n]
         dev = np.abs(u * np.repeat(s, lengths) - np.repeat(t, lengths))
-        i_b = np.add.reduceat(a * dev, starts)
+        i_b, = level_sums(tree, dev, [n])
         i = first_max_ratio(i_b, s * s)
         per_level.append(Fraction(i_b[i], den * s[i] ** 2))
         atoms.append(i)
@@ -226,7 +225,7 @@ def _exact_scan(f, spec, want_fb):
     n = max(range(len(per_level)), key=per_level.__getitem__)
     result = _ScanResult((per_level[n], (n, atoms[n]), tuple(per_level),
                           float(max(fb)) if want_fb else None))
-    result.mean = Fraction(au.sum(), tree_den * den)
+    result.mean = Fraction(sums[0][0], tree_den * den)
     return result
 
 

@@ -6,6 +6,7 @@ member at a time with the public single-function norms, on random split
 trees with persistence steps, in exact and float mode.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,16 +14,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from campanato_lab import (LeafFunction, build_from_spec, campanato_norm,
+from campanato_lab import (LeafFunction, atom_average, build_from_spec,
+                           campanato_norm,
                            campanato_seminorm, central_p_integral,
                            chain_to_root, chi_norm_closed_form, constant,
                            eval_phi, expectation, extremal_chain_function,
                            h_function, indicator, linf_norm, one,
                            op_norm_lower_bound, powerlog, psi, quotient_phi,
                            sin_h_multiplier, theorem1_certificate)
-from campanato_lab.constructions import chain_values
+from campanato_lab.constructions import (chain_values,
+                                         martingale_identity_defect,
+                                         measure_chain_constants)
 from campanato_lab.multiplier import _family_members, _family_norms
 from campanato_lab.norms import oscillation_scan
+from campanato_lab.phi import phi_star
 
 TOL = 1e-12
 WEIGHTS = {"one": one(), "psi": psi(), "powerlog(0.3)": powerlog(0.3)}
@@ -194,6 +199,19 @@ def chain_reference(tree, chain, spec, start, n):
     return tuple(values)
 
 
+def identity_defect_reference(f, chain, spec):
+    """max over levels n < N and leaves of |f_B - (n-th partial sum)|,
+    with f_B the atom_average of f over the leaf's level-n atom."""
+    tree, worst = f.tree, 0
+    for n in range(tree.depth):
+        partial = chain_reference(tree, chain, spec, 1, n)
+        for B in tree.atoms(n):
+            avg = atom_average(f, B)
+            worst = max(worst, *(abs(avg - partial[i])
+                                 for i in range(B.leaf_start, B.leaf_end)))
+    return worst
+
+
 def is_exact(values):
     return all(isinstance(v, (int, Fraction)) for v in values)
 
@@ -218,6 +236,18 @@ def test_chain_values_match_increment_sums(tree, weight, leaf):
     row = chain_values(tree, chain, spec)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(row - ref)) <= TOL * scale
+    # the chain checks against their leaf-by-leaf definitions
+    assert martingale_identity_defect(con) == \
+        identity_defect_reference(con.f, chain, spec)
+    assert measure_chain_constants(con, 1, spec)[1] == min(
+        abs(float(atom_average(con.f, B))) / phi_star(spec, float(B.measure))
+        for B in chain)
+    # and the identity check fails on a perturbed f
+    bad = dataclasses.replace(
+        con, f=con.f + Fraction(1, 3) * indicator(tree, chain[-1], exact=True))
+    defect = martingale_identity_defect(bad)
+    assert defect > 0 and defect == identity_defect_reference(bad.f, chain,
+                                                              spec)
 
 
 @st.composite

@@ -238,15 +238,55 @@ def test_value_count_must_match():
         LeafFunction(tree, [1, 2, 3])
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.fractions(min_value=-10, max_value=10), min_size=4,
-                max_size=4))
-def test_arithmetic_on_exact_values_stays_exact(vals):
+# ints next to Fractions, some over denominators above 2**64
+EXACT_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.fractions(min_value=-10, max_value=10),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(2 ** 64 + 1, 2 ** 66)))
+
+
+def assert_canonical(f):
+    """f holds integer numerators u over E > 0 with gcd(E, u) = 1; its
+    tuple holds ints when E = 1 and Fractions otherwise; and its float
+    array is bit-equal to float() of each value."""
+    u, den = f.numerators
+    assert den > 0 and math.gcd(den, *u.tolist()) == 1
+    assert all(type(x) is int for x in u.tolist())
+    assert all(type(v) is (int if den == 1 else Fraction) for v in f.values)
+    assert [x.hex() for x in f.values_array.tolist()] == \
+        [float(v).hex() for v in f.values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(EXACT_VALUES, min_size=4, max_size=4),
+       st.lists(EXACT_VALUES, min_size=4, max_size=4), EXACT_VALUES)
+def test_arithmetic_on_exact_values_stays_exact(vals, others, c):
     tree = build_dyadic(2)
-    f = LeafFunction(tree, vals)
-    g = f * 2 + f - f
-    assert g.values == tuple(2 * v for v in vals)
-    assert g.has_exact_values
+    f, g = LeafFunction(tree, vals), LeafFunction(tree, others)
+    a, b = [Fraction(v) for v in vals], [Fraction(v) for v in others]
+    cases = [
+        (f * 2 + f - f, [2 * x for x in a]),
+        (f + g, [x + y for x, y in zip(a, b)]),
+        (f - g, [x - y for x, y in zip(a, b)]),
+        (f * g, [x * y for x, y in zip(a, b)]),
+        (f + c, [x + c for x in a]), (c + f, [c + x for x in a]),
+        (f - c, [x - c for x in a]),
+        (f * c, [x * c for x in a]), (c * f, [c * x for x in a]),
+        (-f, [-x for x in a]), (f, a), (g, b),
+    ]
+    for h, ref in cases:
+        assert h.has_exact_values
+        assert list(h.values) == ref
+        assert_canonical(h)
+    # equal functions have equal arrays
+    back = f + g - g
+    assert back.numerators[1] == f.numerators[1]
+    assert back.numerators[0].tolist() == f.numerators[0].tolist()
+    # classification goes by Python type, not by numpy's dtype
+    two = build_dyadic(1)
+    big = LeafFunction(two, [2 ** 63, -1])
+    assert big.has_exact_values and big.values == (2 ** 63, -1)
+    assert not LeafFunction(two, [1, 0.5]).has_exact_values
 
 
 def test_float_arithmetic_matches_scalar_ops():

@@ -38,9 +38,14 @@ def test_every_traced_name_resolves():
     for name in spans.LEAF_FUNCTION_BUILDERS:
         if not callable(getattr(functions, name, None)):
             missing.append(f"functions.{name}")
+    # the tracer rebinds these on LeafFunction itself and reads
+    # from_float_array's function out of the classmethod in its __dict__
     for name in spans.LEAF_FUNCTION_METHODS:
-        if not callable(getattr(LeafFunction, name, None)):
+        if not callable(vars(LeafFunction).get(name)):
             missing.append(f"LeafFunction.{name}")
+    if not isinstance(vars(LeafFunction).get("from_float_array"),
+                      classmethod):
+        missing.append("LeafFunction.from_float_array (classmethod)")
     for module, name in ((phi, "_quad"), (cli, "write_outputs"),
                          (multiplier, "default_test_family"),
                          (FiltrationTree, "level_arrays")):
