@@ -27,7 +27,7 @@ import numpy as np
 
 from . import phi as phimod
 from .filtration import first_max_ratio
-from .functions import expectation, level_sums
+from .functions import level_sums
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def _blocks(rows, size):
 
 class _ScanResult(tuple):
     """oscillation_scan's (sup, witness, per_level, fb_sup).  `mean` is
-    the exact Ef that the exact scan summed on the way, None on the float
-    path."""
+    the Ef that the scan summed on the way: a Fraction from the exact
+    scan's integer sums, a float from scan_block's pairwise row sum."""
 
     mean = None
 
@@ -250,11 +250,14 @@ def oscillation_scan(f, p, spec, want_fb=False, exact=None):
                          "p = 1 and the constant weight")
     if exact:
         return _exact_scan(f, spec, want_fb)
-    sups, atoms, _, fb = scan_block(f.tree, [f.values_array], p, spec, want_fb)
+    sups, atoms, means, fb = scan_block(f.tree, [f.values_array], p, spec,
+                                        want_fb)
     n = int(np.argmax(sups[0]))
     per_level = tuple(sups[0].tolist())
-    return _ScanResult((per_level[n], (n, int(atoms[0, n])), per_level,
-                        float(fb[0]) if want_fb else None))
+    result = _ScanResult((per_level[n], (n, int(atoms[0, n])), per_level,
+                          float(fb[0]) if want_fb else None))
+    result.mean = float(means[0])
+    return result
 
 
 # -- public norms ----------------------------------------------------------------
@@ -273,13 +276,12 @@ def campanato_seminorm(f, p, spec, exact=None):
 
 def campanato_norm(f, p, spec, exact=None):
     """Seminorm plus |Ef| (a genuine norm; zero only for f = 0).  The
-    exact scan hands over its own Ef."""
+    scan hands over its own Ef: exact from the exact scan, a pairwise
+    float64 sum from the float one, so the value does not depend on how
+    a BLAS library splits a dot product."""
     scan = oscillation_scan(f, p, spec, exact=exact)
     value, witness, per_level, _ = scan
-    if scan.mean is not None:
-        mean = abs(scan.mean)
-    else:
-        mean = abs(float(expectation(f)))
+    mean = abs(scan.mean)
     return NormResult(value=value + mean, witness=witness,
                       per_level=per_level, mean_abs=mean)
 

@@ -4,14 +4,19 @@ upper-integral transform phi_star(r) = 1 + int_r^1 phi(t)/t dt.
 Condition constants (doubling, almost monotone, integral conditions) are
 suprema over a grid, so they are lower bounds for the analytic constants;
 reports label them "measured over grid".  Weight specs are immutable and
-hashable, and each spec's evaluator is built once and kept.  The
-quadrature branch of phi_star is memoised process-wide, keyed by
-(spec, r) and bounded by STAR_MEMO_SIZE entries: a quotient weight's
-integrands ask for its base's phi_star at the same points many times,
-and each is one quadrature of about 100 integrand calls.  Closed forms
-are not memoised.  Evaluation stays pure, since the memo only returns
-what the quadrature would, so concurrent use is safe; two threads
-missing on the same key at once both integrate and store equal values.
+hashable, and each spec's evaluator is built once and kept.
+
+Each weight integral is taken once, in the cheapest exact form.  phi_star
+is a closed form except for powerlog weights with log factors: tables
+integrate piece by piece, and a quotient's is 1 + log phi_star_base(r),
+since (d/dr) phi_star = -phi(r)/r.  The quadrature branch is memoised
+process-wide, keyed by (spec, r) and bounded by STAR_MEMO_SIZE entries, as
+a quotient of such a weight asks for its base's phi_star at the same
+points many times; closed forms are not memoised.  Evaluation stays pure,
+since the memo only returns what the quadrature would, so concurrent use
+is safe.  The integral conditions are one cumulative pass over the grid:
+an adaptive quadrature from 0 to the smallest point, which also decides
+divergence, then Gauss-Legendre panels in log t between neighbours.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 QUAD_RELTOL = 1e-9
 QUAD_LIMIT = 200
-STAR_MEMO_SIZE = 1 << 16  # perfbench/configs/phi_weights.json makes 19,113
+STAR_MEMO_SIZE = 1 << 16  # perfbench/configs/phi_weights.json makes 1,754
+
+PANEL_LOG_WIDTH = 1.0  # the integral conditions' longest panel in log t
 
 _E = math.e
 
@@ -149,35 +157,41 @@ def evaluator(spec):
         base, base_phi = spec.base, evaluator(spec.base)
         return lambda r: float(base_phi(r)) / phi_star(base, r)
     if spec.family == "table":
-        return _table_evaluator(spec.points)
+        logs_r, logs_v, slopes = _table_logs(spec.points)
+
+        def table_phi(r):
+            x = math.log(r)
+            i = _table_segment(logs_r, x)
+            return math.exp(logs_v[i] + slopes[i] * (x - logs_r[i]))
+
+        return table_phi
     raise ValueError(f"unknown weight family {spec.family!r}")
 
 
-def _table_evaluator(pts):
-    """Log-linear interpolation through the points, extended linearly in
-    log-log coordinates past both ends."""
+@lru_cache(maxsize=256)
+def _table_logs(pts):
+    """log r and log v of each table point, and the slope of each segment
+    in log-log coordinates."""
     logs_r = [math.log(p[0]) for p in pts]
     logs_v = [math.log(p[1]) for p in pts]
-    last = len(pts) - 2
+    slopes = [(logs_v[i + 1] - logs_v[i]) / (logs_r[i + 1] - logs_r[i])
+              for i in range(len(pts) - 1)]
+    return logs_r, logs_v, slopes
 
-    def table_phi(r):
-        x = math.log(r)
-        if x <= logs_r[0]:
-            i = 0
-        elif x >= logs_r[-1]:
-            i = last
-        else:
-            i = bisect.bisect_right(logs_r, x) - 1
-        slope = (logs_v[i + 1] - logs_v[i]) / (logs_r[i + 1] - logs_r[i])
-        return math.exp(logs_v[i] + slope * (x - logs_r[i]))
 
-    return table_phi
+def _table_segment(logs_r, x):
+    """The segment whose log-linear piece holds log r = x: log-linear
+    interpolation between the points, extended past both ends."""
+    if x <= logs_r[0]:
+        return 0
+    if x >= logs_r[-1]:
+        return len(logs_r) - 2
+    return bisect.bisect_right(logs_r, x) - 1
 
 
 def _table_zero_slope(spec):
     """Asymptotic power of a table weight as r -> 0 (first segment's slope)."""
-    (r0, v0), (r1, v1) = spec.points[0], spec.points[1]
-    return (math.log(v1) - math.log(v0)) / (math.log(r1) - math.log(r0))
+    return _table_logs(spec.points)[2][0]
 
 
 # -- phi_star ----------------------------------------------------------------
@@ -186,9 +200,9 @@ def _table_zero_slope(spec):
 def phi_star(spec, r, force_quadrature=False):
     """1 + int_r^1 phi(t)/t dt, by closed form when available.
 
-    The quadrature path integrates phi(e^-s) on [0, log(1/r)] (the log
-    substitution removes the 1/t singularity scale).  Non-convergent
-    quadrature is reported as +inf.
+    The quadrature path (the only one when force_quadrature) integrates
+    phi(e^-s) on [0, log(1/r)] (the log substitution removes the 1/t
+    singularity scale).  Non-convergent quadrature is reported as +inf.
     """
     r = _check_r(r)
     if r == 1.0:
@@ -222,7 +236,33 @@ def _phi_star_closed(spec, r):
         if a == 0.0:
             return 1.0 + math.log(1.0 / r)
         return 1.0 + (1.0 - r ** a) / a
+    if spec.family == "quotient":
+        # (d/dt) phi_star_base = -phi_base(t)/t, so the quotient's
+        # integrand phi_base / (t phi_star_base) is -d log phi_star_base
+        return 1.0 + math.log(phi_star(spec.base, r))
+    if spec.family == "table":
+        return _table_phi_star(spec, r)
     return None
+
+
+def _table_phi_star(spec, r):
+    """1 + int_r^1 phi(t)/t dt of a table weight, piece by piece.
+
+    On a piece [a, b] of log-slope s, phi(t) = phi(a) (t/a)^s, so the
+    piece integrates to phi(a) expm1(s L) / s with L = log(b/a), and to
+    phi(a) L when s = 0.  An overflow gives +inf.
+    """
+    phi, (logs_r, _, slopes) = evaluator(spec), _table_logs(spec.points)
+    cuts = [r] + [k for k, _ in spec.points if r < k < 1.0] + [1.0]
+    total = 0.0
+    try:
+        for a, b in zip(cuts, cuts[1:]):
+            s = slopes[_table_segment(logs_r, math.log(a))]
+            length = math.log(b / a)
+            total += phi(a) * (math.expm1(s * length) / s if s else length)
+    except OverflowError:
+        return math.inf
+    return 1.0 + total if math.isfinite(total) else math.inf
 
 
 def _quad(fn, a, b):
@@ -294,6 +334,7 @@ def int_condition_constant(spec, p, grid, force_quadrature=False):
     """sup over the grid of (int_0^r phi^p dt) / (r phi(r)^p).
 
     +inf flags a divergent lower integral (the growth condition fails).
+    force_quadrature skips the closed forms for the numeric pass.
     """
     _check_p(p)
     grid = _check_grid(grid)
@@ -305,22 +346,19 @@ def int_condition_constant(spec, p, grid, force_quadrature=False):
             return math.inf if a <= -1.0 else 1.0 / (a + 1.0)
     if spec.family == "table" and _table_zero_slope(spec) * p <= -1.0:
         return math.inf
-    phi = evaluator(spec)
-    worst = 0.0
-    for r in grid:
-        denom = r * float(eval_phi(spec, r)) ** p
+    phi, r0 = evaluator(spec), grid[0]
 
-        def integrand(s, r=r):
-            t = r * math.exp(-s)
-            if t <= 0.0:
-                return 0.0
-            return float(phi(t)) ** p * r * math.exp(-s)
+    def tail(s):
+        # (phi^p r0) e^-s rounds apart from phi^p t, and the pinned
+        # report hashes read this tail's bits
+        t = r0 * math.exp(-s)
+        if t <= 0.0:
+            return 0.0
+        return float(phi(t)) ** p * r0 * math.exp(-s)
 
-        value, ok = _quad(integrand, 0.0, math.inf)
-        if not ok:
-            return math.inf
-        worst = max(worst, value / denom)
-    return worst
+    return _cumulative_sup(spec, grid, tail,
+                           lambda t: float(phi(t)) ** p * t,
+                           lambda r: r * float(eval_phi(spec, r)) ** p)
 
 
 def int_condition_power_weight(spec, p, grid, force_quadrature=False):
@@ -335,22 +373,68 @@ def int_condition_power_weight(spec, p, grid, force_quadrature=False):
             return math.inf if a <= 0.0 else 1.0 / a
     if spec.family == "table" and _table_zero_slope(spec) + 1.0 / p <= 0.0:
         return math.inf
-    phi = evaluator(spec)
-    worst = 0.0
-    for r in grid:
-        denom = float(eval_phi(spec, r)) * r ** (1.0 / p)
+    phi, r0 = evaluator(spec), grid[0]
 
-        def integrand(s, r=r):
-            t = r * math.exp(-s)
-            if t <= 0.0:
-                return 0.0
-            return float(phi(t)) * t ** (1.0 / p)
+    def integrand(t):
+        return float(phi(t)) * t ** (1.0 / p)
 
-        value, ok = _quad(integrand, 0.0, math.inf)
-        if not ok:
-            return math.inf
-        worst = max(worst, value / denom)
+    def tail(s):
+        t = r0 * math.exp(-s)
+        return integrand(t) if t > 0.0 else 0.0
+
+    return _cumulative_sup(spec, grid, tail, integrand,
+                           lambda r: float(eval_phi(spec, r)) * r ** (1.0 / p))
+
+
+def _cumulative_sup(spec, grid, tail, integrand, denom):
+    """sup over the sorted grid of I(r) / denom(r), I(r) = int_0^r of the
+    integrand against dt/t, in one pass.
+
+    I at the smallest grid point r0 is one adaptive quadrature of `tail`,
+    the integrand at t = r0 e^-s over s in [0, inf); its failure flags
+    divergence as +inf.  Each later I adds the integral from the previous
+    grid point by Gauss-Legendre panels in log t (_log_panels); an
+    overflow there also gives +inf.
+    """
+    value, ok = _quad(tail, 0.0, math.inf)
+    if not ok:
+        return math.inf
+    while spec.family == "quotient":  # a quotient has its base's knots
+        spec = spec.base
+    logs_k = [math.log(k) for k, _ in spec.points]
+    worst = value / denom(grid[0])
+    try:
+        for a, b in zip(grid, grid[1:]):
+            value += _log_panels(integrand, math.log(a), math.log(b), logs_k)
+            if not math.isfinite(value):
+                return math.inf
+            worst = max(worst, value / denom(b))
+    except OverflowError:
+        return math.inf
     return worst
+
+
+@lru_cache(maxsize=1)
+def _gl_rule():
+    """20 Gauss-Legendre nodes and weights mapped to [0, 1].  Built on
+    first use: leggauss's eigensolver adds about 1 MB to the process."""
+    return tuple((x / 2 + 0.5, w / 2)
+                 for x, w in zip(*(a.tolist() for a in leggauss(20))))
+
+
+def _log_panels(integrand, lo, hi, logs_k):
+    """int over log t in [lo, hi] of integrand(t): Gauss-Legendre panels
+    at most PANEL_LOG_WIDTH long, none straddling a knot in logs_k."""
+    cuts = [lo] + [x for x in logs_k if lo < x < hi] + [hi]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        n = max(1, math.ceil((b - a) / PANEL_LOG_WIDTH))
+        h = (b - a) / n
+        for j in range(n):
+            start = a + j * h
+            total += h * sum(w * integrand(math.exp(start + x * h))
+                             for x, w in _gl_rule())
+    return total
 
 
 def _check_grid(grid):

@@ -199,7 +199,7 @@ PINNED_HASHES = {
     "sinh": ("configs", "f134ea98475e1f2a"),
     "splits": ("configs", "babd9bed236deb56"),
     "verify_depth8": ("perfbench/configs", "0765331502241dae"),
-    "phi_weights": ("perfbench/configs", "0ddb76e48b9ab473"),
+    "phi_weights": ("perfbench/configs", "d031238ee5d09007"),
 }
 
 

@@ -1,11 +1,18 @@
 """Seminorm and norm computations against brute-force oracles."""
 
+import contextlib
+import io
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import campanato_lab
 from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            build_from_spec, campanato_norm,
                            campanato_seminorm, central_p_integral,
@@ -331,3 +338,30 @@ def test_depth0_norms():
     assert campanato_seminorm(f, 1, one()).value == 0
     assert campanato_norm(f, 1, one()).value == 3
     assert expectation(f) == 3
+
+
+# depth 15 puts 32,768 leaves in one row, where a threaded BLAS dot
+# product sums in another order than a single-threaded one
+BLAS_PROBE = """
+import numpy as np
+from campanato_lab import LeafFunction, build_dyadic, campanato_norm, one
+tree = build_dyadic(15)
+vals = 7 + 1e-3 * np.random.default_rng(0).standard_normal(tree.leaf_count)
+norm = campanato_norm(LeafFunction.from_float_array(tree, vals), 2, one())
+print(repr(norm.value), repr(norm.mean_abs))
+"""
+
+
+def test_float_norm_independent_of_blas_threads():
+    # |Ef| comes from the scan's own pairwise sum, so a child limited to
+    # one BLAS thread prints the same bits as this process
+    src = str(Path(campanato_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    child = subprocess.run([sys.executable, "-c", BLAS_PROBE],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(BLAS_PROBE, {})
+    assert child.stdout == here.getvalue()
