@@ -283,7 +283,8 @@ def _integral(f, absolute):
     leafm = f.tree.leaf_measures_f()
     values = f.values_array
     if not f.has_exact_values:
-        return float(np.dot(np.abs(values) if absolute else values, leafm))
+        # the pairwise sum of scan_block's mean, not a BLAS dot product
+        return float(((np.abs(values) if absolute else values) * leafm).sum())
     total = 0
     for v, m in zip(values.tolist(), leafm.tolist()):
         total += (abs(v) if absolute else v) * m
@@ -307,8 +308,8 @@ def lp_norm(f, p):
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 1:
         return _integral(f, absolute=True)
-    total = float(np.dot(np.abs(f.values_array) ** p,
-                         f.tree.leaf_measures_f()))
+    total = float((np.abs(f.values_array) ** p
+                   * f.tree.leaf_measures_f()).sum())
     return total ** (1.0 / p)
 
 

@@ -194,11 +194,11 @@ def test_shipped_example_configs(tmp_path):
 # change to one of these is a change of report content, to be made on
 # purpose and recorded.
 PINNED_HASHES = {
-    "dyadic": ("configs", "37a5c94148e24264"),
+    "dyadic": ("configs", "0725f2a1634ee303"),
     "psi": ("configs", "94bde01bd76f36ef"),
-    "sinh": ("configs", "f134ea98475e1f2a"),
+    "sinh": ("configs", "db4f1177dd06c5d1"),
     "splits": ("configs", "babd9bed236deb56"),
-    "verify_depth8": ("perfbench/configs", "0765331502241dae"),
+    "verify_depth8": ("perfbench/configs", "3c5fdfe5276f07fa"),
     "phi_weights": ("perfbench/configs", "d031238ee5d09007"),
 }
 

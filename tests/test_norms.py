@@ -344,17 +344,21 @@ def test_depth0_norms():
 # product sums in another order than a single-threaded one
 BLAS_PROBE = """
 import numpy as np
-from campanato_lab import LeafFunction, build_dyadic, campanato_norm, one
+from campanato_lab import (LeafFunction, build_dyadic, campanato_norm,
+                           expectation, lp_norm, one)
 tree = build_dyadic(15)
 vals = 7 + 1e-3 * np.random.default_rng(0).standard_normal(tree.leaf_count)
-norm = campanato_norm(LeafFunction.from_float_array(tree, vals), 2, one())
+f = LeafFunction.from_float_array(tree, vals)
+norm = campanato_norm(f, 2, one())
 print(repr(norm.value), repr(norm.mean_abs))
+print(repr(expectation(f)), repr(lp_norm(f, 2)))
 """
 
 
 def test_float_norm_independent_of_blas_threads():
-    # |Ef| comes from the scan's own pairwise sum, so a child limited to
-    # one BLAS thread prints the same bits as this process
+    # |Ef|, expectation and lp_norm are pairwise sums, none a BLAS dot
+    # product, so a child limited to one BLAS thread prints the same bits
+    # as this process
     src = str(Path(campanato_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
@@ -365,3 +369,15 @@ def test_float_norm_independent_of_blas_threads():
     with contextlib.redirect_stdout(here):
         exec(BLAS_PROBE, {})
     assert child.stdout == here.getvalue()
+
+
+@pytest.mark.parametrize("depth", [12, 15])
+@pytest.mark.parametrize("seed", range(8))
+def test_float_expectation_is_the_scan_mean(depth, seed):
+    # one summation order for Ef: expectation and the scan's mean agree
+    # to the last bit
+    tree = build_dyadic(depth)
+    vals = 7 + 1e-3 * np.random.default_rng(seed).standard_normal(
+        tree.leaf_count)
+    f = LeafFunction.from_float_array(tree, vals)
+    assert expectation(f) == oscillation_scan(f, 2, one()).mean
