@@ -249,6 +249,14 @@ def martingale_of(f):
                                for n in range(f.tree.depth + 1)])
 
 
+def check_p(p):
+    """p, for p in the paper's range [1, inf); a ValueError otherwise, NaN
+    included."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    return p
+
+
 def central_p_integral(f, B, n, p):
     """Integral over B of |f - E_n f|^p, for B an atom at level n.
 
@@ -256,8 +264,7 @@ def central_p_integral(f, B, n, p):
     average is needed.  Exact for p = 1 with exact inputs; floats
     otherwise (p-th powers of rationals are irrational in general).
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if B.level != n:
         raise ValueError(f"atom {B.id} is at level {B.level}, not {n}")
     avg = atom_average(f, B)
@@ -304,8 +311,7 @@ def linf_norm(f):
 
 
 def lp_norm(f, p):
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if p == 1:
         return _integral(f, absolute=True)
     total = float((np.abs(f.values_array) ** p

@@ -17,8 +17,8 @@ import numpy as np
 from . import phi as phimod
 from .constructions import chain_values
 from .filtration import Atom, chain_to_root, regularity_constant, truncate
-from .functions import (LeafFunction, expectation, indicator, level_means,
-                        level_projection, linf_norm)
+from .functions import (LeafFunction, check_p, expectation, indicator,
+                        level_means, level_projection, linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
                     phi_level_values, phi_star_level_values, scan_block)
 from .report import Check, VerificationReport
@@ -37,8 +37,7 @@ WITNESS_TIE = 1e-12
 def capital_F(f, g, p, spec):
     """sup over all atoms B of
     (|f_B| / phi(P(B))) * ((1/P(B)) int_B |g - E_n g|^p dP)^(1/p)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     tree = f.tree
     if g.tree is not tree:
         raise ValueError("functions live on different trees")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import phi as phimod
 from .filtration import first_max_ratio
-from .functions import level_sums
+from .functions import check_p, level_sums
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ def scan_block(tree, rows, p, spec, want_fb=False):
     each, the mean Ef, and the sup over all atoms of
     |f_B| / phi_star(P(B)), None unless want_fb.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     stars = phi_star_level_values(tree, spec) if want_fb else None
     empty = np.zeros((0, tree.depth + 1))
     sups, atoms = [empty], [empty.astype(np.int64)]
@@ -294,8 +293,7 @@ def chi_norm_closed_form(B, p, phi_spec):
     two-term closed form summed below.  Agrees with the full sup scan
     exactly.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     m = B.measure
     terms = []
     anc = B.parent
@@ -345,8 +343,7 @@ def f_norm_exact(f, p, spec):
     Replaces single atoms by arbitrary measurable sets of the level;
     brute-force enumeration, refused beyond 2^20 subsets per level.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     tree = f.tree
     for n in range(tree.depth + 1):
         count = len(tree.atoms(n))
@@ -387,8 +384,7 @@ def f_norm_lower(f, p, spec, budget):
     oscillation density, grown up to `budget` atoms per level.  Always
     at least the plain seminorm and never above f_norm_exact.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     tree = f.tree

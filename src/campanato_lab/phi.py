@@ -14,9 +14,10 @@ process-wide, keyed by (spec, r) and bounded by STAR_MEMO_SIZE entries, as
 a quotient of such a weight asks for its base's phi_star at the same
 points many times; closed forms are not memoised.  Evaluation stays pure,
 since the memo only returns what the quadrature would, so concurrent use
-is safe.  The integral conditions are one cumulative pass over the grid:
-an adaptive quadrature from 0 to the smallest point, which also decides
-divergence, then Gauss-Legendre panels in log t between neighbours.
+is safe.  Both integral conditions are one cumulative pass over the grid:
+an adaptive quadrature from 0 to the smallest point, scaled to be of order
+one, then Gauss-Legendre panels in log t between neighbours.  Whether a
+condition diverges is read off phi's power at 0, not from the quadrature.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from functools import lru_cache
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
+from .functions import check_p
+
 QUAD_RELTOL = 1e-9
 QUAD_LIMIT = 200
-STAR_MEMO_SIZE = 1 << 16  # perfbench/configs/phi_weights.json makes 1,754
+STAR_MEMO_SIZE = 1 << 16  # perfbench/configs/phi_weights.json makes 1,812
 
 PANEL_LOG_WIDTH = 1.0  # the integral conditions' longest panel in log t
 
@@ -189,11 +192,6 @@ def _table_segment(logs_r, x):
     return bisect.bisect_right(logs_r, x) - 1
 
 
-def _table_zero_slope(spec):
-    """Asymptotic power of a table weight as r -> 0 (first segment's slope)."""
-    return _table_logs(spec.points)[2][0]
-
-
 # -- phi_star ----------------------------------------------------------------
 
 
@@ -331,87 +329,85 @@ def almost_monotone_constants(spec, grid):
 
 
 def int_condition_constant(spec, p, grid, force_quadrature=False):
-    """sup over the grid of (int_0^r phi^p dt) / (r phi(r)^p).
-
-    +inf flags a divergent lower integral (the growth condition fails).
-    force_quadrature skips the closed forms for the numeric pass.
-    """
-    _check_p(p)
-    grid = _check_grid(grid)
-    if not force_quadrature:
-        if spec.family == "one":
-            return 1.0
-        if spec.family == "powerlog" and spec.beta == 0.0 and spec.gamma == 0.0:
-            a = spec.alpha * p
-            return math.inf if a <= -1.0 else 1.0 / (a + 1.0)
-    if spec.family == "table" and _table_zero_slope(spec) * p <= -1.0:
-        return math.inf
-    phi, r0 = evaluator(spec), grid[0]
-
-    def tail(s):
-        # (phi^p r0) e^-s rounds apart from phi^p t, and the pinned
-        # report hashes read this tail's bits
-        t = r0 * math.exp(-s)
-        if t <= 0.0:
-            return 0.0
-        return float(phi(t)) ** p * r0 * math.exp(-s)
-
-    return _cumulative_sup(spec, grid, tail,
-                           lambda t: float(phi(t)) ** p * t,
-                           lambda r: r * float(eval_phi(spec, r)) ** p)
+    """sup over the grid of (int_0^r phi^p dt) / (r phi(r)^p); +inf when
+    the integral diverges (the growth condition fails)."""
+    return _int_condition(spec, check_p(p), 1.0, grid, force_quadrature)
 
 
 def int_condition_power_weight(spec, p, grid, force_quadrature=False):
     """sup over the grid of (int_0^r phi(t) t^(1/p-1) dt) / (phi(r) r^(1/p))."""
-    _check_p(p)
+    return _int_condition(spec, 1.0, check_p(p), grid, force_quadrature)
+
+
+def _int_condition(spec, a, q, grid, force_quadrature):
+    """sup over the sorted grid of I(r) / g(r), where g(t) = phi(t)^a t^b
+    with b = 1/q and I(r) = int_0^r g(t) dt/t, in one pass.
+
+    +inf flags a divergent I (the growth condition fails), decided by
+    _diverges from phi's power at 0.  The pure powers have the closed form
+    1/(alpha a + b), and phi = 1 gives q itself; force_quadrature skips
+    both.  I(r0)/g(r0) at the smallest grid point r0 is one adaptive
+    quadrature of g(r0 e^-s)/g(r0) over s in [0, inf), a ratio of order
+    one, so the quadrature's absolute tolerance acts as a relative one.
+    Each later I adds the integral from the previous grid point by
+    Gauss-Legendre panels in log t (_log_panels).  A tail the quadrature
+    cannot resolve, or an overflow, also reads +inf.
+    """
     grid = _check_grid(grid)
+    b = 1.0 / q
+    if _diverges(spec, a, b):
+        return math.inf
     if not force_quadrature:
         if spec.family == "one":
-            return float(p)
+            return float(q)
         if spec.family == "powerlog" and spec.beta == 0.0 and spec.gamma == 0.0:
-            a = spec.alpha + 1.0 / p
-            return math.inf if a <= 0.0 else 1.0 / a
-    if spec.family == "table" and _table_zero_slope(spec) + 1.0 / p <= 0.0:
-        return math.inf
+            return 1.0 / (spec.alpha * a + b)
     phi, r0 = evaluator(spec), grid[0]
+    phi0 = float(phi(r0))
 
-    def integrand(t):
-        return float(phi(t)) * t ** (1.0 / p)
+    def g(t):
+        return float(phi(t)) ** a * t ** b
 
-    def tail(s):
+    def tail(s):  # g(r0 e^-s) / g(r0)
         t = r0 * math.exp(-s)
-        return integrand(t) if t > 0.0 else 0.0
+        if t <= 0.0:
+            return 0.0
+        return (float(phi(t)) / phi0) ** a * math.exp(-b * s)
 
-    return _cumulative_sup(spec, grid, tail, integrand,
-                           lambda r: float(eval_phi(spec, r)) * r ** (1.0 / p))
-
-
-def _cumulative_sup(spec, grid, tail, integrand, denom):
-    """sup over the sorted grid of I(r) / denom(r), I(r) = int_0^r of the
-    integrand against dt/t, in one pass.
-
-    I at the smallest grid point r0 is one adaptive quadrature of `tail`,
-    the integrand at t = r0 e^-s over s in [0, inf); its failure flags
-    divergence as +inf.  Each later I adds the integral from the previous
-    grid point by Gauss-Legendre panels in log t (_log_panels); an
-    overflow there also gives +inf.
-    """
-    value, ok = _quad(tail, 0.0, math.inf)
+    worst, ok = _quad(tail, 0.0, math.inf)
     if not ok:
         return math.inf
+    value = worst * g(r0)
     while spec.family == "quotient":  # a quotient has its base's knots
         spec = spec.base
     logs_k = [math.log(k) for k, _ in spec.points]
-    worst = value / denom(grid[0])
     try:
-        for a, b in zip(grid, grid[1:]):
-            value += _log_panels(integrand, math.log(a), math.log(b), logs_k)
+        for lo, hi in zip(grid, grid[1:]):
+            value += _log_panels(g, math.log(lo), math.log(hi), logs_k)
             if not math.isfinite(value):
                 return math.inf
-            worst = max(worst, value / denom(b))
+            worst = max(worst, value / g(hi))
     except OverflowError:
         return math.inf
     return worst
+
+
+def _diverges(spec, a, b):
+    """Whether int_0^r phi(t)^a t^b dt/t diverges (b > 0).
+
+    A table is t^s0 near 0, s0 its first segment's log-slope; a powerlog
+    weight is t^alpha log(e/t)^-beta (log log)^-gamma, so with
+    e = alpha a + b the integral diverges for e < 0, and for e = 0 unless
+    the log factors decay fast enough.  one, psi and every quotient are
+    bounded near 0.
+    """
+    if spec.family == "table":
+        return _table_logs(spec.points)[2][0] * a + b <= 0.0
+    if spec.family != "powerlog":
+        return False
+    e, beta, gamma = spec.alpha * a + b, spec.beta * a, spec.gamma * a
+    return e < 0.0 or (e == 0.0 and not (beta > 1.0
+                                         or (beta == 1.0 and gamma > 1.0)))
 
 
 @lru_cache(maxsize=1)
@@ -444,11 +440,6 @@ def _check_grid(grid):
     if grid[0] <= 0.0 or grid[-1] > 1.0:
         raise ValueError("grid points must lie in (0,1]")
     return grid
-
-
-def _check_p(p):
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
 
 
 # -- regime classification ----------------------------------------------------

@@ -197,9 +197,9 @@ PINNED_HASHES = {
     "dyadic": ("configs", "0725f2a1634ee303"),
     "psi": ("configs", "94bde01bd76f36ef"),
     "sinh": ("configs", "db4f1177dd06c5d1"),
-    "splits": ("configs", "babd9bed236deb56"),
+    "splits": ("configs", "7af7ea1488497e36"),
     "verify_depth8": ("perfbench/configs", "3c5fdfe5276f07fa"),
-    "phi_weights": ("perfbench/configs", "d031238ee5d09007"),
+    "phi_weights": ("perfbench/configs", "cb3d1f0a497f285c"),
 }
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -15,12 +16,13 @@ import pytest
 import campanato_lab
 from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            build_from_spec, campanato_norm,
-                           campanato_seminorm, central_p_integral,
+                           campanato_seminorm, capital_F, central_p_integral,
                            chi_norm_closed_form, conditional_expectation,
                            constant, eval_phi, expectation, f_norm_exact,
-                           f_norm_lower, indicator, lp_norm, one, phi_star,
-                           power, powerlog, psi, random_functions)
-from campanato_lab.norms import oscillation_scan
+                           f_norm_lower, indicator, int_condition_constant,
+                           int_condition_power_weight, lp_norm, one,
+                           phi_star, power, powerlog, psi, random_functions)
+from campanato_lab.norms import oscillation_scan, scan_block
 
 
 def brute_oscillation(f, B, p, spec):
@@ -381,3 +383,30 @@ def test_float_expectation_is_the_scan_mean(depth, seed):
         tree.leaf_count)
     f = LeafFunction.from_float_array(tree, vals)
     assert expectation(f) == oscillation_scan(f, 2, one()).mean
+
+
+def _p_entry_points():
+    tree = build_dyadic(2)
+    f = LeafFunction(tree, [1, 2, 0, 5])
+    B = tree.leaves[0]
+    return {
+        "int_condition_constant":
+            lambda p: int_condition_constant(one(), p, (0.5, 1.0)),
+        "int_condition_power_weight":
+            lambda p: int_condition_power_weight(one(), p, (0.5, 1.0)),
+        "scan_block": lambda p: scan_block(tree, [f.values_array], p, one()),
+        "chi_norm_closed_form": lambda p: chi_norm_closed_form(B, p, one()),
+        "f_norm_exact": lambda p: f_norm_exact(f, p, one()),
+        "f_norm_lower": lambda p: f_norm_lower(f, p, one(), 4),
+        "capital_F": lambda p: capital_F(f, f, p, one()),
+        "central_p_integral": lambda p: central_p_integral(f, B, B.level, p),
+        "lp_norm": lambda p: lp_norm(f, p),
+        "campanato_norm": lambda p: campanato_norm(f, p, one()),
+    }
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_p_entry_points()))
+def test_p_outside_one_to_infinity_rejected(entry, p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        _p_entry_points()[entry](p)

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from campanato_lab import phi as phimod
 from campanato_lab import (almost_monotone_constants, classify_regime,
@@ -340,43 +341,44 @@ def test_table_phi_star_flat_piece():
 
 def per_point_int_condition(spec, p, grid, power_weight):
     """Either integral condition with one adaptive quadrature from 0 to
-    each grid point, in t = r e^-s."""
+    each grid point r, in t = r e^-s, of the integrand over its value at
+    r: the ratio at r itself."""
     phi = phimod.evaluator(spec)
-    # both conditions diverge when the first table segment's slope s has
-    # s p <= -1, which the library checks before any quadrature
-    if spec.family == "table" and phimod._table_zero_slope(spec) * p <= -1.0:
-        return math.inf
+    # both conditions diverge when the first table segment's log-slope s
+    # has s p <= -1
+    if spec.family == "table":
+        (r0, v0), (r1, v1) = spec.points[:2]
+        slope = ((math.log(v1) - math.log(v0))
+                 / (math.log(r1) - math.log(r0)))
+        if slope * p <= -1.0:
+            return math.inf
+    a, b = (1.0, 1.0 / p) if power_weight else (p, 1.0)
     worst = 0.0
     for r in sorted(grid):
-        if power_weight:
-            denom = float(phi(r)) * r ** (1.0 / p)
-        else:
-            denom = r * float(phi(r)) ** p
 
-        def integrand(s, r=r):
+        def integrand(s, r=r, phi_r=float(phi(r))):
             t = r * math.exp(-s)
             if t <= 0.0:
                 return 0.0
-            if power_weight:
-                return float(phi(t)) * t ** (1.0 / p)
-            return float(phi(t)) ** p * t
+            return (float(phi(t)) / phi_r) ** a * math.exp(-b * s)
 
         value, ok = phimod._quad(integrand, 0.0, math.inf)
         if not ok:
             return math.inf
-        worst = max(worst, value / denom)
+        worst = max(worst, value)
     return worst
 
 
-# Weights on which the tail quadrature from 0 is accurate and either
-# converges or flags its divergence; the known exceptions are the xfail
-# tests below, where the cumulative and the per-point pass are both wrong.
+# Weights on which the per-point quadrature from 0 either converges or
+# flags its divergence.  power(-0.7) is left out: at p = 2 its integrand
+# grows like e^(0.4 s) until t underflows, a finite value that the
+# per-point quadrature does not flag.
 CONDITION_WEIGHTS = [
-    one(), psi(), power(0.5), power(-0.3), powerlog(0.2, 1),
+    one(), psi(), power(0.5), power(-0.3), power(-0.5), powerlog(0.2, 1),
     powerlog(0.5, 2, 1), powerlog(0, 0, 3), TWO_POINT, FOUR_POINT,
     table([(1e-4, 3.0), (0.01, 3.0), (0.2, 0.5), (1, 2)]),
     quotient_phi(powerlog(0.2, 1)), quotient_phi(FOUR_POINT),
-    quotient_phi(psi()),
+    quotient_phi(psi()), quotient_phi(power(0.5)), quotient_phi(power(-0.7)),
 ]
 CONDITION_GRIDS = [default_grid(), default_grid(12), (1e-6, 1e-3, 0.1, 1.0)]
 
@@ -407,8 +409,6 @@ def test_cumulative_int_conditions_flag_divergence(spec, p, power_weight):
         assert per_point_int_condition(spec, p, grid, power_weight) == math.inf
 
 
-@pytest.mark.xfail(strict=True, reason="the tail quadrature's absolute "
-                   "tolerance 1e-14 exceeds the tail integral at r = 2^-40")
 def test_int_condition_tail_relative_accuracy():
     # phi / phi_star of r^-0.7 is 0.7 / (1 - 0.3 r^0.7), increasing from
     # 0.7, so the ratio at r is at least 0.7 / phi(r) = 1 - 0.3 r^0.7
@@ -417,9 +417,39 @@ def test_int_condition_tail_relative_accuracy():
     assert 1.0 - 0.3 * grid[0] ** 0.7 <= got <= 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="quad returns a finite value for the "
-                   "divergent int_0^r dt / t without a warning")
 def test_int_condition_power_weight_flags_log_divergence():
     # phi(t) t^(1/p - 1) = 1/t for alpha = -1/2 and p = 2
     assert int_condition_power_weight(power(-0.5), 2, default_grid(12),
                                       force_quadrature=True) == math.inf
+
+
+@pytest.mark.parametrize("r", [2.0 ** -40, 2.0 ** -20, 0.5])
+def test_psi_int_condition_matches_exponential_integral(r):
+    # with L = log(e/r), int_0^r dt / log(e/t) = r e^L E_1(L), so the
+    # ratio at r is L e^L E_1(L)
+    L = 1.0 - math.log(r)
+    want = L * math.exp(L) * float(special.exp1(L))
+    got = int_condition_constant(psi(), 1, (r,))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("spec,p,fn", [
+    # alpha a + b = 0, and the log factors do not decay fast enough
+    (power(-0.5), 2, int_condition_constant),
+    (power(-0.5), 2, int_condition_power_weight),
+    (powerlog(-1, 1), 1, int_condition_constant),
+    (powerlog(-1, 1, 1), 1, int_condition_constant),
+])
+def test_int_condition_boundary_divergence(spec, p, fn, force):
+    assert fn(spec, p, default_grid(12), force_quadrature=force) == math.inf
+
+
+@pytest.mark.xfail(strict=True, reason="the tail decays only like s^-1.5, "
+                   "which the adaptive quadrature does not resolve")
+def test_int_condition_slowly_convergent_boundary():
+    # phi(t) = 1 / (t log(e/t)^1.5): with L = log(e/r), I(r) = 2 / sqrt(L)
+    # and phi(r) r = L^-1.5, so the ratio is 2L, largest at 2^-40
+    want = 2.0 * (1.0 - math.log(2.0 ** -40))
+    got = int_condition_constant(powerlog(-1, 1.5), 1, default_grid())
+    assert abs(got - want) <= 1e-9 * want
