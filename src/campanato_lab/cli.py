@@ -280,12 +280,10 @@ def _norm_rows(config):
     return rows
 
 
-def _phi_rows(config, grid=None):
-    if grid is None:
-        grid = [r for r in phimod.default_grid(k_max=30) if r >= 2.0 ** -30]
+def _phi_rows(config):
     rows = []
     for spec in config.phis:
-        for r in sorted(grid, reverse=True):
+        for r in reversed(phimod.default_grid(k_max=30)):
             star = phimod.phi_star(spec, r)
             val = float(phimod.eval_phi(spec, r))
             rows.append({"phi": spec.describe(), "r": r, "phi_r": val,

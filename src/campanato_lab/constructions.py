@@ -20,9 +20,7 @@ from .functions import (LeafFunction, MartingaleSequence,
                         conditional_expectation, linf_norm)
 from .norms import _level_cints, campanato_norm
 from .phi import eval_phi, phi_star, quotient_phi
-from .report import Check, VerificationReport
-
-INEQ_SLACK = 1e-10
+from .report import INEQ_SLACK, Check, VerificationReport
 
 
 def _validate_chain(tree, chain):

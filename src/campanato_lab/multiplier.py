@@ -21,9 +21,8 @@ from .functions import (LeafFunction, check_p, expectation, indicator,
                         level_means, level_projection, linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
                     phi_level_values, phi_star_level_values, scan_block)
-from .report import Check, VerificationReport
+from .report import INEQ_SLACK, Check, VerificationReport
 
-INEQ_SLACK = 1e-10
 EXACT_SLACK = 1e-12
 # A family member is the witness of L when its ratio is at least
 # L (1 - WITNESS_TIE): the first such member in family order, so that the
@@ -71,15 +70,14 @@ def check_product_estimate(f, g, p, spec):
 # -- families and operator-norm lower bounds ----------------------------------
 
 
-def _family_members(tree, spec, chains, randoms, seed, indicators=True):
+def _family_members(tree, spec, chains, randoms, seed):
     """The default test family as (label, member) pairs: an Atom stands for
     its indicator, every other member is an array of leaf values."""
     rng = np.random.default_rng(seed)
     yield "const:1", np.ones(tree.leaf_count)
-    if indicators:
-        for n in range(tree.depth + 1):
-            for atom in tree.atoms(n):
-                yield f"chi:{n},{atom.index}", atom
+    for n in range(tree.depth + 1):
+        for atom in tree.atoms(n):
+            yield f"chi:{n},{atom.index}", atom
     count = min(chains, tree.leaf_count)
     if count > 0:
         picks = rng.choice(tree.leaf_count, size=count, replace=False)
@@ -90,16 +88,14 @@ def _family_members(tree, spec, chains, randoms, seed, indicators=True):
         yield f"rand:{k}", rng.standard_normal(tree.leaf_count)
 
 
-def default_test_family(tree, spec, chains=8, randoms=32, seed=0,
-                        indicators=True):
+def default_test_family(tree, spec, chains=8, randoms=32, seed=0):
     """Deterministic test family: the constant 1, all atom indicators,
     chain functions through sampled leaves, and seeded random functions.
 
     Yields (label, function) pairs lazily; the composition mirrors the
     witnesses the lower-bound arguments actually use.
     """
-    for label, member in _family_members(tree, spec, chains, randoms, seed,
-                                         indicators):
+    for label, member in _family_members(tree, spec, chains, randoms, seed):
         if isinstance(member, Atom):
             yield label, indicator(tree, member)
         else:

@@ -6,18 +6,21 @@ suprema over a grid, so they are lower bounds for the analytic constants;
 reports label them "measured over grid".  Weight specs are immutable and
 hashable, and each spec's evaluator is built once and kept.
 
-Each weight integral is taken once, in the cheapest exact form.  phi_star
-is a closed form except for powerlog weights with log factors: tables
-integrate piece by piece, and a quotient's is 1 + log phi_star_base(r),
-since (d/dr) phi_star = -phi(r)/r.  The quadrature branch is memoised
-process-wide, keyed by (spec, r) and bounded by STAR_MEMO_SIZE entries, as
-a quotient of such a weight asks for its base's phi_star at the same
-points many times; closed forms are not memoised.  Evaluation stays pure,
-since the memo only returns what the quadrature would, so concurrent use
-is safe.  Both integral conditions are one cumulative pass over the grid:
-an adaptive quadrature from 0 to the smallest point, scaled to be of order
-one, then Gauss-Legendre panels in log t between neighbours.  Whether a
-condition diverges is read off phi's power at 0, not from the quadrature.
+One profile describes each weight near 0 (_near_zero): phi(t) is
+comparable to t^s log(e/t)^-beta log(e - log t)^-gamma as t -> 0, and an
+exact power on (0, k].  The regime label, whether an integral condition
+diverges and the conditions' ratio below k all read it.
+
+phi_star is a closed form except for powerlog weights with log factors:
+tables integrate piece by piece, and a quotient's is
+1 + log phi_star_base(r), since (d/dr) phi_star = -phi(r)/r.  The
+quadrature is memoised process-wide by (spec, r), at most STAR_MEMO_SIZE
+entries, as a quotient of such a weight asks for its base's phi_star at
+the same points many times; the memo returns only what the quadrature
+would, so concurrent use is safe.  Both integral conditions are one pass
+of Gauss-Legendre panels in log t over the grid, started from the exact
+ratio 1/(s a + b) below k or, for log-factor powerlog weights, psi and
+quotients, from one adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -343,44 +346,48 @@ def _int_condition(spec, a, q, grid, force_quadrature):
     """sup over the sorted grid of I(r) / g(r), where g(t) = phi(t)^a t^b
     with b = 1/q and I(r) = int_0^r g(t) dt/t, in one pass.
 
-    +inf flags a divergent I (the growth condition fails), decided by
-    _diverges from phi's power at 0.  The pure powers have the closed form
-    1/(alpha a + b), and phi = 1 gives q itself; force_quadrature skips
-    both.  I(r0)/g(r0) at the smallest grid point r0 is one adaptive
-    quadrature of g(r0 e^-s)/g(r0) over s in [0, inf), a ratio of order
-    one, so the quadrature's absolute tolerance acts as a relative one.
-    Each later I adds the integral from the previous grid point by
-    Gauss-Legendre panels in log t (_log_panels).  A tail the quadrature
-    cannot resolve, or an overflow, also reads +inf.
+    +inf flags a divergent I (_diverges).  Where phi = c t^s on (0, k]
+    (_near_zero), I/g = 1/(s a + b): the answer when k covers the grid,
+    else the start of the pass at min(r0, k), r0 the smallest grid point.
+    Otherwise, and under force_quadrature, I(r0)/g(r0) is one adaptive
+    quadrature of g(r0 e^-s)/g(r0) over s in [0, inf), of order one, so
+    its absolute tolerance acts as a relative one.  Gauss-Legendre panels
+    in log t (_log_panels) then add I between neighbours.  A tail the
+    quadrature cannot resolve, or an overflow, also reads +inf.
     """
     grid = _check_grid(grid)
     b = 1.0 / q
     if _diverges(spec, a, b):
         return math.inf
-    if not force_quadrature:
-        if spec.family == "one":
-            return float(q)
-        if spec.family == "powerlog" and spec.beta == 0.0 and spec.gamma == 0.0:
-            return 1.0 / (spec.alpha * a + b)
     phi, r0 = evaluator(spec), grid[0]
-    phi0 = float(phi(r0))
+    slope, _, _, k = _near_zero(spec)
 
     def g(t):
         return float(phi(t)) ** a * t ** b
 
-    def tail(s):  # g(r0 e^-s) / g(r0)
-        t = r0 * math.exp(-s)
-        if t <= 0.0:
-            return 0.0
-        return (float(phi(t)) / phi0) ** a * math.exp(-b * s)
+    if k > 0.0 and not force_quadrature:
+        worst = q / (slope * a * q + 1.0)
+        if k >= grid[-1]:
+            return worst
+        value = worst * g(min(r0, k))
+        if k < r0:  # the ratio at k is no grid value
+            grid, worst = [k] + grid, 0.0
+    else:
+        phi0 = float(phi(r0))
 
-    worst, ok = _quad(tail, 0.0, math.inf)
-    if not ok:
-        return math.inf
-    value = worst * g(r0)
+        def tail(s):  # g(r0 e^-s) / g(r0)
+            t = r0 * math.exp(-s)
+            if t <= 0.0:
+                return 0.0
+            return (float(phi(t)) / phi0) ** a * math.exp(-b * s)
+
+        worst, ok = _quad(tail, 0.0, math.inf)
+        if not ok:
+            return math.inf
+        value = worst * g(r0)
     while spec.family == "quotient":  # a quotient has its base's knots
         spec = spec.base
-    logs_k = [math.log(k) for k, _ in spec.points]
+    logs_k = [math.log(x) for x, _ in spec.points]
     try:
         for lo, hi in zip(grid, grid[1:]):
             value += _log_panels(g, math.log(lo), math.log(hi), logs_k)
@@ -392,20 +399,38 @@ def _int_condition(spec, a, q, grid, force_quadrature):
     return worst
 
 
-def _diverges(spec, a, b):
-    """Whether int_0^r phi(t)^a t^b dt/t diverges (b > 0).
-
-    A table is t^s0 near 0, s0 its first segment's log-slope; a powerlog
-    weight is t^alpha log(e/t)^-beta (log log)^-gamma, so with
-    e = alpha a + b the integral diverges for e < 0, and for e = 0 unless
-    the log factors decay fast enough.  one, psi and every quotient are
-    bounded near 0.
+def _near_zero(spec):
+    """phi's profile at 0, (s, beta, gamma, k): phi(t) is comparable to
+    t^s log(e/t)^-beta log(e - log t)^-gamma as t -> 0, and phi = c t^s
+    exactly on (0, k] (k = 0: on no interval).  A table is its first
+    segment's power up to its second point, or on all of (0, 1] with two
+    points.  A quotient gets (0, 0, 0, 0), which says only that it is
+    bounded near 0; _diverges asks its base at b = 0.
     """
+    if spec.family == "one":
+        return 0.0, 0.0, 0.0, 1.0
+    if spec.family == "psi":
+        return 0.0, 1.0, 0.0, 0.0
+    if spec.family == "powerlog":
+        exact = spec.beta == 0.0 and spec.gamma == 0.0
+        return spec.alpha, spec.beta, spec.gamma, 1.0 if exact else 0.0
     if spec.family == "table":
-        return _table_logs(spec.points)[2][0] * a + b <= 0.0
-    if spec.family != "powerlog":
-        return False
-    e, beta, gamma = spec.alpha * a + b, spec.beta * a, spec.gamma * a
+        pts = spec.points
+        return (_table_logs(pts)[2][0], 0.0, 0.0,
+                pts[1][0] if len(pts) > 2 else 1.0)
+    return 0.0, 0.0, 0.0, 0.0
+
+
+def _diverges(spec, a, b):
+    """Whether int_0^r phi(t)^a t^b dt/t diverges, for b >= 0: with
+    e = s a + b from phi's profile at 0, for e < 0, and for e = 0 unless
+    the log factors decay fast enough.  At b = 0 (and a = 1) a quotient's
+    integral is log phi_star_base, unbounded iff the base's phi_star is.
+    """
+    if spec.family == "quotient" and b == 0.0:
+        return _diverges(spec.base, 1.0, 0.0)
+    s, beta, gamma, _ = _near_zero(spec)
+    e, beta, gamma = s * a + b, beta * a, gamma * a
     return e < 0.0 or (e == 0.0 and not (beta > 1.0
                                          or (beta == 1.0 and gamma > 1.0)))
 
@@ -457,7 +482,6 @@ class RegimeResult:
     ratio_at_rmin: float
     star_at_rmin: float
     quotient_at_rmin: float
-    anchor_r: float
 
     def to_dict(self):
         return {
@@ -467,42 +491,35 @@ class RegimeResult:
             "ratio_at_rmin": self.ratio_at_rmin,
             "star_at_rmin": self.star_at_rmin,
             "quotient_at_rmin": self.quotient_at_rmin,
-            "anchor_r": self.anchor_r,
         }
 
 
 def classify_regime(spec, grid):
-    """Decide whether phi_star tracks phi, stays bounded, or neither.
+    """Whether phi_star tracks phi, stays bounded, or neither, from phi's
+    profile at 0 (_near_zero); the grid gives only the measured fields.
 
-    Grid evidence only: a quantity counts as bounded when its value at the
-    smallest grid point is within a factor 2 of its value at the grid point
-    nearest r = 0.1.  Slowly unbounded quantities (logarithmic growth) keep
-    drifting away from the anchor as the grid deepens, while genuinely
-    bounded ones stabilize, so the test sharpens with grid depth.
+    phi_star ~ 1 iff int_0^1 phi dt/t converges.  Else phi_star ~ phi iff
+    phi's power s at 0 is negative (phi_star ~ phi/|s|), which a quotient,
+    bounded near 0, never is.  Else neither: phi_star grows without bound
+    but slower than any power, as 1 + log(1/r) does for phi = 1.
     """
     grid = _check_grid(grid)
-    if len(grid) < 3:
-        raise ValueError("regime classification needs a multi-decade grid")
     stars = [phi_star(spec, r) for r in grid]
     phis = [float(eval_phi(spec, r)) for r in grid]
     ratios = [s / v for s, v in zip(stars, phis)]
-    anchor_i = min(range(len(grid)), key=lambda i: abs(grid[i] - 0.1))
-    sup_ratio = max(ratios)
-    sup_star = max(stars)
-    if ratios[0] <= 2.0 * ratios[anchor_i]:
-        label = REGIME_EQUIV_PHI
-    elif stars[0] <= 2.0 * stars[anchor_i]:
+    if not _diverges(spec, 1.0, 0.0):
         label = REGIME_EQUIV_ONE
+    elif _near_zero(spec)[0] < 0.0:
+        label = REGIME_EQUIV_PHI
     else:
         label = REGIME_NEITHER
     return RegimeResult(
         label=label,
-        sup_star_over_phi=sup_ratio,
-        sup_star=sup_star,
+        sup_star_over_phi=max(ratios),
+        sup_star=max(stars),
         ratio_at_rmin=ratios[0],
         star_at_rmin=stars[0],
         quotient_at_rmin=phis[0] / stars[0],
-        anchor_r=grid[anchor_i],
     )
 
 

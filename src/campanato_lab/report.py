@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+INEQ_SLACK = 1e-10  # the absolute slack of a check's inequality
+
 
 @dataclass
 class Check:

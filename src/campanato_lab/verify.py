@@ -23,9 +23,8 @@ from .functions import level_projection, random_functions
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
 from .norms import chi_norm_closed_form, scan_block
-from .report import Check, VerificationReport
+from .report import INEQ_SLACK, Check, VerificationReport
 
-INEQ_SLACK = 1e-10
 REL_TOL = 1e-10
 
 

@@ -195,11 +195,11 @@ def test_shipped_example_configs(tmp_path):
 # purpose and recorded.
 PINNED_HASHES = {
     "dyadic": ("configs", "0725f2a1634ee303"),
-    "psi": ("configs", "94bde01bd76f36ef"),
+    "psi": ("configs", "400ed0df991d621e"),
     "sinh": ("configs", "db4f1177dd06c5d1"),
-    "splits": ("configs", "7af7ea1488497e36"),
+    "splits": ("configs", "deae4815d19d75c1"),
     "verify_depth8": ("perfbench/configs", "3c5fdfe5276f07fa"),
-    "phi_weights": ("perfbench/configs", "cb3d1f0a497f285c"),
+    "phi_weights": ("perfbench/configs", "481500e6dc107845"),
 }
 
 

@@ -165,16 +165,51 @@ def test_quotient_weight():
     assert eval_phi(q, 1.0) == pytest.approx(eval_phi(power(0.5), 1.0))
 
 
-def test_classify_regimes():
-    assert classify_regime(power(-0.3), GRID).label == "phi_star~phi"
-    res = classify_regime(power(-0.3), GRID)
-    assert res.sup_star_over_phi <= 4.0
-    res = classify_regime(power(0.5), GRID)
-    assert res.label == "phi_star~1"
-    assert res.sup_star <= 3.0
-    res = classify_regime(one(), GRID)
-    assert res.label == "neither"
-    assert res.quotient_at_rmin < 0.05  # the quotient drains to zero
+RMIN = GRID[0]
+S0 = math.log(2) / math.log(1000)  # phi(t) = t^S0 for the table below
+
+
+REGIME_CASES = [
+    # phi_star = 1 + log(1/r) -> inf, and phi / phi_star drains to 0
+    (one(), "neither", lambda res: res.quotient_at_rmin < 0.05
+     and res.star_at_rmin == pytest.approx(1 - math.log(RMIN))),
+    # phi_star = 1 + log(1 - log r) -> inf
+    (psi(), "neither", lambda res: res.star_at_rmin
+     == pytest.approx(1 + math.log(1 - math.log(RMIN)))),
+    # phi_star = 1 + log phi_star_psi -> inf
+    (quotient_phi(psi()), "neither", lambda res: res.star_at_rmin
+     == pytest.approx(1 + math.log(1 + math.log(1 - math.log(RMIN))))),
+    # int_r^1 phi dt/t >= log log(e - log r), since e + u >= 1 + u
+    (powerlog(0, 1, 1), "neither", lambda res: res.star_at_rmin
+     >= 1 + math.log(math.log(math.e - math.log(RMIN)))),
+    # phi_star = 1 + (1 - r^0.01) / 0.01 <= 101
+    (power(0.01), "phi_star~1", lambda res: res.sup_star <= 101),
+    # phi_star / phi = r^0.01 + 100 (1 - r^0.01) <= 100
+    (power(-0.01), "phi_star~phi", lambda res: res.sup_star_over_phi <= 100),
+    (table([(0.001, 0.5), (1, 1)]), "phi_star~1",
+     lambda res: res.sup_star <= 1 + 1 / S0),
+    (power(0.3), "phi_star~1", lambda res: res.sup_star <= 1 + 1 / 0.3),
+    (power(-0.3), "phi_star~phi",
+     lambda res: res.sup_star_over_phi <= 1 / 0.3),
+    (power(0.5), "phi_star~1", lambda res: res.sup_star <= 3.0),
+    # phi <= t^0.2, so phi_star <= 1 + 5
+    (powerlog(0.2, 1), "phi_star~1", lambda res: res.sup_star <= 6.0),
+    (quotient_phi(powerlog(0.2, 1)), "phi_star~1",
+     lambda res: res.sup_star <= 1 + math.log(6.0)),
+    # phi_star = 1 + log(1 + (r^-0.3 - 1) / 0.3) -> inf
+    (quotient_phi(power(-0.3)), "neither", lambda res: res.star_at_rmin
+     == pytest.approx(1 + math.log(1 + (RMIN ** -0.3 - 1) / 0.3))),
+]
+
+
+@pytest.mark.parametrize("spec,label,check", REGIME_CASES,
+                         ids=[case[0].describe() for case in REGIME_CASES])
+def test_classify_regimes(spec, label, check):
+    res = classify_regime(spec, GRID)
+    assert res.label == label
+    assert check(res)
+    # the label is read off phi at 0, not off the grid's depth
+    assert classify_regime(spec, default_grid(8)).label == label
 
 
 def test_table_weight_interpolation():
@@ -380,7 +415,10 @@ CONDITION_WEIGHTS = [
     quotient_phi(powerlog(0.2, 1)), quotient_phi(FOUR_POINT),
     quotient_phi(psi()), quotient_phi(power(0.5)), quotient_phi(power(-0.7)),
 ]
-CONDITION_GRIDS = [default_grid(), default_grid(12), (1e-6, 1e-3, 0.1, 1.0)]
+# the last grid starts above the second point of each table with more
+# than two points, so a closed-form pass starts below the grid
+CONDITION_GRIDS = [default_grid(), default_grid(12), (1e-6, 1e-3, 0.1, 1.0),
+                   (0.3, 0.6, 1.0)]
 
 
 @pytest.mark.parametrize("spec", CONDITION_WEIGHTS,
@@ -407,6 +445,37 @@ def test_cumulative_int_conditions_flag_divergence(spec, p, power_weight):
     for grid in CONDITION_GRIDS:
         assert fn(spec, p, grid, force_quadrature=True) == math.inf
         assert per_point_int_condition(spec, p, grid, power_weight) == math.inf
+
+
+@pytest.mark.parametrize("spec", [w for w in CONDITION_WEIGHTS
+                                  if w.family == "table"],
+                         ids=phimod.PhiSpec.describe)
+def test_table_int_conditions_closed_form_match_quadrature(spec,
+                                                          monkeypatch):
+    cases = [(fn, p, grid) for fn in (int_condition_constant,
+                                      int_condition_power_weight)
+             for p in (1, 1.5, 2) for grid in CONDITION_GRIDS]
+    forced = [fn(spec, p, grid, force_quadrature=True)
+              for fn, p, grid in cases]
+
+    def no_quad(*args):
+        raise AssertionError("a table ran an adaptive quadrature")
+
+    # below its second point a table is an exact power: no quadrature
+    monkeypatch.setattr(phimod, "_quad", no_quad)
+    for (fn, p, grid), want in zip(cases, forced):
+        got = fn(spec, p, grid)
+        assert math.isinf(got) == math.isinf(want), (fn, p, grid)
+        if math.isfinite(want):
+            assert abs(got - want) <= 1e-9 * want, (fn, p, grid)
+
+
+@pytest.mark.parametrize("s0", [-0.97, -0.98, -0.99])
+def test_table_int_condition_steep_tail(s0):
+    # phi(t) = t^s0 on (0, 1]: int_0^r t^s0 dt / (r r^s0) = 1 / (1 + s0)
+    spec = table([(0.001, 0.001 ** s0), (1, 1)])
+    got = int_condition_constant(spec, 1, default_grid())
+    assert got == pytest.approx(1 / (1 + s0), rel=1e-12)
 
 
 def test_int_condition_tail_relative_accuracy():
