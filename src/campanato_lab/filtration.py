@@ -270,21 +270,23 @@ def common_denominator(values):
 
 
 def first_max_ratio(nums, dens):
-    """Index of the first largest nums[i] / dens[i], for object arrays of
-    Python ints with nums >= 0 and dens > 0.
+    """Index of the first largest nums[i] / dens[i], for integer arrays,
+    int64 or object arrays of Python ints, with nums >= 0 and dens > 0.
 
-    Floats pick the candidates within 1e-9 of the largest quotient, and
-    cross-multiplication picks the exact winner among them; when a
-    quotient is too large for a float, every index is a candidate.
+    Floats pick the candidates within 1e-9 of the largest quotient (an
+    int64 quotient is off by a few ulps at most, an object one is
+    correctly rounded), and cross-multiplication in Python ints picks the
+    exact winner among them; when a quotient is too large for a float,
+    every index is a candidate.
     """
-    nums, dens = nums.tolist(), dens.tolist()
     try:
-        approx = np.array([a / b for a, b in zip(nums, dens)])
+        approx = np.asarray(nums / dens, dtype=np.float64)
     except OverflowError:
         candidates = range(len(nums))
     else:
         candidates = np.flatnonzero(
             approx >= approx.max() * (1 - 1e-9)).tolist()
+    nums, dens = nums.tolist(), dens.tolist()
     best = candidates[0]
     for i in candidates[1:]:
         if nums[i] * dens[best] > nums[best] * dens[i]:

@@ -203,12 +203,30 @@ def level_projection(tree, n, values):
                      axis=-1)
 
 
+def _machine_ints(a, bound):
+    """An int64 copy of the integer array `a` when `bound`, a bound on the
+    absolute value of every number that will be formed from it, is below
+    2^62; otherwise `a` itself.  Below 2^62 every such number, and the
+    sum or difference of two of them, fits in an int64."""
+    return a.astype(np.int64) if bound < 1 << 62 else a
+
+
 def level_sums(tree, u, levels):
     """The exact twin of level_means: with leaf measures a_i / D and an
-    object array u of integer numerators, T_B = sum of a_i u_i over every
-    atom B of each level in `levels`.  The average of u / E over B is
-    T_B / (E S_B), S_B the numerator of P(B) (tree.numerator_arrays())."""
-    au = tree.numerator_arrays()[0][-1] * u
+    integer array u of numerators, T_B = sum of a_i u_i over every atom B
+    of each level in `levels`.  The average of u / E over B is
+    T_B / (E S_B), S_B the numerator of P(B) (tree.numerator_arrays()).
+
+    Every partial sum is at most max |u_i| D in absolute value; when that
+    is below 2^62 the sums are int64 arrays, otherwise object arrays of
+    Python ints."""
+    nums, den = tree.numerator_arrays()
+    try:  # converting first bounds |u| in int64, not in a Python-int pass
+        v = u.astype(np.int64)
+    except OverflowError:
+        v = u
+    bound = max(int(v.max()), -int(v.min())) * den
+    au = _machine_ints(nums[-1], bound) * v  # object a_i: Python ints
     return [np.add.reduceat(au, tree.level_arrays(n)[0]) for n in levels]
 
 
@@ -286,7 +304,7 @@ def _integral(f, absolute):
     if _integer_sums(f):
         u, den = f.numerators
         total, = level_sums(f.tree, np.abs(u) if absolute else u, [0])
-        return Fraction(total[0], f.tree.numerator_arrays()[1] * den)
+        return Fraction(int(total[0]), f.tree.numerator_arrays()[1] * den)
     leafm = f.tree.leaf_measures_f()
     values = f.values_array
     if not f.has_exact_values:

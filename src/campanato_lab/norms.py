@@ -11,8 +11,10 @@ scan_block, turns it into sups.  For p = 1 with the constant weight on a
 rational tree with rational values the scan is exact instead, on integer
 numerators: with leaf measures a_i / D and values u_i / E, the oscillation
 of atom B is I_B / (E S_B^2), where S_B = sum a_i, T_B = sum a_i u_i and
-I_B = sum a_i |u_i S_B - T_B| over the leaves of B.  Ties in the sup are
-broken by (level, atom index).
+I_B = sum a_i |u_i S_B - T_B| over the leaves of B.  A level whose
+integers are bounded below 2^62 sums them in int64, any other level in
+Python ints (_exact_scan), and the sups are Fractions either way.  Ties
+in the sup are broken by (level, atom index).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import phi as phimod
 from .filtration import first_max_ratio
-from .functions import check_p, level_sums
+from .functions import _machine_ints, check_p, level_sums
 
 
 @dataclass(frozen=True)
@@ -112,17 +114,21 @@ def level_reductions(tree, block, p):
     int_B |f - f_B|^p dP have one entry per level-n atom along the last
     axis, and measures holds the P(B).  A whole block reduces at once.
     The deepest level is left out: every leaf function is measurable
-    there.
+    there.  Each level works in place in the one leaf-sized buffer that
+    spreads the averages over the leaves; `block` is only read.
     """
     leafm = tree.leaf_measures_f()
     w = block * leafm
     for n in range(tree.depth):
         starts, lengths, measures = tree.level_arrays(n)
         avg = np.add.reduceat(w, starts, axis=-1) / measures
-        dev = np.abs(block - np.repeat(avg, lengths, axis=-1))
+        dev = np.repeat(avg, lengths, axis=-1)
+        np.subtract(block, dev, out=dev)
+        np.abs(dev, out=dev)
         if p != 1:
-            dev = dev ** p
-        yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), measures
+            dev **= p
+        dev *= leafm
+        yield n, avg, np.add.reduceat(dev, starts, axis=-1), measures
 
 
 def _level_scan(tree, block, p, spec):
@@ -200,31 +206,40 @@ def _exact_scan(f, spec, want_fb):
 
     Each level sums S_B, T_B and I_B (module docstring) over every atom
     at once, and first_max_ratio picks the first atom with the largest
-    I_B / S_B^2.  fb_sup divides the float of each |T_B| / (E S_B) by
-    phi_star, as the float scan does with its averages.
+    I_B / S_B^2.  Every integer a level forms (u_i S_B, T_B, a_i times a
+    deviation, I_B, S_B^2) is at most 2 max(|u|, 1) max S_B^2 in absolute
+    value, so a level below 2^62 runs in int64, and one above in Python
+    ints; only the level's dtype differs, and the sups and the mean leave
+    as Fractions of Python ints.  fb_sup divides the float of each
+    |T_B| / (E S_B) by phi_star, as the float scan does with its
+    averages; E S_B is formed in Python ints, as E may be beyond int64.
     """
     tree = f.tree
     (u, den), (nums, tree_den) = f.numerators, tree.numerator_arrays()
     sums = level_sums(tree, u, range(max(tree.depth, 1)))  # 0 has the mean
     stars = phi_star_level_values(tree, spec) if want_fb else None
     fb = [(np.abs(u) / den / stars[-1]).max()] if want_fb else None
+    top = 2 * max(int(np.abs(u).max()), 1)
+    a, v = nums[-1], u  # S_B only shrinks with n: these convert once
     per_level, atoms = [], []
     for n in range(tree.depth):
-        lengths = tree.level_arrays(n)[1]
-        s, t = nums[n], sums[n]
-        dev = np.abs(u * np.repeat(s, lengths) - np.repeat(t, lengths))
-        i_b, = level_sums(tree, dev, [n])
+        starts, lengths, _ = tree.level_arrays(n)
+        bound = top * int(nums[n].max()) ** 2
+        a, v, s = (_machine_ints(x, bound) for x in (a, v, nums[n]))
+        t = sums[n].astype(s.dtype)
+        dev = np.abs(v * np.repeat(s, lengths) - np.repeat(t, lengths))
+        i_b = np.add.reduceat(a * dev, starts)
         i = first_max_ratio(i_b, s * s)
-        per_level.append(Fraction(i_b[i], den * s[i] ** 2))
+        per_level.append(Fraction(int(i_b[i]), den * nums[n][i] ** 2))
         atoms.append(i)
         if want_fb:
-            fb.append((np.abs(t) / (den * s) / stars[n]).max())
+            fb.append((np.abs(t) / (den * nums[n]) / stars[n]).max())
     per_level.append(Fraction(0))
     atoms.append(0)
     n = max(range(len(per_level)), key=per_level.__getitem__)
     result = _ScanResult((per_level[n], (n, atoms[n]), tuple(per_level),
                           float(max(fb)) if want_fb else None))
-    result.mean = Fraction(sums[0][0], tree_den * den)
+    result.mean = Fraction(int(sums[0][0]), tree_den * den)
     return result
 
 

@@ -14,17 +14,19 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from campanato_lab import (LeafFunction, atom_average, build_from_spec,
-                           campanato_norm,
+from campanato_lab import (LeafFunction, atom_average, build_dyadic,
+                           build_from_spec, campanato_norm,
                            campanato_seminorm, central_p_integral,
                            chain_to_root, chi_norm_closed_form, constant,
                            eval_phi, expectation, extremal_chain_function,
                            h_function, indicator, linf_norm, one,
                            op_norm_lower_bound, powerlog, psi, quotient_phi,
                            sin_h_multiplier, theorem1_certificate)
+from campanato_lab import norms
 from campanato_lab.constructions import (chain_values,
                                          martingale_identity_defect,
                                          measure_chain_constants)
+from campanato_lab.functions import _machine_ints
 from campanato_lab.multiplier import _family_members, _family_norms
 from campanato_lab.norms import oscillation_scan
 from campanato_lab.phi import phi_star
@@ -305,6 +307,80 @@ def test_exact_scan_matches_central_integral_definition(f):
         # f is constant; float averages over non-dyadic measures round, so
         # the float sup is small on the scale of f, not relatively small
         assert flt <= TOL * float(max(abs(v) for v in values))
+
+
+def test_exact_fb_over_a_denominator_beyond_int64():
+    # u is small, but E = 3**700 is far beyond int64: the fb quotients
+    # |T_B| / (E S_B) must be formed in Python ints
+    f = LeafFunction(build_dyadic(3), [TINY] + [0] * 7)
+    scan = oscillation_scan(f, 1, one(), want_fb=True)
+    sup, witness, per_level, fb = scan
+    assert witness == (2, 0) and fb == 0.0
+    assert sup == TINY / 2
+    assert per_level == tuple(TINY * Fraction(x) for x in
+                              ("7/32", "3/8", "1/2", "0"))
+    assert scan.mean == TINY / 8
+
+
+def test_machine_ints_bound():
+    a = np.array([-(2 ** 62 - 1), 0, 2 ** 62 - 1], dtype=object)
+    low = _machine_ints(a, 2 ** 62 - 1)
+    assert low.dtype == np.int64 and low is not a
+    assert low.tolist() == a.tolist()
+    assert _machine_ints(a, 2 ** 62) is a
+    assert _machine_ints(low, 2 ** 62) is low
+
+
+def _halves(depth):
+    return None if depth == 0 else {
+        "fractions": ["1/2", "1/2"],
+        "children": [_halves(depth - 1), _halves(depth - 1)]}
+
+
+def _is_python_fraction(x):
+    return (isinstance(x, Fraction) and type(x.numerator) is int
+            and type(x.denominator) is int)
+
+
+def test_exact_scan_with_python_and_int64_levels(monkeypatch):
+    # A 1/99991 split over five levels of halves, with |u| up to 10**6:
+    # 2 max|u| max S_B**2 is above 2**62 on the top levels and below it
+    # on the deep ones, so one scan runs levels of both dtypes.
+    tree = build_from_spec({"fractions": ["1/99991", "99990/99991"],
+                            "children": [_halves(5), _halves(5)]})
+    kinds = []
+
+    def spy(a, bound):
+        out = _machine_ints(a, bound)
+        kinds.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(norms, "_machine_ints", spy)
+    rng = np.random.default_rng(5)
+    for den in (1, 7):
+        values = [Fraction(int(k), den) for k in
+                  rng.integers(-10 ** 6, 10 ** 6 + 1, tree.leaf_count)]
+        f = LeafFunction(tree, values)
+        kinds.clear()
+        scan = oscillation_scan(f, 1, one())
+        sem, witness, per_level, _ = scan
+        level_kinds = kinds[2::3]  # a, v, then S_B of each level
+        assert np.dtype(object) in level_kinds
+        assert np.dtype(np.int64) in level_kinds
+        oscillations = [(n, B.index,
+                         central_p_integral(f, B, n, 1) / B.measure)
+                        for n in range(tree.depth + 1)
+                        for B in tree.atoms(n)]
+        assert list(per_level) == [
+            max(v for m, _, v in oscillations if m == n)
+            for n in range(tree.depth + 1)]
+        assert sem == max(per_level)
+        assert witness == next((n, i) for n, i, v in oscillations
+                               if v == sem)
+        assert scan.mean == sum(v * leaf.measure
+                                for v, leaf in zip(values, tree.leaves))
+        assert all(_is_python_fraction(x)
+                   for x in (sem, scan.mean, *per_level))
 
 
 def test_equal_measure_ancestor_gives_zero_oscillation():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from campanato_lab import (TreeSpecError, build_dyadic, build_from_spec,
                            chain_to_root, check_chain_gaps, parse_tree_config,
                            regularity_constant, truncate)
-from campanato_lab.filtration import FiltrationTree, is_dyadic
+from campanato_lab.filtration import (FiltrationTree, first_max_ratio,
+                                      is_dyadic)
 
 
 def chain_spec(depth):
@@ -99,6 +100,22 @@ def test_decimal_strings_stay_exact():
     tree = build_from_spec({"fractions": ["0.01", "0.99"]})
     assert tree.mode == "exact"
     assert tree.leaves[0].measure == Fraction(1, 100)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_first_max_ratio_picks_first_exact_max(dtype):
+    rng = np.random.default_rng(8)
+    for _ in range(50):  # small integers: tied quotients are common
+        dens = rng.integers(1, 5, 12)
+        nums = rng.integers(0, 9, 12)
+        ratios = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+        want = ratios.index(max(ratios))
+        assert first_max_ratio(np.array(nums.tolist(), dtype=dtype),
+                               np.array(dens.tolist(), dtype=dtype)) == want
+    # both quotients round to the float 1.0; the second is larger
+    nums = np.array([2 ** 61 - 1, 2 ** 61], dtype=dtype)
+    dens = np.array([2 ** 61, 2 ** 61 + 1], dtype=dtype)
+    assert first_max_ratio(nums, dens) == 1
 
 
 def test_regularity_dyadic_is_two():

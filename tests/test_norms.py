@@ -22,7 +22,7 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            f_norm_lower, indicator, int_condition_constant,
                            int_condition_power_weight, lp_norm, one,
                            phi_star, power, powerlog, psi, random_functions)
-from campanato_lab.norms import oscillation_scan, scan_block
+from campanato_lab.norms import level_reductions, oscillation_scan, scan_block
 
 
 def brute_oscillation(f, B, p, spec):
@@ -410,3 +410,39 @@ def _p_entry_points():
 def test_p_outside_one_to_infinity_rejected(entry, p):
     with pytest.raises(ValueError, match="p must lie in"):
         _p_entry_points()[entry](p)
+
+
+def out_of_place_level_reductions(tree, block, p):
+    """level_reductions written out of place, one new array per step: the
+    in-place kernel must give the same bits."""
+    leafm = tree.leaf_measures_f()
+    w = block * leafm
+    for n in range(tree.depth):
+        starts, lengths, measures = tree.level_arrays(n)
+        avg = np.add.reduceat(w, starts, axis=-1) / measures
+        dev = np.abs(block - np.repeat(avg, lengths, axis=-1))
+        if p != 1:
+            dev = dev ** p
+        yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), measures
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["one row", "block"])
+@pytest.mark.parametrize("p", [1, 1.5, 2])
+@pytest.mark.parametrize("kind", ["dyadic", "rational split", "float split"])
+def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
+    tree = {"dyadic": lambda: build_dyadic(7),
+            "rational split": lambda: random_split_tree(3, depth=6),
+            "float split": lambda: random_split_tree(4, depth=6,
+                                                     exact=False)}[kind]()
+    rng = np.random.default_rng(11)
+    shape = (tree.leaf_count,) if rows is None else (rows, tree.leaf_count)
+    block = 3.0 * rng.standard_normal(shape) + 1.0
+    before = block.copy()
+    got = list(level_reductions(tree, block, p))
+    want = list(out_of_place_level_reductions(tree, before, p))
+    assert np.array_equal(block, before)  # the input is only read
+    assert len(got) == len(want) == tree.depth
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        for a, b in zip(g[1:], w[1:]):
+            assert a.shape == b.shape and np.array_equal(a, b)
