@@ -8,7 +8,10 @@ level is a full partition and all leaves sit at the deepest level.
 The level arrays are the tree: for each level, the parent index and the
 measure of every atom.  Each level lists its atoms in parent order, so
 the children of an atom, and its leaves, are contiguous.  `Atom` objects
-are views that the tree makes from these arrays on first access.
+are views that the tree makes from these arrays on first access.  Sums
+over a level's leaf spans, and spreads back to the leaves, go through
+the tree: `atom_sums` sums leaf rows over a level's atoms, and `spread`
+puts per-atom values back on the leaves.
 """
 
 from __future__ import annotations
@@ -21,6 +24,28 @@ import numpy as np
 # Allowed drift of level measure sums (and other structural identities)
 # when measures are floats.  Exact mode tolerates nothing.
 PARTITION_TOL = 1e-12
+
+# Relative gap below the largest float quotient within which
+# first_max_ratio settles the order in integers.
+RATIO_TOL = 1e-9
+
+# A level whose atoms all span the same L <= COLUMN_SPAN leaves sums
+# float64 and int64 rows by columns (FiltrationTree.atom_sums) when it
+# forms at least COLUMN_MIN * L sums.  Up to 8 leaves np.add.reduceat
+# adds an atom's leaves one after another; from 9 on its pairwise sum
+# takes another order, whose bits columns would not keep.  Each of the
+# L - 1 column adds has a fixed cost of about a microsecond, against
+# reduceat's 11-20 ns per sum, so columns pay from about 50 (L - 1) sums.
+COLUMN_SPAN, COLUMN_MIN = 8, 128
+_COLUMN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+
+# FiltrationTree.spread with an op and a buffer broadcasts over rows of
+# more values than this, and forms np.repeat's spread for fewer.  A spread
+# of 2^16 float64 values no longer stays in cache, and broadcasting saves
+# writing and reading it (4-11 % of level_reductions on one dyadic
+# depth-16 row); on the certificate's blocks of 16 x 1024 values the
+# broadcast's short inner loops cost about 5 % more.
+BROADCAST_MIN = 1 << 15
 
 
 class TreeSpecError(ValueError):
@@ -106,6 +131,9 @@ class FiltrationTree:
             lengths.append(np.bincount(up, weights=lengths[-1]).astype(np.int64))
         self._lengths = tuple(reversed(lengths))
         self._starts = tuple(np.cumsum(n) - n for n in self._lengths)
+        # the one span length of a level whose atoms all have it, else 0
+        self._spans = tuple(int(n[0]) if (n == n[0]).all() else 0
+                            for n in self._lengths)
         # int / int rounds correctly, as float(Fraction) does
         self._float = (self._levels if den is None else
                        tuple((m / den).astype(np.float64) for m in self._levels))
@@ -241,6 +269,63 @@ class FiltrationTree:
         """(span starts, span lengths, atom measures) as int64/float64 arrays."""
         return self._starts[n], self._lengths[n], self._float[n]
 
+    def atom_sums(self, n, rows, atoms=None):
+        """Sums of leaf rows over every level-n atom, along the last axis.
+
+        Float rows get np.add.reduceat's bits: on a level whose atoms all
+        span L <= COLUMN_SPAN leaves, float64 and int64 rows with at least
+        COLUMN_MIN L sums to form add the columns of an (..., atoms, L)
+        view in reduceat's order, the first leaf plus the left-to-right
+        sum of the rest, without a call per atom.  Other rows, object rows
+        (whose sums are the leaf-by-leaf loop) included, use reduceat
+        itself.  With `atoms`, ascending level-n indices, `rows` holds
+        only those atoms' leaves, in order (atom_leaves), and the sums are
+        over those atoms.  No result shares memory with `rows`.
+        """
+        if atoms is not None:
+            lengths = self._lengths[n][atoms]
+            return np.add.reduceat(rows, np.cumsum(lengths) - lengths,
+                                   axis=-1)
+        span = self._spans[n]
+        if not (0 < span <= COLUMN_SPAN and rows.dtype in _COLUMN_DTYPES
+                and rows.size >= COLUMN_MIN * span * span):
+            return np.add.reduceat(rows, self._starts[n], axis=-1)
+        cols = rows.reshape(rows.shape[:-1] + (-1, span))
+        if span == 1:
+            return cols[..., 0].copy()
+        if span == 2:
+            return cols[..., 0] + cols[..., 1]
+        rest = cols[..., 1] + cols[..., 2]
+        for j in range(3, span):
+            rest += cols[..., j]
+        return np.add(cols[..., 0], rest, out=rest)
+
+    def atom_leaves(self, n, atoms):
+        """The leaf indices of the given level-n atoms (ascending), in
+        order: the layout of atom_sums' `rows` for those atoms."""
+        starts, lengths = self._starts[n][atoms], self._lengths[n][atoms]
+        return (np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+                + np.arange(lengths.sum()))
+
+    def spread(self, n, values, op=None, rows=None, out=None):
+        """Per-atom values on the leaves: each leaf of a level-n atom takes
+        the atom's entry along the last axis of `values` (np.repeat, by
+        one count on a level whose atoms all span the same number of
+        leaves, which costs less than a count per atom).
+
+        With a binary ufunc `op`, returns op(rows, that spread) for leaf
+        rows `rows`, written into `out` when given.  Rows of more than
+        BROADCAST_MIN values with an `out` on such a level broadcast the
+        op over an (..., atoms, span) view instead of forming the spread.
+        """
+        span = self._spans[n]
+        if span and out is not None and rows.size > BROADCAST_MIN:
+            shape = rows.shape[:-1] + (-1, span)
+            op(rows.reshape(shape), values[..., None], out=out.reshape(shape))
+            return out
+        spread = np.repeat(values, span or self._lengths[n], axis=-1)
+        return spread if op is None else op(rows, spread, out=out)
+
     def numerator_arrays(self):
         """(per-level measure numerators, D) of an exact tree: each level's
         measures as an object array of Python ints over the one integer D."""
@@ -273,8 +358,8 @@ def first_max_ratio(nums, dens):
     """Index of the first largest nums[i] / dens[i], for integer arrays,
     int64 or object arrays of Python ints, with nums >= 0 and dens > 0.
 
-    Floats pick the candidates within 1e-9 of the largest quotient (an
-    int64 quotient is off by a few ulps at most, an object one is
+    Floats pick the candidates within RATIO_TOL of the largest quotient
+    (an int64 quotient is off by a few ulps at most, an object one is
     correctly rounded), and cross-multiplication in Python ints picks the
     exact winner among them; when a quotient is too large for a float,
     every index is a candidate.
@@ -285,7 +370,7 @@ def first_max_ratio(nums, dens):
         candidates = range(len(nums))
     else:
         candidates = np.flatnonzero(
-            approx >= approx.max() * (1 - 1e-9)).tolist()
+            approx >= approx.max() * (1 - RATIO_TOL)).tolist()
     nums, dens = nums.tolist(), dens.tolist()
     best = candidates[0]
     for i in candidates[1:]:

@@ -192,15 +192,13 @@ def level_means(tree, n, values):
     if values.dtype != object:
         values = values.astype(np.float64, copy=False)
     leafm, measures = tree.measure_arrays(values.dtype)
-    starts = tree.level_arrays(n)[0]
-    return np.add.reduceat(values * leafm, starts, axis=-1) / measures[n]
+    return tree.atom_sums(n, values * leafm) / measures[n]
 
 
 def level_projection(tree, n, values):
     """E_n of leaf-value rows, as leaf-value rows: each leaf takes the
     average of its level-n atom, computed as in level_means."""
-    return np.repeat(level_means(tree, n, values), tree.level_arrays(n)[1],
-                     axis=-1)
+    return tree.spread(n, level_means(tree, n, values))
 
 
 def _machine_ints(a, bound):
@@ -211,23 +209,36 @@ def _machine_ints(a, bound):
     return a.astype(np.int64) if bound < 1 << 62 else a
 
 
-def level_sums(tree, u, levels):
+def _leaf_ints(tree, u):
+    """(v, a, max |u_i|) for integer numerators u on an exact tree: u and
+    the leaf measure numerators a, each converted to int64 once where
+    every entry fits and left as Python ints otherwise.  The maximum is
+    read off the conversion, not from a Python-int pass."""
+    v, a = (_int64_if_fits(x) for x in (u, tree.numerator_arrays()[0][-1]))
+    return v, a, max(int(v.max()), -int(v.min()))
+
+
+def _int64_if_fits(a):
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
+def level_sums(tree, u, levels, leaf_ints=None):
     """The exact twin of level_means: with leaf measures a_i / D and an
     integer array u of numerators, T_B = sum of a_i u_i over every atom B
     of each level in `levels`.  The average of u / E over B is
     T_B / (E S_B), S_B the numerator of P(B) (tree.numerator_arrays()).
+    `leaf_ints` is _leaf_ints(tree, u), when the caller has it.
 
     Every partial sum is at most max |u_i| D in absolute value; when that
     is below 2^62 the sums are int64 arrays, otherwise object arrays of
     Python ints."""
     nums, den = tree.numerator_arrays()
-    try:  # converting first bounds |u| in int64, not in a Python-int pass
-        v = u.astype(np.int64)
-    except OverflowError:
-        v = u
-    bound = max(int(v.max()), -int(v.min())) * den
-    au = _machine_ints(nums[-1], bound) * v  # object a_i: Python ints
-    return [np.add.reduceat(au, tree.level_arrays(n)[0]) for n in levels]
+    v, a, umax = leaf_ints or _leaf_ints(tree, u)
+    au = a * v if umax * den < 1 << 62 else nums[-1] * v  # else Python ints
+    return [tree.atom_sums(n, au) for n in levels]
 
 
 def _integer_sums(f):
@@ -256,8 +267,7 @@ def conditional_expectation(f, n):
     s = tree.numerator_arrays()[0][n]
     lcm = math.lcm(*set(s.tolist()))
     return LeafFunction._from_numerators(
-        tree, np.repeat(sums * (lcm // s), tree.level_arrays(n)[1]),
-        den * lcm)
+        tree, tree.spread(n, sums * (lcm // s)), den * lcm)
 
 
 def martingale_of(f):

@@ -137,10 +137,14 @@ def _indicator_norms(g, p, spec, atoms, want_fb=False):
     sub_osc = _subtree_max(tree, osc + [np.zeros(tree.leaf_count)])
     sub_inv = _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None
 
+    w = gv * leafm
+    dev = np.empty_like(w)  # one leaf-sized buffer for every pair of levels
+    levels, index = np.array([(B.level, B.index) for B in atoms]).reshape(
+        -1, 2).T
     by_level = {}
-    for m in sorted({B.level for B in atoms}):
-        starts, lengths, meas = tree.level_arrays(m)
-        S = np.add.reduceat(gv * leafm, starts)
+    for m in np.unique(levels).tolist():
+        starts, _, meas = tree.level_arrays(m)
+        S = tree.atom_sums(m, w)
         sem_f = np.zeros(len(meas))
         sem_fg = sub_osc[m].copy()
         fb = sub_inv[m].copy() if want_fb else None
@@ -150,28 +154,31 @@ def _indicator_norms(g, p, spec, atoms, want_fb=False):
             PA = a_meas[anc]
             r = meas / PA
             avg = S / PA
-            dev = np.abs(gv - np.repeat(avg, lengths))
+            np.abs(tree.spread(m, avg, np.subtract, gv, out=dev), out=dev)
+            if p != 1:
+                dev **= p
+            dev *= leafm
             if p == 1:
                 chi = (meas * (1.0 - r) + (PA - meas) * r) / PA
-                cint = np.add.reduceat(dev * leafm, starts) \
-                    + (PA - meas) * np.abs(avg)
+                cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg)
                 prod = cint / PA
             else:
                 chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
                        / PA) ** invp
-                cint = np.add.reduceat(dev ** p * leafm, starts) \
-                    + (PA - meas) * np.abs(avg) ** p
+                cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
                 prod = (cint / PA) ** invp
             np.maximum(sem_f, chi / phis[n][anc], out=sem_f)
             np.maximum(sem_fg, prod / phis[n][anc], out=sem_fg)
             if want_fb:
                 np.maximum(fb, r / stars[n][anc], out=fb)
         by_level[m] = (sem_f + meas, sem_fg + np.abs(S), fb)
-    rows = [(B.level, B.index) for B in atoms]
-    norm_f = np.array([by_level[m][0][i] for m, i in rows])
-    norm_fg = np.array([by_level[m][1][i] for m, i in rows])
-    fb = np.array([by_level[m][2][i] for m, i in rows]) if want_fb else None
-    return norm_f, norm_fg, fb
+    norm_f, norm_fg, fb = np.empty((3, len(atoms)))
+    for m, (f_m, fg_m, fb_m) in by_level.items():
+        at = levels == m
+        norm_f[at], norm_fg[at] = f_m[index[at]], fg_m[index[at]]
+        if want_fb:
+            fb[at] = fb_m[index[at]]
+    return norm_f, norm_fg, (fb if want_fb else None)
 
 
 def _family_norms(g, p, spec, members, want_fb=False):

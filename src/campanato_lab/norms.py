@@ -12,9 +12,11 @@ rational tree with rational values the scan is exact instead, on integer
 numerators: with leaf measures a_i / D and values u_i / E, the oscillation
 of atom B is I_B / (E S_B^2), where S_B = sum a_i, T_B = sum a_i u_i and
 I_B = sum a_i |u_i S_B - T_B| over the leaves of B.  A level whose
-integers are bounded below 2^62 sums them in int64, any other level in
-Python ints (_exact_scan), and the sups are Fractions either way.  Ties
-in the sup are broken by (level, atom index).
+integers are bounded below 2^62 sums them in int64; one where only the
+deviations |u_i S_B - T_B| are ranks its atoms by float I_B / S_B^2 and
+sums Python ints for the atoms near the largest; any other level sums
+Python ints (_exact_scan).  The sups are Fractions either way.  Ties in
+the sup are broken by (level, atom index).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from functools import partial
 import numpy as np
 
 from . import phi as phimod
-from .filtration import first_max_ratio
-from .functions import _machine_ints, check_p, level_sums
+from .filtration import RATIO_TOL, first_max_ratio
+from .functions import _leaf_ints, _machine_ints, check_p, level_sums
 
 
 @dataclass(frozen=True)
@@ -112,23 +114,29 @@ def level_reductions(tree, block, p):
     `block` is a float64 array whose last axis runs over the leaves (one
     row or a block of rows); the averages f_B and the integrals
     int_B |f - f_B|^p dP have one entry per level-n atom along the last
-    axis, and measures holds the P(B).  A whole block reduces at once.
-    The deepest level is left out: every leaf function is measurable
-    there.  Each level works in place in the one leaf-sized buffer that
-    spreads the averages over the leaves; `block` is only read.
+    axis, and measures holds the P(B).  A whole block reduces at once,
+    through the tree's atom_sums and spread.  The deepest level is left
+    out: every leaf function is measurable there.  Every level subtracts
+    the spread averages from `block`, which is only read, into one
+    leaf-sized buffer and works in place on it; no yielded array shares
+    it.  p = 2 squares the deviations, which gives the bits of
+    |f - f_B|^2.
     """
     leafm = tree.leaf_measures_f()
     w = block * leafm
+    dev = np.empty(w.shape)
     for n in range(tree.depth):
-        starts, lengths, measures = tree.level_arrays(n)
-        avg = np.add.reduceat(w, starts, axis=-1) / measures
-        dev = np.repeat(avg, lengths, axis=-1)
-        np.subtract(block, dev, out=dev)
-        np.abs(dev, out=dev)
-        if p != 1:
-            dev **= p
+        measures = tree.level_arrays(n)[2]
+        avg = tree.atom_sums(n, w) / measures
+        tree.spread(n, avg, np.subtract, block, out=dev)
+        if p == 2:
+            np.square(dev, out=dev)
+        else:
+            np.abs(dev, out=dev)
+            if p != 1:
+                dev **= p
         dev *= leafm
-        yield n, avg, np.add.reduceat(dev, starts, axis=-1), measures
+        yield n, avg, tree.atom_sums(n, dev), measures
 
 
 def _level_scan(tree, block, p, spec):
@@ -200,37 +208,68 @@ class _ScanResult(tuple):
     mean = None
 
 
+# An atom of at most RANKED_SPAN leaves has a float I_B / S_B^2 within
+# RATIO_TOL / 2 of the exact one, relative (_exact_scan).
+RANKED_SPAN = 1 << 22
+
+
 def _exact_scan(f, spec, want_fb):
     """The exact p = 1, constant-weight scan on integer numerators, as
     oscillation_scan's result with Fraction sups and the Fraction mean.
 
     Each level sums S_B, T_B and I_B (module docstring) over every atom
-    at once, and first_max_ratio picks the first atom with the largest
-    I_B / S_B^2.  Every integer a level forms (u_i S_B, T_B, a_i times a
-    deviation, I_B, S_B^2) is at most 2 max(|u|, 1) max S_B^2 in absolute
-    value, so a level below 2^62 runs in int64, and one above in Python
-    ints; only the level's dtype differs, and the sups and the mean leave
-    as Fractions of Python ints.  fb_sup divides the float of each
-    |T_B| / (E S_B) by phi_star, as the float scan does with its
+    at once, and the first atom with the largest I_B / S_B^2 wins.  With
+    m = max(|u|, 1) and S the level's largest S_B, every |u_i S_B|,
+    |T_B| and deviation |u_i S_B - T_B| is at most 2 m S, and every
+    a_i times a deviation, I_B and S_B^2 at most 2 m S^2.  So a level runs
+    in one of three ways:
+
+    - 2 m S^2 < 2^62: all in int64, and first_max_ratio picks the atom;
+    - 2 m S < 2^62: deviations in int64, and floats rank the atoms, as
+      first_max_ratio does with its quotients.  Each float I_B / S_B^2
+      is the exact one times 1 + e, |e| <= gamma(L + 6) = (L + 6) u /
+      (1 - (L + 6) u), u = 2^-53 and L the atom's leaf count: 3 roundings
+      per term (a_i, the deviation, their product), L - 1 in any order
+      of summing L terms >= 0, 2 for S_B, 1 for its square and 1 for the
+      division.  An atom that attains the exact largest ratio is thus
+      within 2 gamma(L + 6) (< RATIO_TOL below RANKED_SPAN leaves) of
+      the largest float, so the atoms within RATIO_TOL of it are summed
+      again in Python ints, and first_max_ratio picks among them.  A
+      level with a larger atom makes every atom such a candidate;
+    - otherwise all in Python ints.
+
+    Only the dtypes differ, and the sups and the mean leave as Fractions
+    of Python ints.  u and the leaf numerators a convert to int64 once
+    (_leaf_ints), shared with level_sums.  fb_sup divides the float of
+    each |T_B| / (E S_B) by phi_star, as the float scan does with its
     averages; E S_B is formed in Python ints, as E may be beyond int64.
     """
     tree = f.tree
     (u, den), (nums, tree_den) = f.numerators, tree.numerator_arrays()
-    sums = level_sums(tree, u, range(max(tree.depth, 1)))  # 0 has the mean
+    leaf_ints = v, a, umax = _leaf_ints(tree, u)
+    sums = level_sums(tree, u, range(max(tree.depth, 1)), leaf_ints)  # 0: mean
     stars = phi_star_level_values(tree, spec) if want_fb else None
     fb = [(np.abs(u) / den / stars[-1]).max()] if want_fb else None
-    top = 2 * max(int(np.abs(u).max()), 1)
-    a, v = nums[-1], u  # S_B only shrinks with n: these convert once
+    top = 2 * max(umax, 1)
     per_level, atoms = [], []
     for n in range(tree.depth):
-        starts, lengths, _ = tree.level_arrays(n)
-        bound = top * int(nums[n].max()) ** 2
-        a, v, s = (_machine_ints(x, bound) for x in (a, v, nums[n]))
+        largest = int(nums[n].max())
+        s = _machine_ints(nums[n], top * largest)
         t = sums[n].astype(s.dtype)
-        dev = np.abs(v * np.repeat(s, lengths) - np.repeat(t, lengths))
-        i_b = np.add.reduceat(a * dev, starts)
-        i = first_max_ratio(i_b, s * s)
-        per_level.append(Fraction(int(i_b[i]), den * nums[n][i] ** 2))
+        dev = (u if s.dtype == object else v) * tree.spread(n, s)
+        dev -= tree.spread(n, t)
+        np.abs(dev, out=dev)
+        if top * largest ** 2 < 1 << 62:
+            i_b = tree.atom_sums(n, a * dev)
+            i = first_max_ratio(i_b, s * s)
+            i_b = int(i_b[i])
+        elif s.dtype == object:
+            i_b = tree.atom_sums(n, nums[-1] * dev)
+            i = first_max_ratio(i_b, s * s)
+            i_b = i_b[i]
+        else:
+            i, i_b = _ranked_max(tree, n, a, dev, s)
+        per_level.append(Fraction(i_b, den * nums[n][i] ** 2))
         atoms.append(i)
         if want_fb:
             fb.append((np.abs(t) / (den * nums[n]) / stars[n]).max())
@@ -241,6 +280,24 @@ def _exact_scan(f, spec, want_fb):
                           float(max(fb)) if want_fb else None))
     result.mean = Fraction(int(sums[0][0]), tree_den * den)
     return result
+
+
+def _ranked_max(tree, n, a, dev, s):
+    """(i, I_B of atom i): the first level-n atom with the largest
+    I_B / S_B^2, for int64 leaf numerators `a`, deviations `dev` and S_B
+    `s`, with floats ranking the atoms and Python ints deciding
+    (_exact_scan)."""
+    nums = tree.numerator_arrays()[0]
+    approx = tree.atom_sums(n, np.multiply(a, dev, dtype=np.float64)) \
+        / np.square(s, dtype=np.float64)
+    if int(tree.level_arrays(n)[1].max()) <= RANKED_SPAN:
+        cand = np.flatnonzero(approx >= approx.max() * (1 - RATIO_TOL))
+    else:
+        cand = np.arange(len(s))
+    leaves = tree.atom_leaves(n, cand)
+    i_b = tree.atom_sums(n, nums[-1][leaves] * dev[leaves], cand)
+    j = first_max_ratio(i_b, nums[n][cand] ** 2)
+    return int(cand[j]), i_b[j]
 
 
 def _use_exact(f, p, spec):

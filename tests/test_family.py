@@ -7,10 +7,13 @@ trees with persistence steps, in exact and float mode.
 """
 
 import dataclasses
+import importlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,7 @@ from campanato_lab.norms import oscillation_scan
 from campanato_lab.phi import phi_star
 
 TOL = 1e-12
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WEIGHTS = {"one": one(), "psi": psi(), "powerlog(0.3)": powerlog(0.3)}
 
 
@@ -342,45 +346,110 @@ def _is_python_fraction(x):
             and type(x.denominator) is int)
 
 
-def test_exact_scan_with_python_and_int64_levels(monkeypatch):
-    # A 1/99991 split over five levels of halves, with |u| up to 10**6:
-    # 2 max|u| max S_B**2 is above 2**62 on the top levels and below it
-    # on the deep ones, so one scan runs levels of both dtypes.
-    tree = build_from_spec({"fractions": ["1/99991", "99990/99991"],
-                            "children": [_halves(5), _halves(5)]})
-    kinds = []
+def _exact_level_paths(monkeypatch):
+    """A list that each exact scan fills with the way each of its levels
+    ran: "int64", "ranked" (int64 deviations, floats ranking the atoms)
+    or "python"."""
+    paths = []
+    machine_ints, ranked_max = norms._machine_ints, norms._ranked_max
 
-    def spy(a, bound):
-        out = _machine_ints(a, bound)
-        kinds.append(out.dtype)
+    def machine(a, bound):  # called once per level, on the S_B
+        out = machine_ints(a, bound)
+        paths.append("python" if out.dtype == object else "int64")
         return out
 
-    monkeypatch.setattr(norms, "_machine_ints", spy)
+    def ranked(*args):
+        paths[-1] = "ranked"
+        return ranked_max(*args)
+
+    monkeypatch.setattr(norms, "_machine_ints", machine)
+    monkeypatch.setattr(norms, "_ranked_max", ranked)
+    return paths
+
+
+def _check_exact_scan(f):
+    """oscillation_scan's per-level sups, witness and mean against
+    central_p_integral, all Fractions of Python ints."""
+    tree = f.tree
+    scan = oscillation_scan(f, 1, one())
+    sem, witness, per_level, _ = scan
+    oscillations = [(n, B.index, central_p_integral(f, B, n, 1) / B.measure)
+                    for n in range(tree.depth + 1) for B in tree.atoms(n)]
+    assert list(per_level) == [
+        max(v for m, _, v in oscillations if m == n)
+        for n in range(tree.depth + 1)]
+    assert sem == max(per_level)
+    assert witness == next((n, i) for n, i, v in oscillations if v == sem)
+    assert scan.mean == sum(v * leaf.measure
+                            for v, leaf in zip(f.values, tree.leaves))
+    assert all(_is_python_fraction(x) for x in (sem, scan.mean, *per_level))
+    return scan
+
+
+def test_exact_scan_with_python_and_int64_levels(monkeypatch):
+    # A 1/99991 split over five levels of halves.  With |u| up to 10**6,
+    # 2 max|u| max S_B**2 is above 2**62 on levels 0-2 and below it on
+    # 3-5, while 2 max|u| max S_B stays below: levels 0-2 rank their atoms
+    # by floats and 3-5 run in int64.  With |u| up to 10**13 the
+    # deviations of levels 0-4 exceed int64, so they sum Python ints.
+    tree = build_from_spec({"fractions": ["1/99991", "99990/99991"],
+                            "children": [_halves(5), _halves(5)]})
+    paths = _exact_level_paths(monkeypatch)
     rng = np.random.default_rng(5)
-    for den in (1, 7):
-        values = [Fraction(int(k), den) for k in
-                  rng.integers(-10 ** 6, 10 ** 6 + 1, tree.leaf_count)]
-        f = LeafFunction(tree, values)
-        kinds.clear()
-        scan = oscillation_scan(f, 1, one())
-        sem, witness, per_level, _ = scan
-        level_kinds = kinds[2::3]  # a, v, then S_B of each level
-        assert np.dtype(object) in level_kinds
-        assert np.dtype(np.int64) in level_kinds
-        oscillations = [(n, B.index,
-                         central_p_integral(f, B, n, 1) / B.measure)
-                        for n in range(tree.depth + 1)
-                        for B in tree.atoms(n)]
-        assert list(per_level) == [
-            max(v for m, _, v in oscillations if m == n)
-            for n in range(tree.depth + 1)]
-        assert sem == max(per_level)
-        assert witness == next((n, i) for n, i, v in oscillations
-                               if v == sem)
-        assert scan.mean == sum(v * leaf.measure
-                                for v, leaf in zip(values, tree.leaves))
-        assert all(_is_python_fraction(x)
-                   for x in (sem, scan.mean, *per_level))
+    for top, want in ((10 ** 6, ["ranked"] * 3 + ["int64"] * 3),
+                      (10 ** 13, ["python"] * 5 + ["ranked"])):
+        for den in (1, 7):
+            values = [Fraction(int(k), den) for k in
+                      rng.integers(-top, top + 1, tree.leaf_count)]
+            paths.clear()
+            _check_exact_scan(LeafFunction(tree, values))
+            assert paths == want
+
+
+def test_exact_scan_ranked_tie_keeps_the_first_atom(monkeypatch):
+    # Level 1 holds two atoms with the same leaf values in other orders,
+    # so I_B / S_B**2 is exactly equal on both; the float sums add the
+    # terms in other orders, and atom 1's rounds below atom 2's.  The
+    # root and level 2 oscillate less.
+    tree = build_from_spec({
+        "fractions": ["1/99991", "49995/99991", "49995/99991"],
+        "children": [None, _halves(2), _halves(2)]})
+    m, A, c, d = 10 ** 9, 3 * 10 ** 8 + 1, 777, 123456789
+    values = [m, m - A + d, m - A - d, m + A + c, m + A - c,
+              m + A + c, m + A - c, m - A + d, m - A - d]
+    paths = _exact_level_paths(monkeypatch)
+    sem, witness, _, _ = _check_exact_scan(LeafFunction(tree, values))
+    assert paths == ["ranked"] * 3
+    assert witness == (1, 1) and sem == A
+
+
+# campanato_norm(f, 1, one()) of the exact split-tree function that the
+# deep-norms benchmark builds for seeds 1-3, as the scan on Python ints
+# gave it before the ranked levels.
+DEEP_NORMS_EXACT = {1: Fraction("648004754455/644972544"),
+                    2: Fraction("3609816138451/3869835264"),
+                    3: Fraction("7197011945/7962624")}
+
+
+@pytest.mark.parametrize("seed", sorted(DEEP_NORMS_EXACT))
+def test_exact_scan_reproduces_deep_norms_split_trees(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.DeepNorms
+    rng = np.random.default_rng(seed)  # the draws of DeepNorms.setup
+    _, shape = workloads.split_tree(rng, bench.SPLIT_DEPTH, exact=False)
+    for s in (workloads.ref.dyadic_shape(bench.DEPTH), shape):
+        workloads.martingale_values(s, rng)
+    spec, shape = workloads.split_tree(rng, bench.EXACT_SPLIT_DEPTH,
+                                       exact=True)
+    rng.integers(-1000, 1001, 2 ** bench.EXACT_DEPTH)
+    values = rng.integers(-1000, 1001, shape.leaf_count).tolist()
+    f = LeafFunction(build_from_spec(spec), values)
+    paths = _exact_level_paths(monkeypatch)
+    sem, _, _, _ = scan = _check_exact_scan(f)
+    assert "ranked" in paths
+    assert sem + abs(scan.mean) == DEEP_NORMS_EXACT[seed] \
+        == workloads.ref.exact_norm(shape, values)
 
 
 def test_equal_measure_ancestor_gives_zero_oscillation():

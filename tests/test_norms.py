@@ -426,18 +426,38 @@ def out_of_place_level_reductions(tree, block, p):
         yield n, avg, np.add.reduceat(dev * leafm, starts, axis=-1), measures
 
 
-@pytest.mark.parametrize("rows", [None, 5], ids=["one row", "block"])
-@pytest.mark.parametrize("p", [1, 1.5, 2])
-@pytest.mark.parametrize("kind", ["dyadic", "rational split", "float split"])
+def uniform_tree(arity, depth):
+    """Every atom splits into `arity` equal parts, down to `depth`."""
+    spec = None
+    for _ in range(depth):
+        spec = {"fractions": [f"1/{arity}"] * arity,
+                "children": [spec] * arity}
+    return build_from_spec(spec)
+
+
+# Dyadic trees sum levels of 2, 4 and 8 leaves by columns (one row of
+# depth 13, blocks of 16 rows of depth 10, the certificate's shape); the
+# ternary tree has spans 3 (by columns), 9 and 27 (by reduceat).  Blocks
+# of depth 13 and of the ternary tree's 16 rows are beyond BROADCAST_MIN.
+BIT_TREES = {"dyadic": lambda: build_dyadic(13),
+             "dyadic 10": lambda: build_dyadic(10),
+             "uniform ternary": lambda: uniform_tree(3, 7),
+             "rational split": lambda: random_split_tree(3, depth=6),
+             "float split": lambda: random_split_tree(4, depth=6, exact=False)}
+
+
+@pytest.mark.parametrize("rows", [None, 5, 16],
+                         ids=["one row", "block", "block of 16"])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
-    tree = {"dyadic": lambda: build_dyadic(7),
-            "rational split": lambda: random_split_tree(3, depth=6),
-            "float split": lambda: random_split_tree(4, depth=6,
-                                                     exact=False)}[kind]()
+    tree = BIT_TREES[kind]()
     rng = np.random.default_rng(11)
     shape = (tree.leaf_count,) if rows is None else (rows, tree.leaf_count)
     block = 3.0 * rng.standard_normal(shape) + 1.0
     before = block.copy()
+    # every yielded array is compared after the last level has run, so a
+    # level that wrote into an array yielded earlier would show
     got = list(level_reductions(tree, block, p))
     want = list(out_of_place_level_reductions(tree, before, p))
     assert np.array_equal(block, before)  # the input is only read
@@ -446,3 +466,51 @@ def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
         assert g[0] == w[0]
         for a, b in zip(g[1:], w[1:]):
             assert a.shape == b.shape and np.array_equal(a, b)
+    outputs = [a for g in got for a in g[1:3]]
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(outputs, 2))
+
+
+def _bits(a):
+    """An array's exact contents: float bits (so -0.0 differs from 0.0),
+    or the values themselves."""
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+@pytest.mark.parametrize("dtype", ["float64", "int64", "object"])
+@pytest.mark.parametrize("kind", ["dyadic", "uniform ternary",
+                                  "rational split", "float split"])
+def test_atom_sums_and_spread_match_reduceat_and_repeat(kind, dtype):
+    tree = BIT_TREES[kind]()
+    rng = np.random.default_rng(5)
+    for shape in ((tree.leaf_count,), (16, tree.leaf_count)):
+        rows = rng.integers(-9, 10, shape)
+        if dtype == "float64":  # wide exponents and signed zeros
+            rows = rows * 10.0 ** rng.integers(-8, 9, shape)
+            rows[rows == 0] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[
+                rows == 0]
+        rows = rows.astype(dtype)
+        for n in range(tree.depth + 1):
+            starts, lengths, _ = tree.level_arrays(n)
+            sums = tree.atom_sums(n, rows)
+            want = np.add.reduceat(rows, starts, axis=-1)
+            assert sums.dtype == want.dtype
+            assert np.array_equal(_bits(sums), _bits(want))
+            assert not np.shares_memory(sums, rows)
+            spread = tree.spread(n, sums)
+            assert np.array_equal(_bits(spread),
+                                  _bits(np.repeat(want, lengths, axis=-1)))
+            out = np.empty(shape, dtype)
+            assert tree.spread(n, sums, np.subtract, rows, out=out) is out
+            assert np.array_equal(_bits(out), _bits(rows - spread))
+            assert np.array_equal(_bits(tree.spread(n, sums, np.subtract,
+                                                    rows)),
+                                  _bits(rows - spread))
+            atoms = np.flatnonzero(rng.random(len(starts)) < 0.3)
+            leaves = tree.atom_leaves(n, atoms)
+            assert leaves.tolist() == [
+                i for j in atoms.tolist()
+                for i in range(starts[j], starts[j] + lengths[j])]
+            if atoms.size:
+                part = tree.atom_sums(n, rows[..., leaves], atoms)
+                assert np.array_equal(part, want[..., atoms])
