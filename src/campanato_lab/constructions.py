@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .filtration import (build_dyadic, chain_to_root, common_denominator,
-                         is_dyadic)
+from .filtration import build_dyadic, chain_to_root, is_dyadic
 from .functions import (LeafFunction, MartingaleSequence,
                         conditional_expectation, linf_norm)
 from .norms import _level_cints, campanato_norm
@@ -41,41 +39,47 @@ def _chain_table(tree, chain, phi_spec, start):
     A leaf in B_K but in no deeper chain atom has the value ring[K] =
     totals[K] - c_{K+1} (ring[N] = totals[N]); `deepest` holds K per leaf,
     a cumulative sum of +-1 steps at the edges of the chain atoms' leaf
-    spans.  The sums use the scalars the weight and the tree provide:
-    ints and Fractions stay exact, anything float makes them floats.
+    spans.  Returns (totals, ring, den, deepest).  With the constant
+    weight on a rational tree, or with no step at all, the sums are Python
+    ints over den, the lcm of the chain's measure numerators S_k, as
+    P(B_{k-1})/P(B_k) - 1 = (S_{k-1} - S_k)/S_k; otherwise they are floats
+    added left to right (den is None), each step (S_{k-1} - S_k)/S_k
+    correctly rounded on a rational tree and P(B_{k-1})/P(B_k) - 1 on a
+    float one.
     """
     _validate_chain(tree, chain)
-    # totals[k] and ring[k - 1] depend on B_k alone, so they are kept per
-    # atom on the tree and shared by every chain through it
-    sums = tree._phi_cache.setdefault(("chain sums", phi_spec, start), {})
-    totals, ring = [start], []
-    for prev, cur in zip(chain, chain[1:]):
-        entry = sums.get(cur.id)
-        if entry is None:
-            c, t = eval_phi(phi_spec, float(cur.measure)), totals[-1]
-            entry = sums[cur.id] = (
-                t + c * (prev.measure / cur.measure - 1), t - c)
-        totals.append(entry[0])
-        ring.append(entry[1])
+    levels, tree_den = tree.numerator_arrays()
+    rational = tree_den is not None
+    s = [levels[B.level].item(B.index) for B in chain]
+    if len(s) == 1 or rational and phi_spec.family == "one":
+        den = math.lcm(*s[1:])
+        totals = [start * den]
+        for a, b in zip(s, s[1:]):
+            totals.append(totals[-1] + (a - b) * (den // b))
+        ring = [t - den for t in totals[:-1]]
+    else:
+        totals, ring, den = [start], [], None
+        for B, a, b in zip(chain[1:], s, s[1:]):
+            c = eval_phi(phi_spec, tree.level_arrays(B.level)[2][B.index])
+            ring.append(totals[-1] - c)
+            totals.append(totals[-1] + c * ((a - b) / b if rational
+                                            else a / b - 1))
     ring.append(totals[-1])
     edges = np.zeros(tree.leaf_count + 1, dtype=np.int64)
     for B in chain:
         edges[B.leaf_start] += 1
         edges[B.leaf_end] -= 1
-    return totals, ring, np.cumsum(edges[:-1]) - 1
+    return totals, ring, den, np.cumsum(edges[:-1]) - 1
 
 
-def _from_table(tree, row, index):
-    """The leaf function with value row[index[i]] on leaf i: exact, on the
-    row's numerators over its one denominator, when the row is rational
-    (common_denominator fails on a float), and float64 otherwise."""
-    try:
-        nums, den = common_denominator(row)
-    except AttributeError:
+def _from_table(tree, row, den, index):
+    """The leaf function with value row[index[i]] on leaf i: the row's
+    integer numerators over den, or its floats when den is None."""
+    if den is None:
         return LeafFunction.from_float_array(
-            tree, np.array([float(v) for v in row])[index])
+            tree, np.array(row, dtype=np.float64)[index])
     return LeafFunction._from_numerators(
-        tree, np.array(nums, dtype=object)[index], den)
+        tree, np.array(row, dtype=object)[index], den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +92,16 @@ class ChainConstruction:
     f: LeafFunction
     totals: tuple
     ring: tuple
+    den: object
     deepest: np.ndarray
 
     def partial_sum(self, n):
         """The n-th partial sum, measurable at level n: ring[K] on a leaf
-        whose deepest chain atom B_K has K < n, totals[n] on B_n."""
+        whose deepest chain atom B_K has K < n, totals[n] on B_n.  The 0-th
+        is the int 1 on every leaf, as in the table of a one-atom chain."""
+        den = 1 if n == 0 and self.den is None else self.den
         return _from_table(self.f.tree, self.ring[:n] + (self.totals[n],),
-                           np.minimum(self.deepest, n))
+                           den, np.minimum(self.deepest, n))
 
     @property
     def sequence(self):
@@ -118,10 +125,10 @@ def extremal_chain_function(tree, chain, phi_spec):
     measurable at level k, and the conditional expectations of the full
     sum reproduce the partial sums exactly.
     """
-    totals, ring, deepest = _chain_table(tree, chain, phi_spec, 1)
+    totals, ring, den, deepest = _chain_table(tree, chain, phi_spec, 1)
     return ChainConstruction(chain=tuple(chain), phi=phi_spec,
-                             f=_from_table(tree, ring, deepest),
-                             totals=tuple(totals), ring=tuple(ring),
+                             f=_from_table(tree, ring, den, deepest),
+                             totals=tuple(totals), ring=tuple(ring), den=den,
                              deepest=deepest)
 
 
@@ -129,14 +136,16 @@ def chain_values(tree, chain, phi_spec):
     """Leaf values of extremal_chain_function(tree, chain, phi_spec).f as a
     float array: the ring of its running-sum table in float64, indexed by
     each leaf's deepest chain level."""
-    _, ring, deepest = _chain_table(tree, chain, phi_spec, 1)
-    return np.array([float(v) for v in ring])[deepest]
+    _, ring, den, deepest = _chain_table(tree, chain, phi_spec, 1)
+    if den is not None:
+        ring = [v / den for v in ring]  # int / int rounds correctly
+    return np.array(ring, dtype=np.float64)[deepest]
 
 
 def h_function(tree, chain, phi_spec):
     """The mean-zero part: the sum of the chain increments alone."""
-    _, ring, deepest = _chain_table(tree, chain, phi_spec, 0)
-    return _from_table(tree, ring, deepest)
+    _, ring, den, deepest = _chain_table(tree, chain, phi_spec, 0)
+    return _from_table(tree, ring, den, deepest)
 
 
 def dyadic_h_closed_form(depth, leaf_index, tree=None):
@@ -187,30 +196,28 @@ def lipschitz_compose_check(f, lip_constant, composed):
     tree = f.tree
     if composed.tree is not tree:
         raise ValueError("functions live on different trees")
-    worst_margin = -math.inf
-    worst_ratio = 0.0
-    worst_witness = None
-    atoms_checked = 0
-    block = np.stack([composed.values_array, f.values_array])
-    for n, ((lhs, rhs), _) in enumerate(_level_cints(tree, block, 1)):
-        for j, (a, b) in enumerate(zip(lhs, rhs)):
-            atoms_checked += 1
-            margin = float(a - 2.0 * lip_constant * b)
-            if margin > worst_margin:
-                worst_margin = margin
-                worst_witness = (n, j)
-            if b > 1e-15:
-                worst_ratio = max(worst_ratio, float(a / b))
+    levels = list(_level_cints(tree, np.stack([composed.values_array,
+                                                f.values_array]), 1))
+    # every atom in level order; the witness is the first largest margin
+    lhs, rhs = np.concatenate([cint for cint, _ in levels], axis=-1)
+    starts = np.cumsum([0] + [len(m) for _, m in levels])
+    margins = lhs - 2.0 * lip_constant * rhs
+    i = int(np.argmax(margins))
+    n = int(np.searchsorted(starts, i, side="right")) - 1
+    usable = rhs > 1e-15
+    worst_margin = float(margins[i])
     check = Check(
         name="lipschitz_composition_factor2",
         anchor="composition with a Lipschitz map doubles mean oscillation "
                "at most",
-        measured={"worst_margin": worst_margin, "worst_ratio": worst_ratio,
+        measured={"worst_margin": worst_margin,
+                  "worst_ratio": float(np.max(lhs[usable] / rhs[usable],
+                                              initial=0.0)),
                   "lip_constant": float(lip_constant),
-                  "atoms_checked": atoms_checked},
+                  "atoms_checked": len(margins)},
         threshold=f"margin <= {INEQ_SLACK}",
         passed=worst_margin <= INEQ_SLACK,
-        witness=list(worst_witness) if worst_witness else None,
+        witness=[n, i - int(starts[n])],
     )
     return VerificationReport(suite="lipschitz_composition", checks=[check])
 
@@ -238,13 +245,13 @@ def measure_chain_constants(construction, p, phi_spec):
 
 def martingale_identity_defect(construction):
     """max over n < N of sup |E_n f - (n-th partial sum)| (E_N f is f):
-    the int 0 when the identity holds, else a Fraction for rational f and
-    partial sums on a rational tree, or a float."""
+    the int 0 when the identity holds, else an int or Fraction for
+    rational f and partial sums on a rational tree, or a float."""
     f = construction.f
     worst = 0
     for n in range(f.tree.depth):
         d = linf_norm(conditional_expectation(f, n)
                       - construction.partial_sum(n))
         if d > worst:
-            worst = d if isinstance(d, float) else Fraction(d)
+            worst = d
     return worst

@@ -184,15 +184,16 @@ def level_means(tree, n, values):
     `values` is an array whose last axis runs over the leaves (one
     function, or a block of them); the last axis of the result runs over
     the level-n atoms.  Float rows are averaged in float64.  An object
-    array is averaged with the tree's own measures, adding the leaves of
-    each atom one after another: exact values stay exact, and float
-    values get the bits of the same sum written as a loop.
+    array of floats is averaged adding the leaves of each atom one after
+    another, which gives the bits of the same sum written as a loop; on a
+    rational tree those are the bits of a loop over Fraction measures, as
+    a float times a Fraction is a float times its correctly rounded float.
     """
     values = np.asarray(values)
     if values.dtype != object:
         values = values.astype(np.float64, copy=False)
-    leafm, measures = tree.measure_arrays(values.dtype)
-    return tree.atom_sums(n, values * leafm) / measures[n]
+    return (tree.atom_sums(n, values * tree.leaf_measures_f())
+            / tree.level_arrays(n)[2])
 
 
 def level_projection(tree, n, values):

@@ -318,7 +318,7 @@ class MultiplierReport:
 
 
 def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
-                         g_label="g", grid=None):
+                         g_label="g"):
     """Two-sided multiplier certificate for g.
 
     Computes T(g) (quotient-weight seminorm plus sup norm) and the family
@@ -328,13 +328,13 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
         norm(fg) <= (C_fb * seminorm_quot(g) + (2 + max(1, phi(1))) * sup|g|)
                     * norm(f)
 
-    for every family member.  Weight-condition failures downgrade the
-    certificate status to "assumptions unmet".  The witness of L follows
-    the tie rule of WITNESS_TIE.
+    for every family member.  The weight conditions are measured over
+    phi.default_grid(), and their failures downgrade the certificate
+    status to "assumptions unmet".  The witness of L follows the tie rule
+    of WITNESS_TIE.
     """
     tree = g.tree
-    if grid is None:
-        grid = phimod.default_grid()
+    grid = phimod.default_grid()
     doubling = phimod.doubling_constant(spec, grid)
     int_cond = phimod.int_condition_constant(spec, p, grid)
     conditions = {

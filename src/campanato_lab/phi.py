@@ -99,8 +99,9 @@ def table(points):
     for r, v in pts:
         if not 0 < r <= 1:
             raise ValueError(f"table point r={r} outside (0,1]")
-        if v <= 0:
-            raise ValueError(f"table value {v} at r={r} is not positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"table value {v} at r={r} is not positive "
+                             "and finite")
     for (r0, _), (r1, _) in zip(pts, pts[1:]):
         if math.log(r0) == math.log(r1):
             raise ValueError(f"table points r={r0!r} and r={r1!r} have the "
@@ -282,15 +283,15 @@ def _quad(fn, a, b):
 # -- condition constants ------------------------------------------------------
 
 
-def default_grid(k_max=40, densify=True):
-    """Geometric grid 2^-k (k = 0..k_max), optionally with 3/4-offset points.
+def default_grid(k_max=40):
+    """Geometric grid 2^-k (k = 0..k_max) with the 3/4-offset points
+    0.75 * 2^-k (k < k_max).
 
     Matches dyadic tree measures so tree computations and weight reports
     line up; sorted ascending.
     """
     pts = {0.5 ** k for k in range(k_max + 1)}
-    if densify:
-        pts |= {0.75 * 0.5 ** k for k in range(k_max)}
+    pts |= {0.75 * 0.5 ** k for k in range(k_max)}
     return tuple(sorted(pts))
 
 

@@ -27,6 +27,10 @@ from .report import INEQ_SLACK, Check, VerificationReport
 
 REL_TOL = 1e-10
 
+# Random functions per suite, sampled chains, and at most this many
+# sampled atoms for the indicator suite.
+RANDOM_COUNT, CHAIN_COUNT, ATOM_SAMPLE = 50, 16, 256
+
 
 @dataclass
 class VerifyContext:
@@ -34,9 +38,6 @@ class VerifyContext:
     spec: object
     p: float = 1.0
     seed: int = 0
-    random_count: int = 50
-    chain_count: int = 16
-    atom_sample: int = 256
 
 
 def _known_regime(ctx):
@@ -72,9 +73,9 @@ def suite_chain_gaps(ctx):
 def suite_indicator_norms(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
     atoms = [a for level in tree.levels for a in level]
-    if len(atoms) > ctx.atom_sample:
+    if len(atoms) > ATOM_SAMPLE:
         rng = np.random.default_rng(ctx.seed)
-        picks = rng.choice(len(atoms), size=ctx.atom_sample, replace=False)
+        picks = rng.choice(len(atoms), size=ATOM_SAMPLE, replace=False)
         atoms = [atoms[i] for i in sorted(int(x) for x in picks)]
 
     def rows():
@@ -115,7 +116,7 @@ def suite_indicator_norms(ctx):
 
 def suite_atom_average_growth(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    family = random_functions(tree, min(ctx.random_count, 32), ctx.seed)
+    family = random_functions(tree, min(RANDOM_COUNT, 32), ctx.seed)
     family.append(extremal_chain_function(
         tree, chain_to_root(tree, tree.leaves[0]), spec).f)
     sups, _, mean, fb = scan_block(tree, (f.values_array for f in family), p,
@@ -136,7 +137,7 @@ def suite_atom_average_growth(ctx):
 def suite_extremal_chain(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
     rng = np.random.default_rng(ctx.seed)
-    count = min(ctx.chain_count, tree.leaf_count)
+    count = min(CHAIN_COUNT, tree.leaf_count)
     picks = sorted(int(x) for x in
                    rng.choice(tree.leaf_count, size=count, replace=False))
     defect = 0.0
@@ -187,7 +188,7 @@ def suite_extremal_chain(ctx):
 
 def suite_product_estimate(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    pairs = ctx.random_count
+    pairs = RANDOM_COUNT
     fs = random_functions(tree, pairs, ctx.seed)
     gs = random_functions(tree, pairs, ctx.seed + 1)
     failures = 0
@@ -211,7 +212,7 @@ def suite_lipschitz(ctx):
     tree = ctx.tree
     failures = 0
     worst = -math.inf
-    for f in random_functions(tree, ctx.random_count, ctx.seed):
+    for f in random_functions(tree, RANDOM_COUNT, ctx.seed):
         composed = f.apply(lambda v: math.sin(float(v)))
         rep = lipschitz_compose_check(f, 1.0, composed)
         worst = max(worst, rep.checks[0].measured["worst_margin"])
@@ -221,7 +222,7 @@ def suite_lipschitz(ctx):
         name="sine_composition_factor2",
         anchor="composition with a Lipschitz map doubles mean oscillation "
                "at most",
-        measured={"functions": ctx.random_count, "failures": failures,
+        measured={"functions": RANDOM_COUNT, "failures": failures,
                   "worst_margin": worst},
         threshold="0 failures",
         passed=failures == 0,
@@ -230,7 +231,7 @@ def suite_lipschitz(ctx):
 
 def suite_truncation_monotone(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    functions = random_functions(tree, ctx.random_count, ctx.seed)
+    functions = random_functions(tree, RANDOM_COUNT, ctx.seed)
 
     def rows():  # f, then E_0 f, ..., E_N f, for every f
         for f in functions:
@@ -281,22 +282,15 @@ SUITE_REGISTRY = {
 }
 
 
-def run_verify_suites(ctx, names=None):
-    names = list(SUITE_REGISTRY) if names is None else list(names)
-    reports = []
-    for name in names:
-        if name not in SUITE_REGISTRY:
-            raise ValueError(f"unknown verification suite {name!r}")
-        reports.append(SUITE_REGISTRY[name](ctx))
-    return reports
+def run_verify_suites(ctx):
+    """Every suite of the registry, in order."""
+    return [suite(ctx) for suite in SUITE_REGISTRY.values()]
 
 
-def run_multiplier_suite(ctx, g, g_label="g", sample_chains=None):
+def run_multiplier_suite(ctx, g, g_label="g"):
     """The multiplier certificate plus its supporting sup-norm checks."""
-    if sample_chains is None:
-        sample_chains = min(64, ctx.tree.leaf_count)
-    cert = theorem1_certificate(g, ctx.p, ctx.spec, sample_chains=sample_chains,
-                                seed=ctx.seed, g_label=g_label)
+    cert = theorem1_certificate(g, ctx.p, ctx.spec, seed=ctx.seed,
+                                g_label=g_label)
     reports = [linf_bound_check(g, ctx.p, ctx.spec),
                conditional_multiplier_check(g, ctx.p, ctx.spec, seed=ctx.seed)]
     return cert, reports

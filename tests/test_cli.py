@@ -279,6 +279,31 @@ def test_tree_depth_bool_exits_2(tmp_path, capsys):
     assert code == 2 and names_key(lines, "depth"), lines
 
 
+def test_tree_depth_too_large_exits_2(tmp_path, capsys):
+    # depth 40 would ask for arrays of 2^41 entries before any check ran
+    code, lines = run_config_error(tmp_path, capsys,
+                                   tree={"type": "dyadic", "depth": 40})
+    assert code == 2 and names_key(lines, "depth"), lines
+
+
+def test_depth_override_too_large_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", BASE)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                 "--depth", "40"])
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("config error:")]
+    assert code == 2 and names_key(lines, "depth"), lines
+
+
+def test_table_nan_point_exits_2(tmp_path, capsys):
+    code, lines = run_config_error(
+        tmp_path, capsys,
+        phi={"family": "table", "points": [[0.5, float("nan")], [1, 1]]},
+        suites=["phi_report"])
+    assert code == 2 and names_key(lines, "phi.points"), lines
+    assert "nan" in lines[0], lines
+
+
 def test_empty_phi_list_exits_2(tmp_path, capsys):
     # zero weights would run no suite and report an overall pass
     code, lines = run_config_error(tmp_path, capsys, phi=[])

@@ -27,12 +27,14 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            sin_h_multiplier, theorem1_certificate)
 from campanato_lab import norms
 from campanato_lab.constructions import (chain_values,
+                                         lipschitz_compose_check,
                                          martingale_identity_defect,
                                          measure_chain_constants)
 from campanato_lab.functions import _machine_ints
 from campanato_lab.multiplier import _family_members, _family_norms
 from campanato_lab.norms import oscillation_scan
 from campanato_lab.phi import phi_star
+from campanato_lab.report import INEQ_SLACK
 
 TOL = 1e-12
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -254,6 +256,59 @@ def test_chain_values_match_increment_sums(tree, weight, leaf):
     defect = martingale_identity_defect(bad)
     assert defect > 0 and defect == identity_defect_reference(bad.f, chain,
                                                               spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=st.one_of(split_trees(exact=True),
+                      st.integers(0, 8).map(build_dyadic)),
+       leaf=st.integers(0, 10 ** 6))
+def test_chain_values_are_the_exact_chain_function_in_floats(tree, leaf):
+    """With the constant weight on a rational tree, the float row is the
+    exact chain function's values_array, bit for bit."""
+    chain = chain_to_root(tree, tree.leaves[leaf % tree.leaf_count])
+    f = extremal_chain_function(tree, chain, one()).f
+    row = chain_values(tree, chain, one())
+    assert f.has_exact_values and row.dtype == np.float64
+    assert np.array_equal(row.view(np.int64), f.values_array.view(np.int64))
+
+
+def lipschitz_reference(f, lip, composed):
+    """(worst margin, witness, worst ratio, atoms checked) of
+    lipschitz_compose_check, atom by atom in level order."""
+    block = np.stack([composed.values_array, f.values_array])
+    margin, witness, ratio, atoms = -math.inf, None, 0.0, 0
+    for n, ((lhs, rhs), _) in enumerate(norms._level_cints(f.tree, block, 1)):
+        for j, (a, b) in enumerate(zip(lhs.tolist(), rhs.tolist())):
+            atoms += 1
+            if a - 2.0 * lip * b > margin:
+                margin, witness = a - 2.0 * lip * b, [n, j]
+            if b > 1e-15:
+                ratio = max(ratio, a / b)
+    return margin, witness, ratio, atoms
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=split_trees(), data=st.data(),
+       lip=st.sampled_from([0.5, 1.0, 2.0]),
+       kind=st.sampled_from(["sin", "abs", "scaled", "unrelated"]))
+def test_lipschitz_check_matches_scalar_loop(tree, data, lip, kind):
+    # few distinct values make atoms with equal margins, so the witness
+    # is the first of them in level order
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=tree.leaf_count,
+                                max_size=tree.leaf_count))
+    f = LeafFunction.from_float_array(tree, np.array(values, dtype=float))
+    composed = {"sin": lambda: f.apply(math.sin),
+                "abs": lambda: f.apply(abs),
+                "scaled": lambda: f * lip,
+                "unrelated": lambda: LeafFunction.from_float_array(
+                    tree, np.array(values[::-1], dtype=float) ** 2)}[kind]()
+    check = lipschitz_compose_check(f, lip, composed).checks[0]
+    margin, witness, ratio, atoms = lipschitz_reference(f, lip, composed)
+    assert check.measured["worst_margin"] == margin
+    assert check.witness == witness
+    assert check.measured["worst_ratio"] == ratio
+    assert check.measured["atoms_checked"] == atoms
+    assert check.passed == (margin <= INEQ_SLACK)
 
 
 @st.composite

@@ -221,6 +221,17 @@ def test_table_weight_interpolation():
     assert eval_phi(spec, 2.0 ** -25) == pytest.approx(2.0 ** -12.5, rel=1e-6)
 
 
+def test_table_nan_value_rejected():
+    # a NaN weight would make every phi value of its segments NaN
+    with pytest.raises(ValueError, match=r"r=0\.5"):
+        table([(0.5, math.nan), (1, 1)])
+
+
+def test_table_infinite_value_rejected():
+    with pytest.raises(ValueError, match=r"r=0\.5"):
+        table([(0.5, math.inf), (1, 1)])
+
+
 def test_table_divergent_condition_flagged():
     pts = [(2.0 ** -k, (2.0 ** -k) ** -0.6) for k in range(0, 21, 2)]
     spec = table(pts)
