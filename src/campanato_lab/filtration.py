@@ -563,52 +563,50 @@ def check_chain_gaps(tree, R):
     """Check the two-sided gap property of every refinement edge.
 
     Each edge must be a persistence step (equal measures) or satisfy
-    (1 + 1/R) P(child) <= P(parent) <= R P(child).  Violations are
+    (1 + 1/R) P(child) <= P(parent) <= R P(child).  Each level's edges are
+    checked at once, `above[up]` against the level as in
+    regularity_constant: an exact tree takes R at its exact value a/b and
+    compares numerators, P == C, (a + b) C <= a P and b P <= a C, a float
+    tree float64 measures with PARTITION_TOL of slack.  Violations are
     reported, not raised.  Returns a VerificationReport.
     """
     from .report import Check, VerificationReport
 
     if R <= 0:
         raise ValueError("R must be positive")
-    slack = 0 if tree.mode == "exact" else PARTITION_TOL
-    violations = []
-    edges = 0
-    persistence = 0
-    for level in tree.levels[1:]:
-        for atom in level:
-            p, c = atom.parent.measure, atom.measure
-            edges += 1
-            if p == c:
-                persistence += 1
-                continue
-            lower_ok = (1 + 1 / _as_number(R, tree.mode)) * c <= p + slack
-            upper_ok = p <= R * c + slack
-            if not (lower_ok and upper_ok):
-                violations.append({
-                    "child": atom.id,
-                    "parent": atom.parent.id,
-                    "child_measure": _fmt(c),
-                    "parent_measure": _fmt(p),
-                    "lower_ok": bool(lower_ok),
-                    "upper_ok": bool(upper_ok),
-                })
+    den = tree._den
+    if den is None:
+        show, k, r = float, 1 + 1 / float(R), float(R)
+    else:
+        a, b = Fraction(R).as_integer_ratio()
+        show = lambda x: str(Fraction(x, den))
+    edges = persistence = violations = 0
+    witness = []  # the first 8 violations in level order
+    for n, (up, above, m) in enumerate(
+            zip(tree._parents, tree._levels, tree._levels[1:]), 1):
+        parent = above[up]
+        if den is None:
+            lo = k * m <= parent + PARTITION_TOL
+            hi = parent <= r * m + PARTITION_TOL
+        else:
+            lo, hi = (a + b) * m <= a * parent, b * parent <= a * m
+        persist = parent == m
+        bad = np.flatnonzero(~persist & ~(lo & hi))
+        edges += len(m)
+        persistence += int(np.count_nonzero(persist))
+        violations += len(bad)
+        witness += [{"child": (n, i), "parent": (n - 1, int(up[i])),
+                     "child_measure": show(m[i]),
+                     "parent_measure": show(parent[i]),
+                     "lower_ok": bool(lo[i]), "upper_ok": bool(hi[i])}
+                    for i in bad[:8 - len(witness)].tolist()]
     check = Check(
         name="chain_gap_two_sided",
         anchor="refinement-edge gap bounds for regular filtrations",
         measured={"R": float(R), "edges": edges, "persistence_steps": persistence,
-                  "violations": len(violations)},
+                  "violations": violations},
         threshold="0 violations",
         passed=not violations,
-        witness=violations[:8] if violations else None,
+        witness=witness or None,
     )
     return VerificationReport(suite="chain_gaps", checks=[check])
-
-
-def _as_number(x, mode):
-    if mode == "exact" and isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return float(x)
-
-
-def _fmt(measure):
-    return str(measure) if isinstance(measure, Fraction) else float(measure)

@@ -359,7 +359,7 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
     upper_coeff = c_fb * sem_q + (2.0 + max(1.0, phi_at_1)) * sup_g
     margins = norm_fg - upper_coeff * norm_f
     worst_margin = float(np.max(margins))
-    violations = int(np.count_nonzero(margins > INEQ_SLACK))
+    violations = int(np.count_nonzero(~(margins <= INEQ_SLACK)))  # NaN too
     members = int(np.count_nonzero(usable))
 
     return MultiplierReport(
@@ -468,21 +468,6 @@ def linf_bound_check(g, p, spec):
 # -- truncation compatibility ----------------------------------------------------
 
 
-def _project(member, n, tree, trunc):
-    """E_n of a family member, as a member on the depth-n truncation.
-
-    Rows are averaged over the level-n atoms.  An indicator of an atom at
-    level n or above stays an indicator; a deeper atom B projects to
-    (P(B)/P(A)) chi_A for its level-n ancestor A, which has the ratio
-    norm(fg)/norm(f) of chi_A itself, so chi_A stands for it.
-    """
-    if isinstance(member, Atom):
-        while member.level > n:
-            member = member.parent
-        return trunc.atom(member.level, member.index)
-    return level_means(tree, n, member)
-
-
 def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     """Truncation compatibility of the multiplier quantities.
 
@@ -491,9 +476,13 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     conditioning (projections of indicators and constants are scalar
     multiples of shallower members, so only chain and random members need
     explicit closure), which makes the per-level lower bounds L_n provably
-    dominated by the full-tree bound L(g) up to float slack.  Level N runs
-    on a fresh depth-N truncation too, so its values check the full-tree
-    computation independently.
+    dominated by the full-tree bound L(g) up to float slack.  On the
+    truncation the dense members are averaged over the level-n atoms, and
+    the indicators are those of its own atoms, each once: E_n of a deeper
+    atom B's indicator is (P(B)/P(A)) chi_A for its level-n ancestor A,
+    whose ratio norm(fg)/norm(f) is that of chi_A, already a member.
+    Level N runs on a fresh depth-N truncation too, so its values check
+    the full-tree computation independently.
     """
     tree = g.tree
     N = tree.depth
@@ -520,7 +509,10 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
         trunc = truncate(tree, n)
         g_proj = LeafFunction.from_float_array(
             trunc, level_means(tree, n, g.values_array))
-        members = [(label, _project(m, n, tree, trunc)) for label, m in shared]
+        members = [(label, level_means(tree, n, row)) for label, row in shared
+                   if not isinstance(row, Atom)]
+        members += [(f"chi:{k},{B.index}", B)
+                    for k in range(n + 1) for B in trunc.atoms(k)]
         L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
         T_n.append(T_of(g_proj))
 

@@ -47,22 +47,6 @@ class NormResult:
     def __float__(self):
         return float(self.value)
 
-    def to_dict(self):
-        d = {
-            "value": _num(self.value),
-            "witness": list(self.witness) if self.witness is not None else None,
-            "per_level": [_num(v) for v in self.per_level],
-        }
-        if self.mean_abs is not None:
-            d["mean_abs"] = _num(self.mean_abs)
-        if self.note:
-            d["note"] = self.note
-        return d
-
-
-def _num(x):
-    return str(x) if isinstance(x, Fraction) else float(x)
-
 
 # -- weights at atom measures ---------------------------------------------------
 
@@ -240,7 +224,9 @@ def _exact_scan(f, spec, want_fb):
 
     Only the dtypes differ, and the sups and the mean leave as Fractions
     of Python ints.  u and the leaf numerators a convert to int64 once
-    (_leaf_ints), shared with level_sums.  fb_sup divides the float of
+    (_leaf_ints), shared with level_sums, and when D < 2^63 each level's
+    S_B are the int64 atom sums of a, with no pass over Python ints
+    before the level's way is chosen.  fb_sup divides the float of
     each |T_B| / (E S_B) by phi_star, as the float scan does with its
     averages; E S_B is formed in Python ints, as E may be beyond int64.
     """
@@ -253,8 +239,11 @@ def _exact_scan(f, spec, want_fb):
     top = 2 * max(umax, 1)
     per_level, atoms = [], []
     for n in range(tree.depth):
-        largest = int(nums[n].max())
-        s = _machine_ints(nums[n], top * largest)
+        # below 2^63 the S_B <= D sum exactly from the int64 leaf numerators
+        s = tree.atom_sums(n, a) if tree_den < 1 << 63 else nums[n]
+        largest = int(s.max())
+        s = _machine_ints(nums[n] if top * largest >= 1 << 62 else s,
+                          top * largest)
         t = sums[n].astype(s.dtype)
         dev = (u if s.dtype == object else v) * tree.spread(n, s)
         dev -= tree.spread(n, t)

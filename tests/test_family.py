@@ -461,6 +461,19 @@ def test_exact_scan_with_python_and_int64_levels(monkeypatch):
             assert paths == want
 
 
+def test_exact_scan_with_int64_leaves_above_2_63(monkeypatch):
+    # Every leaf numerator fits in int64, but their sum D = 2^64 - 59 does
+    # not, so the root's S_B must not be an int64 sum.
+    D = 2 ** 64 - 59
+    third = D // 3
+    tree = build_from_spec({"fractions": [f"{third}/{D}", f"{third}/{D}",
+                                          f"{D - 2 * third}/{D}"]})
+    assert tree.numerator_arrays()[1] == D
+    paths = _exact_level_paths(monkeypatch)
+    _check_exact_scan(LeafFunction(tree, [3, -5, Fraction(7, 3)]))
+    assert paths == ["python"]
+
+
 def test_exact_scan_ranked_tie_keeps_the_first_atom(monkeypatch):
     # Level 1 holds two atoms with the same leaf values in other orders,
     # so I_B / S_B**2 is exactly equal on both; the float sums add the

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from campanato_lab import (TreeSpecError, build_dyadic, build_from_spec,
                            chain_to_root, check_chain_gaps, parse_tree_config,
                            regularity_constant, truncate)
-from campanato_lab.filtration import (FiltrationTree, first_max_ratio,
-                                      is_dyadic)
+from campanato_lab.filtration import (PARTITION_TOL, FiltrationTree,
+                                      first_max_ratio, is_dyadic)
+from campanato_lab.report import canonical_json
 
 
 def chain_spec(depth):
@@ -157,6 +158,109 @@ def test_chain_gaps_skewed_split():
     R = regularity_constant(tree)
     assert R == 100
     assert check_chain_gaps(tree, R).passed
+
+
+def chain_gaps_reference(tree, R):
+    """The gap check one edge at a time on the atom views: Fraction
+    measures and an int or Fraction R on an exact tree, floats with
+    PARTITION_TOL of slack on a float tree.  Returns the check's JSON."""
+    exact = tree.mode == "exact"
+    slack = 0 if exact else PARTITION_TOL
+    inv = 1 / (Fraction(R) if exact else float(R))
+    violations, edges, persistence = [], 0, 0
+    for level in tree.levels[1:]:
+        for atom in level:
+            p, c = atom.parent.measure, atom.measure
+            edges += 1
+            if p == c:
+                persistence += 1
+                continue
+            lower_ok = (1 + inv) * c <= p + slack
+            upper_ok = p <= R * c + slack
+            if not (lower_ok and upper_ok):
+                show = str if exact else float
+                violations.append({
+                    "child": atom.id, "parent": atom.parent.id,
+                    "child_measure": show(c), "parent_measure": show(p),
+                    "lower_ok": bool(lower_ok), "upper_ok": bool(upper_ok)})
+    return canonical_json({
+        "measured": {"R": float(R), "edges": edges,
+                     "persistence_steps": persistence,
+                     "violations": len(violations)},
+        "passed": not violations, "witness": violations[:8] or None})
+
+
+def seeded_split_tree(seed, exact, depth=5):
+    """Persistence steps, early stops, and splits in two to four parts
+    with weights 1-6, exact or float."""
+    rng = np.random.default_rng(seed)
+
+    def node(level):
+        k = int(rng.integers(0, 5)) if level else int(rng.integers(2, 5))
+        if level == depth or k == 0:
+            return None
+        if k == 1:
+            return {"persist": node(level + 1)}
+        weights = [int(w) for w in rng.integers(1, 7, k)]
+        total = sum(weights)
+        return {"fractions": [f"{w}/{total}" if exact else w / total
+                              for w in weights],
+                "children": [node(level + 1) for _ in range(k)]}
+
+    return build_from_spec(node(0))
+
+
+def _gaps_json(tree, R):
+    check = check_chain_gaps(tree, R).checks[0].to_dict()
+    return canonical_json({k: check[k] for k in
+                           ("measured", "passed", "witness")})
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_chain_gaps_match_edge_loop_dyadic(depth):
+    tree = build_dyadic(depth)
+    for R in (2, 3, Fraction(3, 2), 1, Fraction(7, 4)):
+        assert _gaps_json(tree, R) == chain_gaps_reference(tree, R)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_chain_gaps_match_edge_loop_split_trees(exact):
+    seen = {"violations": 0, "lower": 0, "upper": 0, "persistence": 0}
+    for seed in range(24):
+        tree = seeded_split_tree(seed, exact)
+        assert tree.mode == ("exact" if exact else "float")
+        reg = regularity_constant(tree)
+        Rs = [reg, reg * Fraction(3, 4), Fraction(3, 2), 2, 1]
+        if not exact:
+            Rs += [float(reg), 1.5, 2.5]
+        for R in Rs:
+            got = _gaps_json(tree, R)
+            assert got == chain_gaps_reference(tree, R), (seed, R)
+            check = check_chain_gaps(tree, R).checks[0]
+            seen["violations"] += check.measured["violations"]
+            seen["persistence"] += check.measured["persistence_steps"]
+            for w in check.witness or ():
+                seen["lower"] += not w["lower_ok"]
+                seen["upper"] += not w["upper_ok"]
+        # at the regularity constant the upper gap holds on every edge
+        assert all(w["upper_ok"] for w in
+                   check_chain_gaps(tree, reg).checks[0].witness or ())
+    # the trees exercise every branch of the report
+    assert all(seen.values()), seen
+
+
+def test_chain_gaps_float_R_is_exact_on_rational_trees():
+    # 1.5 * float(1/9) rounds below 1/6, though 1/6 = (3/2)(1/9): a float
+    # R is taken at its exact value on an exact tree
+    tree = build_from_spec({"fractions": ["1/6", "5/6"],
+                            "children": [{"fractions": ["2/3", "1/3"]},
+                                         None]})
+    assert 1.5 * float(Fraction(1, 9)) < Fraction(1, 6)
+    check = check_chain_gaps(tree, 1.5).checks[0]
+    edge = next(w for w in check.witness if w["child"] == (2, 0))
+    assert edge["parent_measure"] == "1/6" and edge["child_measure"] == "1/9"
+    assert edge["upper_ok"] and not edge["lower_ok"]
+    assert _gaps_json(tree, 1.5) == _gaps_json(tree, Fraction(3, 2))
 
 
 def test_chain_to_root_chain_tree():

@@ -1,18 +1,24 @@
 """Multiplier functionals, operator-norm bounds, and certificates."""
 
+import math
 import warnings
 
+import numpy as np
 import pytest
 
-from campanato_lab import (LeafFunction, atom_average, build_dyadic,
-                           campanato_norm, campanato_seminorm, capital_F,
+from campanato_lab import (Atom, LeafFunction, atom_average, build_dyadic,
+                           build_from_spec, campanato_norm,
+                           campanato_seminorm, capital_F,
                            central_p_integral, chain_through_leaf,
-                           check_product_estimate, conditional_expectation,
+                           check_chain_gaps, check_product_estimate,
+                           conditional_expectation,
                            conditional_multiplier_check, constant,
                            default_test_family, eval_phi, indicator,
                            linf_bound_check, one,
                            op_norm_lower_bound, psi, random_functions,
-                           sin_h_multiplier, theorem1_certificate)
+                           sin_h_multiplier, theorem1_certificate, truncate)
+from campanato_lab.functions import level_means, level_projection
+from campanato_lab.multiplier import _family_lower_bound, _family_members
 
 
 def brute_capital_F(f, g, p, spec):
@@ -216,6 +222,88 @@ def test_conditional_multiplier_check_sin_h():
     by_name = {c.name: c for c in rep.checks}
     assert by_name["deepest_truncation_identity"].measured["diff"] == 0.0
     assert by_name["level0_lower_bound_is_mean"].passed
+
+
+def projected_L_n(g, p, spec, chains, randoms, seed):
+    """L_n with every member of the shared family projected onto each
+    truncation: rows averaged over the level-n atoms, and an atom replaced
+    by its level-n ancestor on the truncation (deeper atoms repeat)."""
+    tree = g.tree
+    N = tree.depth
+    base = list(_family_members(tree, spec, chains, randoms, seed))
+    shared = list(base)
+    for label, row in base:
+        if label.startswith(("chain:", "rand:")):
+            shared += [(f"E{n}[{label}]", level_projection(tree, n, row))
+                       for n in range(1, N)]
+    L_n = []
+    for n in range(N + 1):
+        trunc = truncate(tree, n)
+        g_n = LeafFunction.from_float_array(
+            trunc, level_means(tree, n, g.values_array))
+        members = []
+        for label, m in shared:
+            if isinstance(m, Atom):
+                while m.level > n:
+                    m = m.parent
+                m = trunc.atom(m.level, m.index)
+            else:
+                m = level_means(tree, n, m)
+            members.append((label, m))
+        L_n.append(_family_lower_bound(g_n, p, spec, members)[0])
+    return L_n
+
+
+def persistent_split_tree(seed, exact, depth=5):
+    """A split tree with at least one persistence step below the root."""
+    rng = np.random.default_rng(seed)
+
+    def node(level):
+        if level == depth:
+            return None
+        k = int(rng.integers(1, 4))
+        if k == 1:
+            return {"persist": node(level + 1)}
+        weights = [int(w) for w in rng.integers(1, 6, k)]
+        total = sum(weights)
+        return {"fractions": [f"{w}/{total}" if exact else w / total
+                              for w in weights],
+                "children": [node(level + 1) for _ in range(k)]}
+
+    tree = build_from_spec({"fractions": ["1/3", "2/3"] if exact
+                            else [1 / 3, 2 / 3],
+                            "children": [{"persist": node(2)}, node(1)]})
+    assert check_chain_gaps(tree, 2).checks[0].measured["persistence_steps"]
+    return tree
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("exact", [True, False])
+def test_conditional_L_n_match_projected_family(seed, exact):
+    tree = persistent_split_tree(seed, exact)
+    for spec in (one(), psi()):
+        gs = [sin_h_multiplier(tree, chain_through_leaf(tree, seed), spec),
+              random_functions(tree, 1, seed=seed)[0]]
+        for g in gs:
+            for p in (1, 2):
+                rep = conditional_multiplier_check(g, p, spec, chains=4,
+                                                   randoms=4, seed=seed)
+                L_n = rep.checks[0].measured["L_n"]
+                assert L_n == projected_L_n(g, p, spec, 4, 4, seed)
+
+
+def test_certificate_fails_on_nan_margins():
+    # at p = 400 |f - f_B|^p overflows float64 in the scans, so the margins
+    # of some members are NaN: those count as violations
+    tree = build_dyadic(6)
+    g = sin_h_multiplier(tree, chain_through_leaf(tree, 0), one())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cert = theorem1_certificate(g, 400, one(), sample_chains=8,
+                                    randoms=8, seed=1)
+    assert math.isnan(cert.upper_worst_margin)
+    assert cert.upper_violations > 0
+    assert not cert.passed
 
 
 def test_conditional_norm_of_products_never_increases():
