@@ -22,13 +22,12 @@ from .report import INEQ_SLACK, Check, VerificationReport
 
 
 def _validate_chain(tree, chain):
+    """The atom indices of `chain`, which must be chain_to_root's chain."""
     if len(chain) != tree.depth + 1:
         raise ValueError(f"chain has {len(chain)} atoms, expected {tree.depth + 1}")
-    if chain[0] is not tree.root:
-        raise ValueError("chain must start at the root atom")
-    for prev, cur in zip(chain, chain[1:]):
-        if cur.parent is not prev:
-            raise ValueError(f"chain is not nested at atom {cur.id}")
+    if list(chain) != chain_to_root(tree, chain[-1]):
+        raise ValueError("chain is not nested from the root to its last atom")
+    return [B.index for B in chain]
 
 
 def _chain_table(tree, chain, phi_spec, start):
@@ -37,20 +36,25 @@ def _chain_table(tree, chain, phi_spec, start):
     With c_k = phi(P(B_k)), totals[n] = start + sum_{k <= n} c_k
     (P(B_{k-1})/P(B_k) - 1) is the value of the n-th partial sum on B_n.
     A leaf in B_K but in no deeper chain atom has the value ring[K] =
-    totals[K] - c_{K+1} (ring[N] = totals[N]); `deepest` holds K per leaf,
-    a cumulative sum of +-1 steps at the edges of the chain atoms' leaf
-    spans.  Returns (totals, ring, den, deepest).  With the constant
-    weight on a rational tree, or with no step at all, the sums are Python
-    ints over den, the lcm of the chain's measure numerators S_k, as
-    P(B_{k-1})/P(B_k) - 1 = (S_{k-1} - S_k)/S_k; otherwise they are floats
-    added left to right (den is None), each step (S_{k-1} - S_k)/S_k
-    correctly rounded on a rational tree and P(B_{k-1})/P(B_k) - 1 on a
-    float one.
+    totals[K] - c_{K+1} (ring[N] = totals[N]); `deepest` holds K per leaf.
+    The chain atoms' leaf spans are nested, so K runs 0, ..., N between
+    their starts and N - 1, ..., 0 between their ends.  Returns (totals,
+    ring, den, deepest).  With the constant weight on a rational tree, or
+    with no step at all, the sums are Python ints over den, the lcm of the
+    chain's measure numerators S_k, as P(B_{k-1})/P(B_k) - 1 =
+    (S_{k-1} - S_k)/S_k; otherwise they are floats added left to right
+    (den is None), each step (S_{k-1} - S_k)/S_k correctly rounded on a
+    rational tree and P(B_{k-1})/P(B_k) - 1 on a float one.
     """
-    _validate_chain(tree, chain)
+    path = _validate_chain(tree, chain)
     levels, tree_den = tree.numerator_arrays()
     rational = tree_den is not None
-    s = [levels[B.level].item(B.index) for B in chain]
+    s, edges = [], [0] * (2 * len(path))  # edges: span starts, then ends
+    for n, i in enumerate(path):
+        starts, lengths, _ = tree.level_arrays(n)
+        s.append(levels[n].item(i))
+        edges[n] = starts.item(i)
+        edges[-1 - n] = edges[n] + lengths.item(i)
     if len(s) == 1 or rational and phi_spec.family == "one":
         den = math.lcm(*s[1:])
         totals = [start * den]
@@ -59,17 +63,15 @@ def _chain_table(tree, chain, phi_spec, start):
         ring = [t - den for t in totals[:-1]]
     else:
         totals, ring, den = [start], [], None
-        for B, a, b in zip(chain[1:], s, s[1:]):
-            c = eval_phi(phi_spec, tree.level_arrays(B.level)[2][B.index])
+        for n, a, b in zip(range(1, len(s)), s, s[1:]):
+            c = eval_phi(phi_spec, tree.level_arrays(n)[2][path[n]])
             ring.append(totals[-1] - c)
             totals.append(totals[-1] + c * ((a - b) / b if rational
                                             else a / b - 1))
     ring.append(totals[-1])
-    edges = np.zeros(tree.leaf_count + 1, dtype=np.int64)
-    for B in chain:
-        edges[B.leaf_start] += 1
-        edges[B.leaf_end] -= 1
-    return totals, ring, den, np.cumsum(edges[:-1]) - 1
+    edges = np.array(edges)
+    steps = list(range(len(path))) + list(range(len(path) - 2, -1, -1))
+    return totals, ring, den, np.array(steps).repeat(edges[1:] - edges[:-1])
 
 
 def _from_table(tree, row, den, index):
@@ -114,7 +116,7 @@ class ChainConstruction:
         """phi(P(B_N)) * P(B_N)^(1/p): the scale of the difference between
         this finite-depth sum and its infinite-chain limit (reported, not
         bounded away)."""
-        m = float(self.chain[-1].measure)
+        m = self.f.tree.leaf_measures_f().item(self.chain[-1].index)
         return float(eval_phi(self.phi, m)) * m ** (1.0 / p)
 
 
@@ -239,7 +241,7 @@ def measure_chain_constants(construction, p, phi_spec):
     upper = float(campanato_norm(f, p, phi_spec, exact=False).value)
     return upper, min(
         abs(float(conditional_expectation(f, n).values_array[B.leaf_start]))
-        / phi_star(phi_spec, float(B.measure))
+        / phi_star(phi_spec, f.tree.level_arrays(n)[2].item(B.index))
         for n, B in enumerate(construction.chain))
 
 

@@ -7,8 +7,9 @@ level is a full partition and all leaves sit at the deepest level.
 
 The level arrays are the tree: for each level, the parent index and the
 measure of every atom.  Each level lists its atoms in parent order, so
-the children of an atom, and its leaves, are contiguous.  `Atom` objects
-are views that the tree makes from these arrays on first access.  Sums
+the children of an atom, and its leaves, are contiguous.  An `Atom` is a
+handle (tree, level, index) on these arrays; the tree makes one per atom
+on first access.  Sums
 over a level's leaf spans, and spreads back to the leaves, go through
 the tree: `atom_sums` sums leaf rows over a level's atoms, and `spread`
 puts per-atom values back on the leaves.
@@ -17,6 +18,7 @@ puts per-atom values back on the leaves.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -58,28 +60,40 @@ class TreeSpecError(ValueError):
 
 
 class Atom:
-    """One cell of a filtration level, as its tree hands it out.
-
-    Atoms are identified by (level, index) in level order, and
-    ``leaf_start:leaf_end`` is the contiguous range of deepest-level atoms
-    contained in this one.  A tree makes one view per atom, so views
-    compare by identity.
+    """One cell of a filtration level: a handle (tree, level, index) that
+    reads the tree's level arrays, one per atom, so handles compare by
+    identity.  ``leaf_start:leaf_end`` is the contiguous range of leaves
+    in the atom, and its measure is a reduced Fraction on an exact tree,
+    a float on a float tree.
     """
 
-    __slots__ = ("level", "index", "measure", "parent", "leaf_start",
-                 "leaf_end")
+    __slots__ = ("tree", "level", "index")
 
-    def __init__(self, level, index, measure, parent, leaf_start, leaf_end):
-        self.level = level
-        self.index = index
-        self.measure = measure
-        self.parent = parent
-        self.leaf_start = leaf_start
-        self.leaf_end = leaf_end
+    def __init__(self, tree, level, index):
+        self.tree, self.level, self.index = tree, level, index
 
     @property
     def id(self):
         return (self.level, self.index)
+
+    @property
+    def measure(self):
+        m, den = self.tree._levels[self.level].item(self.index), self.tree._den
+        return m if den is None else Fraction(m, den)
+
+    @property
+    def parent(self):
+        n, tree = self.level, self.tree
+        return tree.levels[n - 1][tree._parents[n - 1].item(self.index)] \
+            if n else None
+
+    @property
+    def leaf_start(self):
+        return self.tree._starts[self.level].item(self.index)
+
+    @property
+    def leaf_end(self):
+        return self.leaf_start + self.tree._lengths[self.level].item(self.index)
 
     def __repr__(self):
         return f"Atom(level={self.level}, index={self.index}, measure={self.measure})"
@@ -142,7 +156,7 @@ class FiltrationTree:
         # int / int rounds correctly, as float(Fraction) does
         self._float = (self._levels if den is None else
                        tuple((m / den).astype(np.float64) for m in self._levels))
-        self._views = []
+        self._views = None
         self._phi_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -155,48 +169,41 @@ class FiltrationTree:
     def leaf_count(self):
         return len(self._levels[-1])
 
-    def _level(self, n):
-        """The atom views of level n, made with those of the levels above
-        on first access."""
-        views, den = self._views, self._den
-        while len(views) <= n:
-            k = len(views)
-            measures = self._levels[k].tolist()
-            if den is not None:  # one Fraction per distinct numerator
-                memo = {x: Fraction(x, den) for x in set(measures)}
-                measures = [memo[x] for x in measures]
-            ups = ([views[k - 1][i] for i in self._parents[k - 1].tolist()]
-                   if k else [None])
-            views.append(tuple(
-                Atom(k, i, m, up, s, s + length) for i, (m, up, s, length)
-                in enumerate(zip(measures, ups,
-                                 self._starts[k].tolist(),
-                                 self._lengths[k].tolist()))))
-        return views[n]
-
     @property
     def levels(self):
-        self._level(self.depth)
-        return tuple(self._views)
+        """The atom handles of every level, made on first access."""
+        if self._views is None:
+            self._views = tuple(tuple(Atom(self, n, i) for i in range(len(m)))
+                                for n, m in enumerate(self._levels))
+        return self._views
 
     @property
     def leaves(self):
-        return self._level(self.depth)
+        return self.levels[-1]
 
     @property
     def root(self):
-        return self._level(0)[0]
+        return self.levels[0][0]
 
     def atoms(self, n):
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} out of range [0, {self.depth}]")
-        return self._level(n)
+        return self.levels[n]
 
     def atom(self, level, index):
         try:
-            return self._level(range(self.depth + 1)[level])[index]
+            return self.levels[range(self.depth + 1)[level]][index]
         except IndexError:
             raise ValueError(f"no atom ({level}, {index}) in tree") from None
+
+    def ancestors(self, n, i):
+        """[i_0, ..., i_n]: the index of atom (n, i)'s ancestor on every
+        level, the root's first."""
+        path = [i]
+        for up in reversed(self._parents[:n]):
+            i = up.item(i)
+            path.append(i)
+        return path[::-1]
 
     def same_structure(self, other):
         """True when both trees have identical shape and measures."""
@@ -334,8 +341,9 @@ class FiltrationTree:
         return spread if op is None else op(rows, spread, out=out)
 
     def numerator_arrays(self):
-        """(per-level measure numerators, D) of an exact tree: each level's
-        measures as an object array of Python ints over the one integer D."""
+        """(per-level measure numerators, D): on an exact tree each level's
+        measures as an object array of Python ints over the one integer D,
+        on a float tree the float64 measures and None."""
         return self._levels, self._den
 
 
@@ -537,13 +545,10 @@ def chain_to_root(tree, leaf):
     if leaf.level != tree.depth:
         raise ValueError(f"atom {leaf.id} is at level {leaf.level}, "
                          f"not at the deepest level {tree.depth}")
-    if tree.atom(leaf.level, leaf.index) is not leaf:
+    if leaf.tree is not tree:
         raise ValueError(f"atom {leaf.id} does not belong to this tree")
-    chain = [leaf]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
-    chain.reverse()
-    return chain
+    return list(map(operator.getitem, tree.levels,
+                    tree.ancestors(leaf.level, leaf.index)))
 
 
 def truncate(tree, depth):

@@ -150,12 +150,10 @@ def indicator(tree, atom, exact=False):
 
     Float values by default; exact=True uses ints for rational-mode work.
     """
+    values = np.zeros(tree.leaf_count, dtype=object if exact else np.float64)
+    values[atom.leaf_start:atom.leaf_end] = 1
     if exact:
-        nums = np.zeros(tree.leaf_count, dtype=object)
-        nums[atom.leaf_start:atom.leaf_end] = 1
-        return LeafFunction._from_numerators(tree, nums, 1)
-    values = np.zeros(tree.leaf_count)
-    values[atom.leaf_start:atom.leaf_end] = 1.0
+        return LeafFunction._from_numerators(tree, values, 1)
     return LeafFunction.from_float_array(tree, values)
 
 

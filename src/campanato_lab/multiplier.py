@@ -254,14 +254,9 @@ def op_norm_lower_bound(g, p, spec, family):
     members = []
     for k, item in enumerate(family):
         label, f = item if isinstance(item, tuple) else (f"f#{k}", item)
-        if isinstance(f, Atom):
-            if tree.atom(f.level, f.index) is not f:
-                raise ValueError(f"atom {f.id} does not belong to g's tree")
-            members.append((label, f))
-        else:
-            if f.tree is not tree:
-                raise ValueError("functions live on different trees")
-            members.append((label, f.values_array))
+        if f.tree is not tree:
+            raise ValueError(f"family member {label!r} is not on g's tree")
+        members.append((label, f if isinstance(f, Atom) else f.values_array))
     return _family_lower_bound(g, p, spec, members)
 
 
@@ -414,6 +409,7 @@ def linf_bound_check(g, p, spec):
         passed=growth_margin <= INEQ_SLACK,
     ))
 
+    nums = tree.numerator_arrays()[0]
     worst_margin = -math.inf
     worst_witness = None
     levels_checked = 0
@@ -422,23 +418,23 @@ def linf_bound_check(g, p, spec):
         avg = level_means(tree, n, gv)
         j = int(np.argmax(np.abs(avg)))
         sup_en = float(np.abs(avg[j]))
-        B = tree.atoms(n)[j]
-        anc = B.parent
-        while anc is not None and anc.measure == B.measure:
-            anc = anc.parent
-        if anc is None:
+        path = tree.ancestors(n, j)
+        k = next((k for k in range(n - 1, -1, -1)
+                  if nums[k].item(path[k]) != nums[n].item(j)), None)
+        if k is None:
             skipped += 1  # atom persists to the root; no coarser ancestor
             continue
         levels_checked += 1
-        phi_B1 = float(phimod.eval_phi(spec, float(anc.measure)))
+        phi_B1 = float(phimod.eval_phi(
+            spec, tree.level_arrays(k)[2].item(path[k])))
         rhs = sup_en / (2.0 * R * (R + 1.0) ** (1.0 / p) * phi_B1)
-        lhs = float(campanato_norm(g * indicator(tree, B), p, spec,
-                                   exact=False).value)
+        lhs = float(campanato_norm(g * indicator(tree, tree.atom(n, j)), p,
+                                   spec, exact=False).value)
         margin = rhs - lhs
         if margin > worst_margin:
             worst_margin = margin
-            worst_witness = {"level": n, "atom": B.index,
-                             "ancestor_level": anc.level, "lhs": lhs, "rhs": rhs}
+            worst_witness = {"level": n, "atom": j, "ancestor_level": k,
+                             "lhs": lhs, "rhs": rhs}
     checks.append(Check(
         name="cutoff_norm_vs_sup",
         anchor="norm of the atom cut-off dominates the scaled conditional "

@@ -349,39 +349,31 @@ def campanato_norm(f, p, spec, exact=None):
 def chi_norm_closed_form(B, p, phi_spec):
     """Seminorm of an indicator from its ancestor chain alone.
 
-    Only strict ancestors of the atom carry oscillation, and on the
-    ancestor with measure M the level average is P(B)/M, which gives the
-    two-term closed form summed below.  Agrees with the full sup scan
-    exactly.
+    Only strict ancestors A of the atom carry oscillation, and with r =
+    P(B)/P(A) the term of A is ((P(B) (1 - r)^p + (P(A) - P(B)) r^p) /
+    P(A))^(1/p).  From the numerators s of P(B) and S of P(A) over D (1 on
+    a float tree), p = 1 on an exact tree gives the Fraction 2 s (S - s) /
+    S^2; other terms are floats, of int / int divisions on an exact tree,
+    which round as float(Fraction) does.  Agrees with the full sup scan.
     """
     check_p(p)
-    m = B.measure
-    terms = []
-    anc = B.parent
-    while anc is not None:
-        M = anc.measure
-        ratio = m / M
-        if p == 1:
-            inner = m * (1 - ratio) + (M - m) * ratio
-            core = inner / M
+    nums, den = B.tree.numerator_arrays()
+    d, s = den or 1, nums[B.level].item(B.index)
+    per_level = []
+    for n, i in enumerate(B.tree.ancestors(B.level, B.index)[:-1]):
+        S = nums[n].item(i)
+        if p == 1 and den:
+            core = Fraction(2 * s * (S - s), S * S)
         else:
-            rf = float(ratio)
-            inner = float(m) * (1.0 - rf) ** p + float(M - m) * rf ** p
-            core = (inner / float(M)) ** (1.0 / p)
-        val = core / phimod.eval_phi(phi_spec, float(M))
-        terms.append((anc.level, val))
-        anc = anc.parent
-    if not terms:
+            r = s / S
+            core = ((s / d * (1.0 - r) ** p + (S - s) / d * r ** p)
+                    / (S / d)) ** (1.0 / p)
+        per_level.append(core / phimod.eval_phi(phi_spec, S / d))
+    if not per_level:
         return NormResult(value=0, witness=None, per_level=())
-    terms.reverse()
-    best = None
-    witness = None
-    for level, val in terms:
-        if best is None or val > best:
-            best = val
-            witness = (level,)  # ancestor level achieving the sup
-    return NormResult(value=best, witness=witness,
-                      per_level=tuple(val for _, val in terms))
+    n = max(range(len(per_level)), key=per_level.__getitem__)
+    return NormResult(value=per_level[n], witness=(n,),
+                      per_level=tuple(per_level))
 
 
 # -- measurable-set (union-of-atoms) norm variants --------------------------------
@@ -407,7 +399,7 @@ def f_norm_exact(f, p, spec):
     check_p(p)
     tree = f.tree
     for n in range(tree.depth + 1):
-        count = len(tree.atoms(n))
+        count = len(tree.level_arrays(n)[2])
         if count > F_NORM_LEVEL_BOUND:
             raise ValueError(
                 f"level {n} has {count} atoms, above the enumeration bound "

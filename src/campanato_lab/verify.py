@@ -72,11 +72,16 @@ def suite_chain_gaps(ctx):
 
 def suite_indicator_norms(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    atoms = [a for level in tree.levels for a in level]
-    if len(atoms) > ATOM_SAMPLE:
-        rng = np.random.default_rng(ctx.seed)
-        picks = rng.choice(len(atoms), size=ATOM_SAMPLE, replace=False)
-        atoms = [atoms[i] for i in sorted(int(x) for x in picks)]
+    # atoms by position k in level order, level n from the level offsets
+    offsets = np.cumsum([0] + [len(tree.level_arrays(n)[2])
+                               for n in range(tree.depth + 1)])
+    picks = np.arange(offsets[-1])
+    if len(picks) > ATOM_SAMPLE:
+        picks = np.sort(np.random.default_rng(ctx.seed).choice(
+            len(picks), size=ATOM_SAMPLE, replace=False))
+    levels = np.searchsorted(offsets, picks, side="right") - 1
+    atoms = list(map(tree.atom, levels.tolist(),
+                     (picks - offsets[levels]).tolist()))
 
     def rows():
         for B in atoms:
@@ -94,8 +99,9 @@ def suite_indicator_norms(ctx):
         if rel > worst_rel:
             worst_rel = rel
             worst_atom = B.id
-        norm_B = float(closed.value) + float(B.measure)
-        bound = max(bound, norm_B * float(phimod.eval_phi(spec, float(B.measure))))
+        measure = tree.level_arrays(B.level)[2].item(B.index)
+        norm_B = float(closed.value) + measure
+        bound = max(bound, norm_B * float(phimod.eval_phi(spec, measure)))
     known = _known_regime(ctx)
     return VerificationReport(suite="indicator_norms", checks=[Check(
         name="indicator_closed_form_equivalence",

@@ -347,6 +347,36 @@ def test_atoms_are_views_of_one_tree():
     assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 1), (1, 3)]
     with pytest.raises(ValueError):
         tree.atom(3, 0)
+    # an exact tree's measures are reduced Fractions
+    assert [type(a.measure) for a in tree.leaves] == [Fraction] * 3
+    assert [a.measure for a in tree.leaves] == \
+        [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]
+    assert tree.atoms(1)[1].measure.denominator == 3
+    assert tree.root.measure == 1 and tree.root.measure.denominator == 1
+
+    # a float split tree: Python float measures read off the level arrays
+    tree = build_from_spec({"fractions": [0.25, 0.75], "children": [
+        {"fractions": [0.5, 0.5]}, {"persist": {"fractions": [0.2, 0.8]}}]})
+    assert tree.mode == "float"
+    for n, level in enumerate(tree.levels):
+        starts, lengths, measures = tree.level_arrays(n)
+        for i, atom in enumerate(level):
+            assert atom.tree is tree and atom.id == (n, i)
+            assert type(atom.measure) is float
+            assert atom.measure == measures[i]
+            assert (atom.leaf_start, atom.leaf_end) == \
+                (starts[i], starts[i] + lengths[i])
+            if n:
+                assert atom.parent is tree.atom(n - 1,
+                                                tree.ancestors(n, i)[n - 1])
+                assert atom.parent.leaf_start <= atom.leaf_start \
+                    < atom.leaf_end <= atom.parent.leaf_end
+    assert tree.root.parent is None
+    assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 2), (2, 4)]
+    assert tree.leaves[3].parent is tree.atoms(2)[2]
+    assert tree.atoms(2)[2].parent is tree.atoms(1)[1]
+    assert [a.measure for a in tree.leaves] == [0.125, 0.125, 0.75 * 0.2,
+                                                0.75 * 0.8]
 
 
 F = Fraction

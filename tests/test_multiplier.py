@@ -10,6 +10,7 @@ from campanato_lab import (Atom, LeafFunction, atom_average, build_dyadic,
                            build_from_spec, campanato_norm,
                            campanato_seminorm, capital_F,
                            central_p_integral, chain_through_leaf,
+                           chain_to_root, extremal_chain_function,
                            check_chain_gaps, check_product_estimate,
                            conditional_expectation,
                            conditional_multiplier_check, constant,
@@ -17,6 +18,7 @@ from campanato_lab import (Atom, LeafFunction, atom_average, build_dyadic,
                            linf_bound_check, one,
                            op_norm_lower_bound, psi, random_functions,
                            sin_h_multiplier, theorem1_certificate, truncate)
+from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
 from campanato_lab.multiplier import _family_lower_bound, _family_members
 
@@ -317,3 +319,26 @@ def test_conditional_norm_of_products_never_increases():
             assert float(campanato_norm(truncated, 1, one(),
                                         exact=False).value) \
                 <= norm_fg + 1e-12
+
+
+def test_foreign_tree_atoms_are_refused():
+    # a same-shaped tree: its atoms have this tree's (level, index) pairs
+    tree, other = build_dyadic(3), build_dyadic(3)
+    assert tree.same_structure(other)
+    with pytest.raises(ValueError):
+        chain_to_root(tree, other.leaves[0])
+    foreign = chain_to_root(other, other.leaves[0])
+    with pytest.raises(ValueError):
+        extremal_chain_function(tree, foreign, one())
+    # one foreign atom inside this tree's own chain
+    mixed = chain_to_root(tree, tree.leaves[5])
+    mixed[2] = other.atom(2, mixed[2].index)
+    for chain in (foreign, mixed):
+        with pytest.raises(ValueError):
+            chain_values(tree, chain, psi())
+    g = random_functions(tree, 1, seed=0)[0]
+    with pytest.raises(ValueError):
+        op_norm_lower_bound(g, 1, one(), [other.atom(1, 0)])
+    # this tree's own atoms and chains pass
+    assert op_norm_lower_bound(g, 1, one(), [tree.atom(1, 0)])[0] > 0
+    extremal_chain_function(tree, chain_to_root(tree, tree.leaves[5]), one())

@@ -147,13 +147,22 @@ def test_chi_closed_form_level1():
 
 def test_chi_closed_form_equals_full_scan():
     trees = [build_dyadic(6)] + [random_split_tree(s, depth=4)
-                                 for s in (1, 2)]
+                                 for s in (1, 2)] \
+        + [random_split_tree(3, depth=4, exact=False)]
+    assert [t.mode for t in trees] == ["exact"] * 3 + ["float"]
     for tree in trees:
         for spec in (one(), psi(), power(0.3)):
             for p in (1, 2):
+                # a Fraction only for exact p = 1 with the constant weight
+                kind = Fraction if (tree.mode, p, spec.family) == \
+                    ("exact", 1, "one") else float
                 for level in tree.levels:
                     for B in level:
-                        closed = float(chi_norm_closed_form(B, p, spec).value)
+                        res = chi_norm_closed_form(B, p, spec)
+                        if B.level:
+                            assert type(res.value) is kind
+                            assert {type(v) for v in res.per_level} == {kind}
+                        closed = float(res.value)
                         full = float(campanato_seminorm(
                             indicator(tree, B), p, spec, exact=False).value)
                         assert closed == pytest.approx(full, rel=1e-10,
