@@ -23,15 +23,14 @@ from .report import INEQ_SLACK, Check, VerificationReport
 
 def _validate_chain(tree, chain):
     """The atom indices of `chain`, which must be chain_to_root's chain."""
-    if len(chain) != tree.depth + 1:
-        raise ValueError(f"chain has {len(chain)} atoms, expected {tree.depth + 1}")
     if list(chain) != chain_to_root(tree, chain[-1]):
         raise ValueError("chain is not nested from the root to its last atom")
     return [B.index for B in chain]
 
 
-def _chain_table(tree, chain, phi_spec, start):
-    """The running sums behind every chain construction.
+def _chain_table(tree, path, phi_spec, start):
+    """The running sums behind every chain construction, along the chain
+    with the atom indices `path` (root first, as from _validate_chain).
 
     With c_k = phi(P(B_k)), totals[n] = start + sum_{k <= n} c_k
     (P(B_{k-1})/P(B_k) - 1) is the value of the n-th partial sum on B_n.
@@ -46,7 +45,6 @@ def _chain_table(tree, chain, phi_spec, start):
     (den is None), each step (S_{k-1} - S_k)/S_k correctly rounded on a
     rational tree and P(B_{k-1})/P(B_k) - 1 on a float one.
     """
-    path = _validate_chain(tree, chain)
     levels, tree_den = tree.numerator_arrays()
     rational = tree_den is not None
     s, edges = [], [0] * (2 * len(path))  # edges: span starts, then ends
@@ -127,7 +125,8 @@ def extremal_chain_function(tree, chain, phi_spec):
     measurable at level k, and the conditional expectations of the full
     sum reproduce the partial sums exactly.
     """
-    totals, ring, den, deepest = _chain_table(tree, chain, phi_spec, 1)
+    totals, ring, den, deepest = _chain_table(
+        tree, _validate_chain(tree, chain), phi_spec, 1)
     return ChainConstruction(chain=tuple(chain), phi=phi_spec,
                              f=_from_table(tree, ring, den, deepest),
                              totals=tuple(totals), ring=tuple(ring), den=den,
@@ -138,7 +137,12 @@ def chain_values(tree, chain, phi_spec):
     """Leaf values of extremal_chain_function(tree, chain, phi_spec).f as a
     float array: the ring of its running-sum table in float64, indexed by
     each leaf's deepest chain level."""
-    _, ring, den, deepest = _chain_table(tree, chain, phi_spec, 1)
+    return _path_values(tree, _validate_chain(tree, chain), phi_spec)
+
+
+def _path_values(tree, path, phi_spec):
+    """chain_values along the atom indices `path`, taken as given."""
+    _, ring, den, deepest = _chain_table(tree, path, phi_spec, 1)
     if den is not None:
         ring = [v / den for v in ring]  # int / int rounds correctly
     return np.array(ring, dtype=np.float64)[deepest]
@@ -146,7 +150,8 @@ def chain_values(tree, chain, phi_spec):
 
 def h_function(tree, chain, phi_spec):
     """The mean-zero part: the sum of the chain increments alone."""
-    _, ring, den, deepest = _chain_table(tree, chain, phi_spec, 0)
+    _, ring, den, deepest = _chain_table(tree, _validate_chain(tree, chain),
+                                         phi_spec, 0)
     return _from_table(tree, ring, den, deepest)
 
 

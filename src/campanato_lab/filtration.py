@@ -191,10 +191,9 @@ class FiltrationTree:
         return self.levels[n]
 
     def atom(self, level, index):
-        try:
-            return self.levels[range(self.depth + 1)[level]][index]
-        except IndexError:
-            raise ValueError(f"no atom ({level}, {index}) in tree") from None
+        if 0 <= level <= self.depth and 0 <= index < len(self._levels[level]):
+            return self.levels[level][index]
+        raise ValueError(f"no atom ({level}, {index}) in tree")
 
     def ancestors(self, n, i):
         """[i_0, ..., i_n]: the index of atom (n, i)'s ancestor on every
@@ -545,10 +544,16 @@ def chain_to_root(tree, leaf):
     if leaf.level != tree.depth:
         raise ValueError(f"atom {leaf.id} is at level {leaf.level}, "
                          f"not at the deepest level {tree.depth}")
-    if leaf.tree is not tree:
-        raise ValueError(f"atom {leaf.id} does not belong to this tree")
+    own_atom(tree, leaf)
     return list(map(operator.getitem, tree.levels,
                     tree.ancestors(leaf.level, leaf.index)))
+
+
+def own_atom(tree, atom):
+    """The atom, if it is this tree's own handle; else a ValueError."""
+    if atom.tree is not tree:
+        raise ValueError(f"atom {atom.id} does not belong to this tree")
+    return atom
 
 
 def truncate(tree, depth):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .filtration import common_denominator
+from .filtration import common_denominator, own_atom
 
 
 class LeafFunction:
@@ -150,11 +150,19 @@ def indicator(tree, atom, exact=False):
 
     Float values by default; exact=True uses ints for rational-mode work.
     """
-    values = np.zeros(tree.leaf_count, dtype=object if exact else np.float64)
-    values[atom.leaf_start:atom.leaf_end] = 1
-    if exact:
-        return LeafFunction._from_numerators(tree, values, 1)
-    return LeafFunction.from_float_array(tree, values)
+    own_atom(tree, atom)
+    values = _indicator_row(tree, atom.level, atom.index,
+                            object if exact else np.float64)
+    return (LeafFunction._from_numerators(tree, values, 1) if exact
+            else LeafFunction.from_float_array(tree, values))
+
+
+def _indicator_row(tree, n, i, dtype=np.float64):
+    """The indicator of atom (n, i) as leaf values: zeros and ones of dtype."""
+    starts, lengths, _ = tree.level_arrays(n)
+    row = np.zeros(tree.leaf_count, dtype=dtype)
+    row[starts[i]:starts[i] + lengths[i]] = 1
+    return row
 
 
 def random_functions(tree, count, seed):
@@ -170,6 +178,7 @@ def random_functions(tree, count, seed):
 
 def atom_average(f, B):
     """Mean of f over the atom: (1/P(B)) * sum of f * P over B's leaves."""
+    own_atom(f.tree, B)
     total = 0
     for i in range(B.leaf_start, B.leaf_end):
         total += f.values[i] * f.tree.leaves[i].measure
@@ -294,15 +303,12 @@ def central_p_integral(f, B, n, p):
     check_p(p)
     if B.level != n:
         raise ValueError(f"atom {B.id} is at level {B.level}, not {n}")
-    avg = atom_average(f, B)
+    avg = atom_average(f, B)  # which refuses an atom of another tree
     total = 0
-    if p == 1:
-        for i in range(B.leaf_start, B.leaf_end):
-            total += abs(f.values[i] - avg) * f.tree.leaves[i].measure
-    else:
-        for i in range(B.leaf_start, B.leaf_end):
-            total += abs(float(f.values[i]) - float(avg)) ** p \
-                * float(f.tree.leaves[i].measure)
+    for i in range(B.leaf_start, B.leaf_end):
+        v, m = f.values[i], f.tree.leaves[i].measure
+        total += abs(v - avg) * m if p == 1 else \
+            abs(float(v) - float(avg)) ** p * float(m)
     return total
 
 

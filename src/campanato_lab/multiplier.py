@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phi as phimod
-from .constructions import chain_values
-from .filtration import Atom, chain_to_root, regularity_constant, truncate
-from .functions import (LeafFunction, check_p, expectation, indicator,
-                        level_means, level_projection, linf_norm)
+from .constructions import _path_values
+from .filtration import Atom, regularity_constant, truncate
+from .functions import (LeafFunction, _indicator_row, check_p, expectation,
+                        indicator, level_means, level_projection, linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
                     phi_level_values, phi_star_level_values, scan_block)
 from .report import INEQ_SLACK, Check, VerificationReport
@@ -28,6 +28,8 @@ EXACT_SLACK = 1e-12
 # L (1 - WITNESS_TIE): the first such member in family order, so that the
 # summation order of a scan cannot move the label between tied members.
 WITNESS_TIE = 1e-12
+
+INDICATORS = object()  # a family's indicator block, as in _family_norms
 
 
 # -- the product functional ---------------------------------------------------
@@ -71,19 +73,17 @@ def check_product_estimate(f, g, p, spec):
 
 
 def _family_members(tree, spec, chains, randoms, seed):
-    """The default test family as (label, member) pairs: an Atom stands for
-    its indicator, every other member is an array of leaf values."""
+    """The default test family as (label, member) pairs: the indicator
+    block ("chi", INDICATORS), every other member an array of leaf values."""
     rng = np.random.default_rng(seed)
     yield "const:1", np.ones(tree.leaf_count)
-    for n in range(tree.depth + 1):
-        for atom in tree.atoms(n):
-            yield f"chi:{n},{atom.index}", atom
+    yield "chi", INDICATORS
     count = min(chains, tree.leaf_count)
     if count > 0:
         picks = rng.choice(tree.leaf_count, size=count, replace=False)
         for j in sorted(int(x) for x in picks):
-            chain = chain_to_root(tree, tree.leaves[j])
-            yield f"chain:leaf={j}", chain_values(tree, chain, spec)
+            yield f"chain:leaf={j}", _path_values(
+                tree, tree.ancestors(tree.depth, j), spec)
     for k in range(randoms):
         yield f"rand:{k}", rng.standard_normal(tree.leaf_count)
 
@@ -96,10 +96,13 @@ def default_test_family(tree, spec, chains=8, randoms=32, seed=0):
     witnesses the lower-bound arguments actually use.
     """
     for label, member in _family_members(tree, spec, chains, randoms, seed):
-        if isinstance(member, Atom):
-            yield label, indicator(tree, member)
-        else:
+        if member is not INDICATORS:
             yield label, LeafFunction.from_float_array(tree, member)
+            continue
+        for n in range(tree.depth + 1):
+            for i in range(len(tree.level_arrays(n)[0])):
+                yield f"{label}:{n},{i}", LeafFunction.from_float_array(
+                    tree, _indicator_row(tree, n, i))
 
 
 def _subtree_max(tree, per_level):
@@ -113,9 +116,10 @@ def _subtree_max(tree, per_level):
     return out[::-1]
 
 
-def _indicator_norms(g, p, spec, atoms, want_fb=False):
+def _indicator_norms(g, p, spec, want_fb=False):
     """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
-    over atoms A, for each atom B, without a leaf pass per member.
+    over atoms A, for every atom B of g's tree in level order, without a
+    leaf pass per member.
 
     On atoms inside B or disjoint from it chi_B has zero oscillation, and
     chi_B g has g's own oscillation or none, so subtree maxima of g's
@@ -139,10 +143,8 @@ def _indicator_norms(g, p, spec, atoms, want_fb=False):
 
     w = gv * leafm
     dev = np.empty_like(w)  # one leaf-sized buffer for every pair of levels
-    levels, index = np.array([(B.level, B.index) for B in atoms]).reshape(
-        -1, 2).T
-    by_level = {}
-    for m in np.unique(levels).tolist():
+    per_level = []
+    for m in range(tree.depth + 1):
         starts, _, meas = tree.level_arrays(m)
         S = tree.atom_sums(m, w)
         sem_f = np.zeros(len(meas))
@@ -155,66 +157,59 @@ def _indicator_norms(g, p, spec, atoms, want_fb=False):
             r = meas / PA
             avg = S / PA
             np.abs(tree.spread(m, avg, np.subtract, gv, out=dev), out=dev)
-            if p != 1:
-                dev **= p
+            # x ** 1 copies x bit for bit, so p = 1 takes the same lines
+            dev **= p
             dev *= leafm
-            if p == 1:
-                chi = (meas * (1.0 - r) + (PA - meas) * r) / PA
-                cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg)
-                prod = cint / PA
-            else:
-                chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
-                       / PA) ** invp
-                cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
-                prod = (cint / PA) ** invp
+            chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
+                   / PA) ** invp
+            cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
+            prod = (cint / PA) ** invp
             np.maximum(sem_f, chi / phis[n][anc], out=sem_f)
             np.maximum(sem_fg, prod / phis[n][anc], out=sem_fg)
             if want_fb:
                 np.maximum(fb, r / stars[n][anc], out=fb)
-        by_level[m] = (sem_f + meas, sem_fg + np.abs(S), fb)
-    norm_f, norm_fg, fb = np.empty((3, len(atoms)))
-    for m, (f_m, fg_m, fb_m) in by_level.items():
-        at = levels == m
-        norm_f[at], norm_fg[at] = f_m[index[at]], fg_m[index[at]]
-        if want_fb:
-            fb[at] = fb_m[index[at]]
-    return norm_f, norm_fg, (fb if want_fb else None)
+        per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
+    norm_f, norm_fg, fb = zip(*per_level)
+    return (np.concatenate(norm_f), np.concatenate(norm_fg),
+            np.concatenate(fb) if want_fb else None)
 
 
 def _family_norms(g, p, spec, members, want_fb=False):
     """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
     every family member, in family order.
 
-    Members are (label, member) pairs, consumed lazily; an Atom stands for
-    its indicator and takes the ancestors-only path, any other member is a
-    leaf-value array, handed to scan_block with its product f g as the next
-    row.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    Members are (label, member) pairs, consumed lazily: a leaf-value array
+    goes to scan_block with its product f g as the next row, and the block
+    INDICATORS to _indicator_norms, one label:n,i per atom in its place.
+    Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
     """
-    gv = g.values_array
-    labels, dense, atoms = [], [], []
+    tree, gv = g.tree, g.values_array
+    labels, dense, chi = [], [], []
 
-    def rows():  # fills labels, dense and atoms as scan_block consumes it
-        for pos, (label, member) in enumerate(members):
-            labels.append(label)
-            if isinstance(member, Atom):
-                atoms.append((pos, member))
+    def rows():  # fills labels, dense and chi as scan_block consumes it
+        for label, member in members:
+            if member is INDICATORS:
+                start = len(labels)
+                labels.extend(f"{label}:{n},{i}" for n in range(tree.depth + 1)
+                              for i in range(len(tree.level_arrays(n)[0])))
+                chi.extend(range(start, len(labels)))
             else:
-                dense.append(pos)
+                dense.append(len(labels))
+                labels.append(label)
                 yield member
                 yield member * gv
 
-    sups, _, mean, fb = scan_block(g.tree, rows(), p, spec, want_fb)
+    sups, _, mean, fb = scan_block(tree, rows(), p, spec, want_fb)
     norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     norms = sups.max(axis=1) + np.abs(mean)
     norm_f[dense], norm_fg[dense] = norms[0::2], norms[1::2]
     if want_fb:
         fb_all[dense] = fb[0::2]
-    if atoms:
-        pos = [k for k, _ in atoms]
-        norm_f[pos], norm_fg[pos], atom_fb = _indicator_norms(
-            g, p, spec, [a for _, a in atoms], want_fb)
+    if chi:
+        norm_f[chi], norm_fg[chi], chi_fb = _indicator_norms(g, p, spec,
+                                                             want_fb)
         if want_fb:
-            fb_all[pos] = atom_fb
+            fb_all[chi] = chi_fb
     return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 
@@ -237,8 +232,7 @@ def _lower_bound(labels, norm_f, norm_fg):
 
 def _family_lower_bound(g, p, spec, members):
     """(L, witness) of g over (label, member) pairs, as in _family_norms."""
-    labels, norm_f, norm_fg, _ = _family_norms(g, p, spec, members)
-    L, witness, _ = _lower_bound(labels, norm_f, norm_fg)
+    L, witness, _ = _lower_bound(*_family_norms(g, p, spec, members)[:3])
     return L, witness
 
 
@@ -254,9 +248,10 @@ def op_norm_lower_bound(g, p, spec, family):
     members = []
     for k, item in enumerate(family):
         label, f = item if isinstance(item, tuple) else (f"f#{k}", item)
+        f = indicator(tree, f) if isinstance(f, Atom) else f
         if f.tree is not tree:
             raise ValueError(f"family member {label!r} is not on g's tree")
-        members.append((label, f if isinstance(f, Atom) else f.values_array))
+        members.append((label, f.values_array))
     return _family_lower_bound(g, p, spec, members)
 
 
@@ -394,13 +389,10 @@ def linf_bound_check(g, p, spec):
     # E_n |g| grows by at most R per level, pointwise.
     gv = g.values_array
     av = np.abs(gv)
-    prev = None
-    growth_margin = -math.inf
-    for n in range(tree.depth + 1):
-        cur = level_projection(tree, n, av)
-        if prev is not None:
-            growth_margin = max(growth_margin, float(np.max(cur - R * prev)))
-        prev = cur
+    growth_margin, cur = -math.inf, level_projection(tree, 0, av)
+    for n in range(1, tree.depth + 1):
+        prev, cur = cur, level_projection(tree, n, av)
+        growth_margin = max(growth_margin, float(np.max(cur - R * prev)))
     checks.append(Check(
         name="conditional_growth_per_level",
         anchor="regularity bound on successive conditional absolute means",
@@ -428,8 +420,8 @@ def linf_bound_check(g, p, spec):
         phi_B1 = float(phimod.eval_phi(
             spec, tree.level_arrays(k)[2].item(path[k])))
         rhs = sup_en / (2.0 * R * (R + 1.0) ** (1.0 / p) * phi_B1)
-        lhs = float(campanato_norm(g * indicator(tree, tree.atom(n, j)), p,
-                                   spec, exact=False).value)
+        chi = LeafFunction.from_float_array(tree, _indicator_row(tree, n, j))
+        lhs = float(campanato_norm(g * chi, p, spec, exact=False).value)
         margin = rhs - lhs
         if margin > worst_margin:
             worst_margin = margin
@@ -474,9 +466,9 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     explicit closure), which makes the per-level lower bounds L_n provably
     dominated by the full-tree bound L(g) up to float slack.  On the
     truncation the dense members are averaged over the level-n atoms, and
-    the indicators are those of its own atoms, each once: E_n of a deeper
-    atom B's indicator is (P(B)/P(A)) chi_A for its level-n ancestor A,
-    whose ratio norm(fg)/norm(f) is that of chi_A, already a member.
+    the indicator block is that of its own atoms, each once: E_n of a
+    deeper atom B's indicator is (P(B)/P(A)) chi_A for its level-n
+    ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.
     Level N runs on a fresh depth-N truncation too, so its values check
     the full-tree computation independently.
     """
@@ -484,12 +476,10 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     N = tree.depth
     base = list(_family_members(tree, spec, chains=chains, randoms=randoms,
                                 seed=seed))
-    shared = list(base)
-    for label, row in base:
-        if label.startswith(("chain:", "rand:")):
-            for n in range(1, N):
-                shared.append((f"E{n}[{label}]",
-                               level_projection(tree, n, row)))
+    shared = base + [(f"E{n}[{label}]", level_projection(tree, n, row))
+                     for label, row in base
+                     if label.startswith(("chain:", "rand:"))
+                     for n in range(1, N)]
 
     quotient = phimod.quotient_phi(spec)
 
@@ -505,10 +495,8 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
         trunc = truncate(tree, n)
         g_proj = LeafFunction.from_float_array(
             trunc, level_means(tree, n, g.values_array))
-        members = [(label, level_means(tree, n, row)) for label, row in shared
-                   if not isinstance(row, Atom)]
-        members += [(f"chi:{k},{B.index}", B)
-                    for k in range(n + 1) for B in trunc.atoms(k)]
+        members = [(label, row if row is INDICATORS
+                    else level_means(tree, n, row)) for label, row in shared]
         L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
         T_n.append(T_of(g_proj))
 

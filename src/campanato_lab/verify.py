@@ -19,7 +19,7 @@ from .constructions import (extremal_chain_function,
                             measure_chain_constants, sin_h_multiplier)
 from .filtration import (chain_to_root, check_chain_gaps, is_dyadic,
                          regularity_constant)
-from .functions import level_projection, random_functions
+from .functions import _indicator_row, level_projection, random_functions
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
 from .norms import chi_norm_closed_form, scan_block
@@ -83,13 +83,8 @@ def suite_indicator_norms(ctx):
     atoms = list(map(tree.atom, levels.tolist(),
                      (picks - offsets[levels]).tolist()))
 
-    def rows():
-        for B in atoms:
-            row = np.zeros(tree.leaf_count)
-            row[B.leaf_start:B.leaf_end] = 1.0
-            yield row
-
-    full = scan_block(tree, rows(), p, spec)[0].max(axis=1)
+    full = scan_block(tree, (_indicator_row(tree, B.level, B.index)
+                             for B in atoms), p, spec)[0].max(axis=1)
     worst_rel = 0.0
     worst_atom = None
     bound = 0.0

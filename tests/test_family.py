@@ -31,7 +31,8 @@ from campanato_lab.constructions import (chain_values,
                                          martingale_identity_defect,
                                          measure_chain_constants)
 from campanato_lab.functions import _machine_ints
-from campanato_lab.multiplier import _family_members, _family_norms
+from campanato_lab.multiplier import (INDICATORS, _family_members,
+                                      _family_norms)
 from campanato_lab.norms import oscillation_scan
 from campanato_lab.phi import phi_star
 from campanato_lab.report import INEQ_SLACK
@@ -168,7 +169,16 @@ def test_family_norms_match_per_member_scans(tree, p, weight, g_kind, seed):
     stats = reference_stats(g, p, spec,
                             reference_family(tree, spec, 4, 3, seed))
     assert labels == list(stats)
-    for k, (label, member) in enumerate(family):
+    # the family with its indicator block expanded: one atom per chi: label
+    members = []
+    for label, m in family:
+        if m is INDICATORS:
+            members += [(f"chi:{n},{B.index}", B)
+                        for n in range(tree.depth + 1) for B in tree.atoms(n)]
+        else:
+            members.append((label, LeafFunction.from_float_array(tree, m)))
+    assert [label for label, _ in members] == labels
+    for k, (label, member) in enumerate(members):
         ref_nf, ref_nfg, ref_fb = stats[label]
         assert rel(norm_f[k], ref_nf) <= TOL, label
         assert rel(norm_fg[k], ref_nfg) <= TOL, label
@@ -178,12 +188,10 @@ def test_family_norms_match_per_member_scans(tree, p, weight, g_kind, seed):
             assert rel(norm_f[k], closed + float(member.measure)) <= TOL, label
 
     # op_norm_lower_bound takes indicators as atoms or as functions alike
-    as_atoms = op_norm_lower_bound(g, p, spec, [
-        (label, m if not isinstance(m, np.ndarray)
-         else LeafFunction.from_float_array(tree, m)) for label, m in family])
+    as_atoms = op_norm_lower_bound(g, p, spec, members)
     as_functions = op_norm_lower_bound(g, p, spec, [
-        (label, indicator(tree, m) if not isinstance(m, np.ndarray)
-         else LeafFunction.from_float_array(tree, m)) for label, m in family])
+        (label, indicator(tree, m) if label.startswith("chi:") else m)
+        for label, m in members])
     assert rel(as_atoms[0], as_functions[0]) <= TOL
     L = max(nfg / nf for nf, nfg, _ in stats.values() if nf != 0.0)
     assert rel(as_atoms[0], L) <= TOL
@@ -524,8 +532,9 @@ def test_equal_measure_ancestor_gives_zero_oscillation():
     # the root persists once, so chi of the level-1 atom is the constant 1
     tree = build_from_spec({"persist": {"fractions": ["1/3", "2/3"]}})
     g = LeafFunction.from_float_array(tree, np.array([0.5, -2.0]))
-    B = tree.atoms(1)[0]
-    labels, norm_f, norm_fg, _ = _family_norms(g, 1, one(), [("chi", B)])
-    assert norm_f[0] == 1.0
-    assert math.isclose(norm_fg[0], float(campanato_norm(g, 1, one()).value),
+    labels, norm_f, norm_fg, _ = _family_norms(g, 1, one(),
+                                               [("chi", INDICATORS)])
+    assert labels == ["chi:0,0", "chi:1,0", "chi:2,0", "chi:2,1"]
+    assert norm_f[1] == 1.0
+    assert math.isclose(norm_fg[1], float(campanato_norm(g, 1, one()).value),
                         rel_tol=TOL)

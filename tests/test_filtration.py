@@ -379,6 +379,16 @@ def test_atoms_are_views_of_one_tree():
                                                 0.75 * 0.8]
 
 
+@pytest.mark.parametrize("level, index", [(-1, 0), (2, -1), (-4, -1), (4, 0),
+                                          (3, 8), (0, 1)])
+def test_atom_refuses_positions_outside_the_tree(level, index):
+    # a negative level or index names no atom: it does not count from the end
+    tree = build_dyadic(3)
+    with pytest.raises(ValueError, match=rf"no atom \({level}, {index}\)"):
+        tree.atom(level, index)
+    assert tree.atom(3, 7) is tree.leaves[-1]
+
+
 F = Fraction
 HALVES = [F(1, 2), F(1, 2)]
 

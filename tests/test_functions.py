@@ -294,3 +294,20 @@ def test_float_arithmetic_matches_scalar_ops():
     f, g = random_functions(tree, 2, seed=23)
     prod = f * g
     assert prod.values == tuple(a * b for a, b in zip(f.values, g.values))
+
+
+@pytest.mark.parametrize("op", [
+    lambda f, B: indicator(f.tree, B),
+    atom_average,
+    lambda f, B: central_p_integral(f, B, B.level, 1),
+], ids=["indicator", "atom_average", "central_p_integral"])
+@pytest.mark.parametrize("other", [build_dyadic(5), build_dyadic(3)],
+                         ids=["deeper", "same_shape"])
+def test_foreign_atoms_are_refused(op, other):
+    tree = build_dyadic(3)
+    f = LeafFunction(tree, range(tree.leaf_count))
+    for B in (other.atom(2, 1), other.atom(other.depth - 1, 0)):
+        with pytest.raises(ValueError, match="does not belong"):
+            op(f, B)
+    # the tree's own atom at the same position passes
+    assert op(f, tree.atom(2, 1)) is not None

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from campanato_lab import (Atom, LeafFunction, atom_average, build_dyadic,
+from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            build_from_spec, campanato_norm,
                            campanato_seminorm, capital_F,
                            central_p_integral, chain_through_leaf,
@@ -20,7 +20,8 @@ from campanato_lab import (Atom, LeafFunction, atom_average, build_dyadic,
                            sin_h_multiplier, theorem1_certificate, truncate)
 from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
-from campanato_lab.multiplier import _family_lower_bound, _family_members
+from campanato_lab.multiplier import (INDICATORS, _family_lower_bound,
+                                      _family_members)
 
 
 def brute_capital_F(f, g, p, spec):
@@ -228,8 +229,11 @@ def test_conditional_multiplier_check_sin_h():
 
 def projected_L_n(g, p, spec, chains, randoms, seed):
     """L_n with every member of the shared family projected onto each
-    truncation: rows averaged over the level-n atoms, and an atom replaced
-    by its level-n ancestor on the truncation (deeper atoms repeat)."""
+    truncation: rows averaged over the level-n atoms, and each atom's
+    indicator replaced by that of its level-n ancestor on the truncation.
+    Deeper atoms repeat ancestors, and the maximum ignores repeats, so the
+    walk must reach every atom of the truncation, and then its indicator
+    block stands for the projected indicators."""
     tree = g.tree
     N = tree.depth
     base = list(_family_members(tree, spec, chains, randoms, seed))
@@ -245,10 +249,15 @@ def projected_L_n(g, p, spec, chains, randoms, seed):
             trunc, level_means(tree, n, g.values_array))
         members = []
         for label, m in shared:
-            if isinstance(m, Atom):
-                while m.level > n:
-                    m = m.parent
-                m = trunc.atom(m.level, m.index)
+            if m is INDICATORS:
+                projected = set()
+                for level in tree.levels:
+                    for B in level:
+                        while B.level > n:
+                            B = B.parent
+                        projected.add(trunc.atom(B.level, B.index))
+                assert projected == {B for k in range(n + 1)
+                                     for B in trunc.atoms(k)}
             else:
                 m = level_means(tree, n, m)
             members.append((label, m))
@@ -319,6 +328,17 @@ def test_conditional_norm_of_products_never_increases():
             assert float(campanato_norm(truncated, 1, one(),
                                         exact=False).value) \
                 <= norm_fg + 1e-12
+
+
+def test_multiplier_paths_make_no_atom_handle():
+    # the certificate, the sup-norm check and the truncation check read
+    # the level arrays only: the tree never builds its Atom handles
+    tree = build_dyadic(6)
+    g = random_functions(tree, 1, seed=5)[0]
+    assert theorem1_certificate(g, 1.5, psi(), sample_chains=8).op_lower > 0
+    assert linf_bound_check(g, 1, one()).checks
+    assert conditional_multiplier_check(g, 2, psi(), chains=4).checks
+    assert tree._views is None
 
 
 def test_foreign_tree_atoms_are_refused():
