@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import phi as phimod
-from .constructions import (extremal_chain_function, h_function,
-                            sin_h_multiplier)
-from .filtration import TreeSpecError, chain_to_root, parse_tree_config
+from .constructions import (chain_through_leaf, extremal_chain_function,
+                            h_function, sin_h_multiplier)
+from .filtration import TreeSpecError, parse_tree_config
 from .functions import LeafFunction, indicator, random_functions
 from .norms import campanato_norm
 from .report import canonical_json, content_hash
@@ -57,24 +57,23 @@ def parse_phi_config(cfg, where="phi"):
     raise ConfigError(f"{where}.family: unknown weight family {family!r}")
 
 
-def _check_table_range(spec, where, r_min):
-    """Refuse a table weight, or the base of a quotient weight, that
-    overflows or underflows to 0 somewhere on [r_min, 1].  Past the points
-    the weight is extrapolated log-linearly, so it is monotone on every
-    segment and takes its extremes on [r_min, 1] at r_min, at 1 or at a
-    point."""
-    if spec.family == "quotient":
-        _check_table_range(spec.base, f"{where}.base", r_min)
-    elif spec.family == "table":
-        for r in (r_min, 1.0):
-            try:
-                value = phimod.eval_phi(spec, r)
-            except OverflowError:
-                value = math.inf
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{where}.points: log-linear extrapolation "
-                                  f"gives phi({r!r}) = {value!r}, not a "
-                                  "positive finite weight")
+def _check_weight_range(spec, where, r_min):
+    """Refuse a weight, or a quotient's base, that overflows or underflows
+    to 0 at r_min or at 1.  A table (log-linear between its points) and a
+    powerlog whose monotone factors pull the same way take their extremes
+    on [r_min, 1] there or at a point; a powerlog whose factors pull in
+    opposite directions can peak in between, which this does not cover."""
+    while spec.family == "quotient":
+        spec, where = spec.base, f"{where}.base"
+    key = f"{where}.points" if spec.family == "table" else where
+    for r in (r_min, 1.0):
+        try:
+            value = phimod.eval_phi(spec, r)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key}: phi({r!r}) = {value!r}, not a "
+                              "positive finite weight")
 
 
 def _is_number(value):
@@ -153,7 +152,7 @@ class ExperimentConfig:
         r_min = min(min(phimod.default_grid()),
                     float(self.tree.leaf_measures_f().min()))
         for spec, where in zip(self.phis, wheres):
-            _check_table_range(spec, where, r_min)
+            _check_weight_range(spec, where, r_min)
 
         p_cfg = raw.get("p", 1)
         p_list = p_cfg if isinstance(p_cfg, list) else [p_cfg]
@@ -187,6 +186,8 @@ class ExperimentConfig:
         self.out = raw.get("out", "reports")
         if not isinstance(self.out, str):
             raise ConfigError(f"out: expected a path string, got {self.out!r}")
+        # the functions of each weight, built before any suite runs
+        self.functions = [self.build_functions(spec) for spec in self.phis]
 
     def _check_function(self, spec, where):
         """Reject a malformed function entry before any suite runs."""
@@ -195,21 +196,13 @@ class ExperimentConfig:
         kind = spec.get("kind")
         if kind not in FUNCTION_KINDS:
             raise ConfigError(f"{where}: unknown function kind {kind!r}")
-        tree = self.tree
         if kind == "indicator":
             if "level" not in spec:
                 raise ConfigError(f"{where}: indicator needs 'level'")
-            level = _int(spec["level"], f"{where}.level")
-            index = _int(spec.get("index", 0), f"{where}.index")
-            try:
-                tree.atom(level, index)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}")
+            _int(spec["level"], f"{where}.level")
+            _int(spec.get("index", 0), f"{where}.index")
         elif kind in ("extremal", "h", "sin_h"):
-            leaf = _int(spec.get("leaf", 0), f"{where}.leaf")
-            if leaf >= tree.leaf_count:
-                raise ConfigError(f"{where}: leaf {leaf} out of range "
-                                  f"[0, {tree.leaf_count})")
+            _int(spec.get("leaf", 0), f"{where}.leaf")
         elif kind == "random":
             _int(spec.get("count", 1), f"{where}.count", minimum=1)
             if spec.get("seed") is not None:
@@ -219,40 +212,44 @@ class ExperimentConfig:
         else:
             values = spec.get("values")
             if not isinstance(values, list) \
-                    or len(values) != tree.leaf_count:
-                raise ConfigError(
-                    f"{where}: 'values' must list {tree.leaf_count} numbers")
+                    or len(values) != self.tree.leaf_count:
+                raise ConfigError(f"{where}: 'values' must list "
+                                  f"{self.tree.leaf_count} numbers")
             for j, v in enumerate(values):
                 _finite(v, f"{where}.values[{j}]")
 
     def build_functions(self, phi_spec):
-        """Instantiate the configured functions for one weight."""
+        """Instantiate the configured functions for one weight; refuse an
+        atom or leaf the tree lacks, or a function not finite on it."""
         tree = self.tree
         out = []
         for i, spec in enumerate(self.function_specs):
             kind = spec["kind"]
-            if kind == "indicator":
-                level, index = spec["level"], spec.get("index", 0)
-                out.append((f"indicator:{level},{index}",
-                            indicator(tree, tree.atom(level, index))))
-            elif kind in ("extremal", "h", "sin_h"):
-                leaf = spec.get("leaf", 0)
-                chain = chain_to_root(tree, tree.leaves[leaf])
-                if kind == "extremal":
-                    f = extremal_chain_function(tree, chain, phi_spec).f
-                elif kind == "h":
-                    f = h_function(tree, chain, phi_spec)
+            try:
+                if kind == "indicator":
+                    level, index = spec["level"], spec.get("index", 0)
+                    out.append((f"indicator:{level},{index}",
+                                indicator(tree, tree.atom(level, index))))
+                elif kind in ("extremal", "h", "sin_h"):
+                    leaf = spec.get("leaf", 0)
+                    chain = chain_through_leaf(tree, leaf)
+                    if kind == "extremal":
+                        f = extremal_chain_function(tree, chain, phi_spec).f
+                    elif kind == "h":
+                        f = h_function(tree, chain, phi_spec)
+                    else:
+                        f = sin_h_multiplier(tree, chain, phi_spec)
+                    out.append((f"{kind}:leaf={leaf}", f))
+                elif kind == "random":
+                    count = spec.get("count", 1)
+                    seed = spec.get("seed", self.seed)
+                    out += [(f"random:{seed}:{k}", f) for k, f in
+                            enumerate(random_functions(tree, count, seed))]
                 else:
-                    f = sin_h_multiplier(tree, chain, phi_spec)
-                out.append((f"{kind}:leaf={leaf}", f))
-            elif kind == "random":
-                count = spec.get("count", 1)
-                seed = spec.get("seed", self.seed)
-                for k, f in enumerate(random_functions(tree, count, seed)):
-                    out.append((f"random:{seed}:{k}", f))
-            else:
-                out.append((f"leaf_values:{i}",
-                            LeafFunction(tree, spec["values"])))
+                    out.append((f"leaf_values:{i}",
+                                LeafFunction(tree, spec["values"])))
+            except ValueError as exc:
+                raise ConfigError(f"functions[{i}]: {exc}") from None
         return out
 
 
@@ -261,8 +258,7 @@ class ExperimentConfig:
 
 def _norm_rows(config):
     rows = []
-    for spec in config.phis:
-        functions = config.build_functions(spec)
+    for spec, functions in zip(config.phis, config.functions):
         for p in config.ps:
             for label, f in functions:
                 norm = campanato_norm(f, p, spec, exact=False)
@@ -327,11 +323,10 @@ def execute(config):
                         report["suites"].append(entry)
                         passed = passed and rep.passed
         elif suite == "multiplier":
-            for spec in config.phis:
+            for spec, functions in zip(config.phis, config.functions):
                 for p in config.ps:
                     ctx = VerifyContext(tree=config.tree, spec=spec, p=p,
                                         seed=config.seed or 0)
-                    functions = config.build_functions(spec)
                     if not functions:
                         raise ConfigError("functions: the multiplier suite "
                                           "needs at least one function")

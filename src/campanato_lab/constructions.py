@@ -168,7 +168,7 @@ def dyadic_h_closed_form(depth, leaf_index, tree=None):
         tree = build_dyadic(depth)
     elif tree.depth != depth or not is_dyadic(tree):
         raise ValueError("tree is not dyadic of the requested depth")
-    chain = chain_to_root(tree, tree.leaves[leaf_index])
+    chain = chain_through_leaf(tree, leaf_index)
     log2 = math.log(2.0)
     values = [0.0] * tree.leaf_count
     running = 0.0
@@ -230,8 +230,8 @@ def lipschitz_compose_check(f, lip_constant, composed):
 
 
 def chain_through_leaf(tree, leaf_index):
-    """Convenience: the root-to-leaf chain through the given leaf index."""
-    return chain_to_root(tree, tree.leaves[leaf_index])
+    """The root-to-leaf chain through the given leaf index."""
+    return chain_to_root(tree, tree.atom(tree.depth, leaf_index))
 
 
 def measure_chain_constants(construction, p, phi_spec):

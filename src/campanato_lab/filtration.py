@@ -8,17 +8,17 @@ level is a full partition and all leaves sit at the deepest level.
 The level arrays are the tree: for each level, the parent index and the
 measure of every atom.  Each level lists its atoms in parent order, so
 the children of an atom, and its leaves, are contiguous.  An `Atom` is a
-handle (tree, level, index) on these arrays; the tree makes one per atom
-on first access.  Sums
-over a level's leaf spans, and spreads back to the leaves, go through
-the tree: `atom_sums` sums leaf rows over a level's atoms, and `spread`
-puts per-atom values back on the leaves.
+value (tree, level, index) that reads these arrays, made when asked for.
+Sums over a level's leaf spans, and spreads back to the leaves, go
+through the tree: `atom_sums` sums leaf rows over a level's atoms, and
+`spread` puts per-atom values back on the leaves.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,18 +59,18 @@ class TreeSpecError(ValueError):
     """A tree description violates the partition rules."""
 
 
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """One cell of a filtration level: a handle (tree, level, index) that
-    reads the tree's level arrays, one per atom, so handles compare by
-    identity.  ``leaf_start:leaf_end`` is the contiguous range of leaves
-    in the atom, and its measure is a reduced Fraction on an exact tree,
-    a float on a float tree.
+    """One cell of a filtration level: a value (tree, level, index) that
+    reads the tree's level arrays, equal to another with the same tree
+    (by identity), level and index.  ``leaf_start:leaf_end`` is the
+    contiguous range of leaves in the atom, and its measure is a reduced
+    Fraction on an exact tree, a float on a float tree.
     """
 
-    __slots__ = ("tree", "level", "index")
-
-    def __init__(self, tree, level, index):
-        self.tree, self.level, self.index = tree, level, index
+    tree: FiltrationTree
+    level: int
+    index: int
 
     @property
     def id(self):
@@ -84,7 +84,7 @@ class Atom:
     @property
     def parent(self):
         n, tree = self.level, self.tree
-        return tree.levels[n - 1][tree._parents[n - 1].item(self.index)] \
+        return Atom(tree, n - 1, tree._parents[n - 1].item(self.index)) \
             if n else None
 
     @property
@@ -111,7 +111,7 @@ class FiltrationTree:
     integer numerators over D (object arrays of Python ints); a float
     tree stores them as float64.  Structural checks are exact integer
     sums in the former and use PARTITION_TOL in the latter.  Trees are
-    immutable after construction (their caches only fill).
+    immutable after construction (their weight cache only fills).
     """
 
     def __init__(self, parents, measures, mode):
@@ -156,7 +156,6 @@ class FiltrationTree:
         # int / int rounds correctly, as float(Fraction) does
         self._float = (self._levels if den is None else
                        tuple((m / den).astype(np.float64) for m in self._levels))
-        self._views = None
         self._phi_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -171,28 +170,26 @@ class FiltrationTree:
 
     @property
     def levels(self):
-        """The atom handles of every level, made on first access."""
-        if self._views is None:
-            self._views = tuple(tuple(Atom(self, n, i) for i in range(len(m)))
-                                for n, m in enumerate(self._levels))
-        return self._views
+        """The atom handles of every level, made anew on each access."""
+        return tuple(map(self.atoms, range(self.depth + 1)))
 
     @property
     def leaves(self):
-        return self.levels[-1]
+        return self.atoms(self.depth)
 
     @property
     def root(self):
-        return self.levels[0][0]
+        return Atom(self, 0, 0)
 
     def atoms(self, n):
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} out of range [0, {self.depth}]")
-        return self.levels[n]
+        return tuple(Atom(self, n, i) for i in range(len(self._levels[n])))
 
     def atom(self, level, index):
+        level, index = operator.index(level), operator.index(index)
         if 0 <= level <= self.depth and 0 <= index < len(self._levels[level]):
-            return self.levels[level][index]
+            return Atom(self, level, index)
         raise ValueError(f"no atom ({level}, {index}) in tree")
 
     def ancestors(self, n, i):
@@ -429,15 +426,15 @@ def _split(spec, measure, where):
     if "persist" in spec:
         return [(spec["persist"], measure, where + ".persist")], True
     fractions = spec.get("fractions")
-    if not fractions:
-        raise TreeSpecError(f"{where}: node needs a non-empty 'fractions' list")
+    if not isinstance(fractions, list) or not fractions:
+        raise TreeSpecError(f"{where}: node needs a non-empty 'fractions' "
+                            f"list, got {fractions!r}")
     child_specs = spec.get("children")
     if child_specs is None:
         child_specs = [None] * len(fractions)
-    if len(child_specs) != len(fractions):
-        raise TreeSpecError(
-            f"{where}: 'children' length {len(child_specs)} does not match "
-            f"'fractions' length {len(fractions)}")
+    if not isinstance(child_specs, list) or len(child_specs) != len(fractions):
+        raise TreeSpecError(f"{where}: 'children' must list one entry per "
+                            f"fraction, got {child_specs!r}")
     all_exact = True
     parsed = []
     for i, raw in enumerate(fractions):
@@ -545,8 +542,8 @@ def chain_to_root(tree, leaf):
         raise ValueError(f"atom {leaf.id} is at level {leaf.level}, "
                          f"not at the deepest level {tree.depth}")
     own_atom(tree, leaf)
-    return list(map(operator.getitem, tree.levels,
-                    tree.ancestors(leaf.level, leaf.index)))
+    return [Atom(tree, n, i)
+            for n, i in enumerate(tree.ancestors(leaf.level, leaf.index))]
 
 
 def own_atom(tree, atom):

@@ -176,13 +176,20 @@ def random_functions(tree, count, seed):
 # -- conditional expectation and friends -------------------------------------
 
 
+def _leaf_terms(f, B):
+    """(value, measure) of each leaf of atom B in order, measures as
+    Atom.measure gives them: Fraction(a_i, D) on an exact tree."""
+    nums, den = f.tree.numerator_arrays()
+    leaves = slice(B.leaf_start, B.leaf_end)
+    m = nums[-1][leaves].tolist()
+    return zip(f.values[leaves],
+               m if den is None else [Fraction(a, den) for a in m])
+
+
 def atom_average(f, B):
     """Mean of f over the atom: (1/P(B)) * sum of f * P over B's leaves."""
     own_atom(f.tree, B)
-    total = 0
-    for i in range(B.leaf_start, B.leaf_end):
-        total += f.values[i] * f.tree.leaves[i].measure
-    return total / B.measure
+    return sum(v * m for v, m in _leaf_terms(f, B)) / B.measure
 
 
 def level_means(tree, n, values):
@@ -304,12 +311,9 @@ def central_p_integral(f, B, n, p):
     if B.level != n:
         raise ValueError(f"atom {B.id} is at level {B.level}, not {n}")
     avg = atom_average(f, B)  # which refuses an atom of another tree
-    total = 0
-    for i in range(B.leaf_start, B.leaf_end):
-        v, m = f.values[i], f.tree.leaves[i].measure
-        total += abs(v - avg) * m if p == 1 else \
-            abs(float(v) - float(avg)) ** p * float(m)
-    return total
+    return sum(abs(v - avg) * m if p == 1 else
+               abs(float(v) - float(avg)) ** p * float(m)
+               for v, m in _leaf_terms(f, B))
 
 
 def _integral(f, absolute):

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import phi as phimod
 from .constructions import _path_values
-from .filtration import Atom, regularity_constant, truncate
+from .filtration import Atom, own_atom, regularity_constant, truncate
 from .functions import (LeafFunction, _indicator_row, check_p, expectation,
-                        indicator, level_means, level_projection, linf_norm)
+                        level_means, level_projection, linf_norm)
 from .norms import (_level_scan, campanato_norm, campanato_seminorm,
                     phi_level_values, phi_star_level_values, scan_block)
 from .report import INEQ_SLACK, Check, VerificationReport
@@ -178,21 +178,27 @@ def _family_norms(g, p, spec, members, want_fb=False):
     """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
     every family member, in family order.
 
-    Members are (label, member) pairs, consumed lazily: a leaf-value array
-    goes to scan_block with its product f g as the next row, and the block
-    INDICATORS to _indicator_norms, one label:n,i per atom in its place.
-    Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    Members are (label, member) pairs, consumed lazily: an array of leaf
+    values goes to scan_block, its product f g the next row; INDICATORS
+    (one label:n,i per atom) and Atom members read one _indicator_norms
+    pass.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
     """
     tree, gv = g.tree, g.values_array
-    labels, dense, chi = [], [], []
+    offsets = np.cumsum([0] + [len(tree.level_arrays(n)[0])
+                               for n in range(tree.depth + 1)])
+    labels, dense, chi, at = [], [], [], []
 
-    def rows():  # fills labels, dense and chi as scan_block consumes it
+    def rows():  # fills labels, dense, chi and at as scan_block consumes it
         for label, member in members:
             if member is INDICATORS:
-                start = len(labels)
+                chi.extend(range(len(labels), len(labels) + offsets[-1]))
+                at.extend(range(offsets[-1]))
                 labels.extend(f"{label}:{n},{i}" for n in range(tree.depth + 1)
-                              for i in range(len(tree.level_arrays(n)[0])))
-                chi.extend(range(start, len(labels)))
+                              for i in range(offsets[n + 1] - offsets[n]))
+            elif isinstance(member, Atom):
+                chi.append(len(labels))
+                at.append(offsets[member.level] + member.index)
+                labels.append(label)
             else:
                 dense.append(len(labels))
                 labels.append(label)
@@ -206,10 +212,10 @@ def _family_norms(g, p, spec, members, want_fb=False):
     if want_fb:
         fb_all[dense] = fb[0::2]
     if chi:
-        norm_f[chi], norm_fg[chi], chi_fb = _indicator_norms(g, p, spec,
-                                                             want_fb)
+        block = _indicator_norms(g, p, spec, want_fb)
+        norm_f[chi], norm_fg[chi] = block[0][at], block[1][at]
         if want_fb:
-            fb_all[chi] = chi_fb
+            fb_all[chi] = block[2][at]
     return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 
@@ -248,10 +254,11 @@ def op_norm_lower_bound(g, p, spec, family):
     members = []
     for k, item in enumerate(family):
         label, f = item if isinstance(item, tuple) else (f"f#{k}", item)
-        f = indicator(tree, f) if isinstance(f, Atom) else f
-        if f.tree is not tree:
+        if isinstance(f, Atom):
+            own_atom(tree, f)
+        elif f.tree is not tree:
             raise ValueError(f"family member {label!r} is not on g's tree")
-        members.append((label, f.values_array))
+        members.append((label, f if isinstance(f, Atom) else f.values_array))
     return _family_lower_bound(g, p, spec, members)
 
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phi as phimod
-from .constructions import (extremal_chain_function,
+from .constructions import (chain_through_leaf, extremal_chain_function,
                             lipschitz_compose_check,
                             martingale_identity_defect,
                             measure_chain_constants, sin_h_multiplier)
-from .filtration import (chain_to_root, check_chain_gaps, is_dyadic,
-                         regularity_constant)
+from .filtration import check_chain_gaps, is_dyadic, regularity_constant
 from .functions import _indicator_row, level_projection, random_functions
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
@@ -119,7 +118,7 @@ def suite_atom_average_growth(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
     family = random_functions(tree, min(RANDOM_COUNT, 32), ctx.seed)
     family.append(extremal_chain_function(
-        tree, chain_to_root(tree, tree.leaves[0]), spec).f)
+        tree, chain_through_leaf(tree, 0), spec).f)
     sups, _, mean, fb = scan_block(tree, (f.values_array for f in family), p,
                                    spec, want_fb=True)
     norm_f = sups.max(axis=1) + np.abs(mean)
@@ -147,8 +146,7 @@ def suite_extremal_chain(ctx):
     c2 = math.inf
     tail = 0.0
     for j in picks:
-        con = extremal_chain_function(tree, chain_to_root(tree, tree.leaves[j]),
-                                      spec)
+        con = extremal_chain_function(tree, chain_through_leaf(tree, j), spec)
         defect = max(defect, float(martingale_identity_defect(con)))
         upper, lower = measure_chain_constants(con, p, spec)
         c1 = max(c1, upper)
@@ -265,8 +263,7 @@ def suite_truncation_monotone(ctx):
 
 
 def suite_conditional_multipliers(ctx):
-    g = sin_h_multiplier(ctx.tree, chain_to_root(ctx.tree, ctx.tree.leaves[0]),
-                         ctx.spec)
+    g = sin_h_multiplier(ctx.tree, chain_through_leaf(ctx.tree, 0), ctx.spec)
     return conditional_multiplier_check(g, ctx.p, ctx.spec, chains=4,
                                         randoms=8, seed=ctx.seed)
 

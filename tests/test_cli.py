@@ -310,16 +310,52 @@ def test_empty_phi_list_exits_2(tmp_path, capsys):
     assert code == 2 and names_key(lines, "phi"), lines
 
 
-@pytest.mark.parametrize("points", [
-    [[0.5, 22.0], [0.5625, 1.0]],    # overflows at r = 2^-40
-    [[0.5, 1e-20], [0.5625, 1.0]],   # underflows to 0 there
-])
-def test_table_out_of_range_at_smallest_r_exits_2(tmp_path, capsys, points):
+@pytest.mark.parametrize("phi, suite, key", [
+    # a table overflows at r = 2^-40, or underflows to 0 there
+    ({"family": "table", "points": [[0.5, 22.0], [0.5625, 1.0]]},
+     "phi_report", "phi.points"),
+    ({"family": "table", "points": [[0.5, 1e-20], [0.5625, 1.0]]},
+     "phi_report", "phi.points"),
+    # a powerlog factor overflows there, or underflows to 0
+    ({"family": "powerlog", "alpha": -50}, "multiplier", "phi"),
+    ({"family": "powerlog", "beta": 1e300}, "phi_report", "phi"),
+    ({"family": "powerlog", "gamma": -1e300}, "verify", "phi"),
+    ({"family": "powerlog", "beta": -800}, "verify", "phi"),
+    ({"family": "powerlog", "alpha": 1e300}, "verify", "phi"),
+], ids=["table-overflow", "table-underflow", "alpha-50", "beta1e300",
+        "gamma-1e300", "beta-800", "alpha1e300"])
+def test_weight_out_of_range_exits_2(tmp_path, capsys, phi, suite, key):
     # the weight report evaluates the weight down to 2^-40
-    code, lines = run_config_error(
-        tmp_path, capsys, phi={"family": "table", "points": points},
-        suites=["phi_report"])
-    assert code == 2 and names_key(lines, "phi.points"), lines
+    code, lines = run_config_error(tmp_path, capsys, phi=phi, suites=[suite])
+    assert code == 2 and names_key(lines, key), lines
+    assert "not a positive finite weight" in lines[0], lines
+
+
+@pytest.mark.parametrize("root, key", [
+    ({"fractions": ["1/2", "1/2"], "children": 3}, "children"),
+    ({"fractions": "ab"}, "fractions"),
+    ({"fractions": "1"}, "fractions"),  # one character, one valid fraction
+    ({"fractions": 1}, "fractions"),
+])
+def test_split_node_lists_that_are_not_lists_exit_2(tmp_path, capsys, root,
+                                                     key):
+    code, lines = run_config_error(tmp_path, capsys,
+                                   tree={"type": "splits", "root": root})
+    assert code == 2 and names_key(lines, key), lines
+    assert "list" in lines[0], lines
+
+
+def test_function_not_finite_on_a_valid_tree_exits_2(tmp_path, capsys):
+    # the chain ratio 1 / 1e-320 overflows a float: the default sin_h
+    # function cannot be built, which is refused before any suite runs
+    for suite in ("verify", "multiplier", "norms"):
+        code, lines = run_config_error(
+            tmp_path, capsys, suites=[suite], functions=[
+                {"kind": "sin_h", "leaf": 0}],
+            tree={"type": "splits", "root": {"fractions": [1e-320, 1]}})
+        assert code == 2 and lines, lines
+        assert lines[0].startswith("config error: functions[0]: ") \
+            and "finite" in lines[0], lines
 
 
 def test_table_points_with_equal_logs_exit_2(tmp_path, capsys):

@@ -339,11 +339,26 @@ def test_deep_persist_chain_builds_without_recursion():
 
 
 def test_atoms_are_views_of_one_tree():
-    tree = build_from_spec({"fractions": ["1/3", "2/3"],
-                            "children": [None, {"fractions": ["1/2", "1/2"]}]})
-    assert tree.atom(2, 1) is tree.leaves[1] is tree.levels[2][1]
-    assert tree.leaves[2].parent is tree.atoms(1)[1]
-    assert tree.atoms(1)[0].parent is tree.root
+    spec = {"fractions": ["1/3", "2/3"],
+            "children": [None, {"fractions": ["1/2", "1/2"]}]}
+    tree = build_from_spec(spec)
+    # handles are values, made on demand: equal and hashing alike when
+    # they have the same tree, level and index
+    assert tree.atom(2, 1) == tree.leaves[1] == tree.levels[2][1]
+    assert tree.atom(2, 1) is not tree.atom(2, 1)
+    assert len({tree.atom(2, 1), tree.leaves[1], tree.atom(2, 0)}) == 2
+    assert tree.atom(2, 1) != tree.atom(2, 0) != tree.atom(1, 0)
+    assert tree.leaves[2].parent == tree.atoms(1)[1]
+    assert tree.atoms(1)[0].parent == tree.root
+    assert type(tree.atom(np.int64(2), np.int64(1)).index) is int
+    # a same-shaped tree's atoms are other atoms, and are refused here
+    other = build_from_spec(spec)
+    assert other.same_structure(tree)
+    assert other.atom(2, 1) != tree.atom(2, 1)
+    assert len({other.atom(2, 1), tree.atom(2, 1)}) == 2
+    assert other.root != tree.root
+    with pytest.raises(ValueError, match="does not belong"):
+        chain_to_root(tree, other.leaves[1])
     assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 1), (1, 3)]
     with pytest.raises(ValueError):
         tree.atom(3, 0)
@@ -362,19 +377,21 @@ def test_atoms_are_views_of_one_tree():
         starts, lengths, measures = tree.level_arrays(n)
         for i, atom in enumerate(level):
             assert atom.tree is tree and atom.id == (n, i)
+            assert atom == tree.atom(n, i)
+            assert hash(atom) == hash(tree.atom(n, i))
             assert type(atom.measure) is float
             assert atom.measure == measures[i]
             assert (atom.leaf_start, atom.leaf_end) == \
                 (starts[i], starts[i] + lengths[i])
             if n:
-                assert atom.parent is tree.atom(n - 1,
+                assert atom.parent == tree.atom(n - 1,
                                                 tree.ancestors(n, i)[n - 1])
                 assert atom.parent.leaf_start <= atom.leaf_start \
                     < atom.leaf_end <= atom.parent.leaf_end
     assert tree.root.parent is None
     assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 2), (2, 4)]
-    assert tree.leaves[3].parent is tree.atoms(2)[2]
-    assert tree.atoms(2)[2].parent is tree.atoms(1)[1]
+    assert tree.leaves[3].parent == tree.atoms(2)[2]
+    assert tree.atoms(2)[2].parent == tree.atoms(1)[1]
     assert [a.measure for a in tree.leaves] == [0.125, 0.125, 0.75 * 0.2,
                                                 0.75 * 0.8]
 
@@ -386,7 +403,7 @@ def test_atom_refuses_positions_outside_the_tree(level, index):
     tree = build_dyadic(3)
     with pytest.raises(ValueError, match=rf"no atom \({level}, {index}\)"):
         tree.atom(level, index)
-    assert tree.atom(3, 7) is tree.leaves[-1]
+    assert tree.atom(3, 7) == tree.leaves[-1]
 
 
 F = Fraction
@@ -426,7 +443,7 @@ def test_hand_built_tree_accepted():
     tree = FiltrationTree([[0, 0], [0, 1, 1]],
                           [[1], HALVES, [F(1, 2), F(1, 4), F(1, 4)]], "exact")
     assert [(a.leaf_start, a.leaf_end) for a in tree.atoms(1)] == [(0, 1), (1, 3)]
-    assert tree.leaves[2].parent is tree.atoms(1)[1]
+    assert tree.leaves[2].parent == tree.atoms(1)[1]
     assert regularity_constant(tree) == 2
 
 

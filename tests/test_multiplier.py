@@ -20,8 +20,12 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            sin_h_multiplier, theorem1_certificate, truncate)
 from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
-from campanato_lab.multiplier import (INDICATORS, _family_lower_bound,
-                                      _family_members)
+from campanato_lab.filtration import Atom
+from campanato_lab.multiplier import (INDICATORS, WITNESS_TIE,
+                                      _family_lower_bound, _family_members,
+                                      _family_norms)
+from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
+                                  run_verify_suites)
 
 
 def brute_capital_F(f, g, p, spec):
@@ -330,15 +334,62 @@ def test_conditional_norm_of_products_never_increases():
                 <= norm_fg + 1e-12
 
 
-def test_multiplier_paths_make_no_atom_handle():
+def test_multiplier_paths_make_no_atom_handle(monkeypatch):
+    made = []
+    init = Atom.__init__
+
+    def counting_init(self, tree, level, index):
+        made.append((level, index))
+        init(self, tree, level, index)
+
+    monkeypatch.setattr(Atom, "__init__", counting_init)
     # the certificate, the sup-norm check and the truncation check read
-    # the level arrays only: the tree never builds its Atom handles
+    # the level arrays only: they make no Atom handle
     tree = build_dyadic(6)
     g = random_functions(tree, 1, seed=5)[0]
     assert theorem1_certificate(g, 1.5, psi(), sample_chains=8).op_lower > 0
     assert linf_bound_check(g, 1, one()).checks
     assert conditional_multiplier_check(g, 2, psi(), chains=4).checks
-    assert tree._views is None
+    assert made == []
+    # the verify suites make handles for the chains and sampled atoms they
+    # read, at most one per level each, and never a whole level: fewer
+    # distinct handles than the tree's 511 atoms
+    tree = build_dyadic(8)
+    reports = run_verify_suites(VerifyContext(tree=tree, spec=one(), p=1,
+                                              seed=7))
+    assert all(rep.passed for rep in reports)
+    # one chain in atom_average_growth and one in conditional_multipliers
+    chains, atoms = CHAIN_COUNT + 2, ATOM_SAMPLE
+    assert len(made) <= (tree.depth + 1) * (chains + atoms)
+    assert len(set(made)) <= (tree.depth + 1) * chains + atoms < 511
+
+
+def test_atom_members_take_the_indicator_block_values():
+    tree = build_dyadic(5)
+    g = random_functions(tree, 1, seed=3)[0]
+    block = _family_norms(g, 1.5, psi(), [("chi", INDICATORS)])
+    at = {label: k for k, label in enumerate(block[0])}
+    atoms = [(f"chi:{n},{B.index}", B)
+             for n in range(tree.depth + 1) for B in tree.atoms(n)]
+    # every atom, in level order, then out of order with repeats: each
+    # member has exactly the block's values at its own label
+    for members in (atoms, atoms[::-1] + atoms[5:9]):
+        labels, norm_f, norm_fg, _ = _family_norms(g, 1.5, psi(), members)
+        assert labels == [label for label, _ in members]
+        k = [at[label] for label in labels]
+        assert norm_f.tolist() == block[1][k].tolist()
+        assert norm_fg.tolist() == block[2][k].tolist()
+    assert op_norm_lower_bound(g, 1.5, psi(), atoms) == \
+        _family_lower_bound(g, 1.5, psi(), [("chi", INDICATORS)])
+    # a constant g ties every member up to rounding: the witness is the
+    # first member in family order whose ratio is within WITNESS_TIE of L
+    c = constant(tree, -3.0)
+    L, witness = op_norm_lower_bound(c, 1.5, psi(), atoms[::-1])
+    assert L == pytest.approx(3.0) and witness == atoms[-1][0]
+    labels, norm_f, norm_fg, _ = _family_norms(c, 1.5, psi(), atoms[::-1])
+    ratios = norm_fg / norm_f
+    assert ratios.max() == L
+    assert witness == labels[int(np.argmax(ratios >= L * (1 - WITNESS_TIE)))]
 
 
 def test_foreign_tree_atoms_are_refused():
