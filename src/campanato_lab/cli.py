@@ -16,10 +16,13 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import phi as phimod
 from .constructions import (chain_through_leaf, extremal_chain_function,
                             h_function, sin_h_multiplier)
-from .filtration import TreeSpecError, parse_tree_config
+from .filtration import (TreeSpecError, parse_tree_config,
+                         regularity_constant)
 from .functions import LeafFunction, indicator, random_functions
 from .norms import campanato_norm
 from .report import canonical_json, content_hash
@@ -188,6 +191,14 @@ class ExperimentConfig:
             raise ConfigError(f"out: expected a path string, got {self.out!r}")
         # the functions of each weight, built before any suite runs
         self.functions = [self.build_functions(spec) for spec in self.phis]
+        try:  # the suites' chain functions divide by every such ratio
+            with np.errstate(over="ignore"):
+                finite = math.isfinite(regularity_constant(self.tree))
+        except OverflowError:  # an exact ratio beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError("tree: a parent/child measure ratio is not "
+                              "finite as a float")
 
     def _check_function(self, spec, where):
         """Reject a malformed function entry before any suite runs."""

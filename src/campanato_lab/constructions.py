@@ -140,12 +140,19 @@ def chain_values(tree, chain, phi_spec):
     return _path_values(tree, _validate_chain(tree, chain), phi_spec)
 
 
-def _path_values(tree, path, phi_spec):
-    """chain_values along the atom indices `path`, taken as given."""
+def _path_ring(tree, path, phi_spec):
+    """(ring, deepest) of the chain table along the atom indices `path`,
+    taken as given, the ring in float64: chain_values is ring[deepest]."""
     _, ring, den, deepest = _chain_table(tree, path, phi_spec, 1)
     if den is not None:
         ring = [v / den for v in ring]  # int / int rounds correctly
-    return np.array(ring, dtype=np.float64)[deepest]
+    return np.array(ring, dtype=np.float64), deepest
+
+
+def _path_values(tree, path, phi_spec):
+    """chain_values along the atom indices `path`, taken as given."""
+    ring, deepest = _path_ring(tree, path, phi_spec)
+    return ring[deepest]
 
 
 def h_function(tree, chain, phi_spec):

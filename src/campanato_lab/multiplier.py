@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phi as phimod
-from .constructions import _path_values
+from .constructions import _path_ring, _path_values
 from .filtration import Atom, own_atom, regularity_constant, truncate
 from .functions import (LeafFunction, _indicator_row, check_p, expectation,
                         level_means, level_projection, linf_norm)
-from .norms import (_level_scan, campanato_norm, campanato_seminorm,
-                    phi_level_values, phi_star_level_values, scan_block)
+from .norms import (BLOCK_ELEMENTS, _level_scan, campanato_norm,
+                    campanato_seminorm, phi_level_values,
+                    phi_star_level_values, scan_block)
 from .report import INEQ_SLACK, Check, VerificationReport
 
 EXACT_SLACK = 1e-12
@@ -30,6 +31,10 @@ EXACT_SLACK = 1e-12
 WITNESS_TIE = 1e-12
 
 INDICATORS = object()  # a family's indicator block, as in _family_norms
+
+
+class ChainPath(tuple):
+    """A family member: the chain function along these atom indices."""
 
 
 # -- the product functional ---------------------------------------------------
@@ -72,9 +77,10 @@ def check_product_estimate(f, g, p, spec):
 # -- families and operator-norm lower bounds ----------------------------------
 
 
-def _family_members(tree, spec, chains, randoms, seed):
+def _family_members(tree, spec, chains, randoms, seed, paths=True):
     """The default test family as (label, member) pairs: the indicator
-    block ("chi", INDICATORS), every other member an array of leaf values."""
+    block ("chi", INDICATORS), each sampled chain a ChainPath (its leaf
+    values unless paths), every other member an array of leaf values."""
     rng = np.random.default_rng(seed)
     yield "const:1", np.ones(tree.leaf_count)
     yield "chi", INDICATORS
@@ -82,8 +88,9 @@ def _family_members(tree, spec, chains, randoms, seed):
     if count > 0:
         picks = rng.choice(tree.leaf_count, size=count, replace=False)
         for j in sorted(int(x) for x in picks):
-            yield f"chain:leaf={j}", _path_values(
-                tree, tree.ancestors(tree.depth, j), spec)
+            path = tree.ancestors(tree.depth, j)
+            yield f"chain:leaf={j}", (ChainPath(path) if paths
+                                      else _path_values(tree, path, spec))
     for k in range(randoms):
         yield f"rand:{k}", rng.standard_normal(tree.leaf_count)
 
@@ -95,7 +102,8 @@ def default_test_family(tree, spec, chains=8, randoms=32, seed=0):
     Yields (label, function) pairs lazily; the composition mirrors the
     witnesses the lower-bound arguments actually use.
     """
-    for label, member in _family_members(tree, spec, chains, randoms, seed):
+    for label, member in _family_members(tree, spec, chains, randoms, seed,
+                                         paths=False):
         if member is not INDICATORS:
             yield label, LeafFunction.from_float_array(tree, member)
             continue
@@ -116,7 +124,39 @@ def _subtree_max(tree, per_level):
     return out[::-1]
 
 
-def _indicator_norms(g, p, spec, want_fb=False):
+def _sibling_max(tree, per_level):
+    """Per level, the max of per_level >= 0 over each atom's siblings, the
+    other children of its parent (0 for an only child and the root)."""
+    out = [np.zeros(1)]
+    for n in range(1, tree.depth + 1):
+        vals = per_level[n]
+        kids = np.searchsorted(tree.level_arrays(n)[0],
+                               tree.level_arrays(n - 1)[0])
+        top = np.repeat(np.maximum.reduceat(vals, kids),
+                        np.diff(kids, append=len(vals)))
+        # the first child at its family's top sees the rest, the others it
+        first = np.minimum.reduceat(
+            np.where(vals < top, len(vals), np.arange(len(vals))), kids)
+        rest = vals.copy()
+        rest[first] = 0.0
+        top[first] = np.maximum.reduceat(rest, kids)
+        out.append(top)
+    return out
+
+
+def _subtree_tables(g, p, spec, want_fb):
+    """Per level, the max over each atom and its descendants of g's
+    weighted oscillation and, when want_fb (else None), of 1/phi_star: one
+    scan of g for the indicator block and the chains."""
+    tree = g.tree
+    osc = [ratios[0] for _, _, ratios
+           in _level_scan(tree, g.values_array[None, :], p, spec)]
+    stars = phi_star_level_values(tree, spec) if want_fb else None
+    return (_subtree_max(tree, osc + [np.zeros(tree.leaf_count)]),
+            _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None)
+
+
+def _indicator_norms(g, p, spec, want_fb=False, tables=None):
     """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
     over atoms A, for every atom B of g's tree in level order, without a
     leaf pass per member.
@@ -136,10 +176,7 @@ def _indicator_norms(g, p, spec, want_fb=False):
     phis = phi_level_values(tree, spec)
     stars = phi_star_level_values(tree, spec) if want_fb else None
     invp = 1.0 / p
-    osc = [ratios[0]
-           for _, _, ratios in _level_scan(tree, gv[None, :], p, spec)]
-    sub_osc = _subtree_max(tree, osc + [np.zeros(tree.leaf_count)])
-    sub_inv = _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None
+    sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
 
     w = gv * leafm
     dev = np.empty_like(w)  # one leaf-sized buffer for every pair of levels
@@ -174,6 +211,73 @@ def _indicator_norms(g, p, spec, want_fb=False):
             np.concatenate(fb) if want_fb else None)
 
 
+def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
+    """As _indicator_norms, for the chain function f along each path (atom
+    indices, root to leaf): f is its ring value r_k on R_k = B_k minus
+    B_{k+1}, which holds every atom that leaves the chain below B_k, so f
+    oscillates on the chain atoms only (O(depth^2) per chain from the r_k
+    and P(R_k)), and off the chain f g = r_k g adds |r_k| times the largest
+    subtree maximum of the siblings of B_{k+1}.  Only B_0, ..., B_{N-1}
+    get a leaf pass for f g, in blocks of at most BLOCK_ELEMENTS values,
+    and the root's gives E(f g)."""
+    tree, gv, N = g.tree, g.values_array, g.tree.depth
+    sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
+    idx = np.array(paths, dtype=np.int64) + np.cumsum(
+        [0] + [len(tree.level_arrays(n)[0]) for n in range(N)])
+
+    def along(per_level):  # each chain atom's entry, per chain and level
+        return np.concatenate(per_level)[idx]
+
+    starts, lengths, meas = (along([tree.level_arrays(n)[k]
+                                    for n in range(N + 1)]) for k in range(3))
+    phis = along(phi_level_values(tree, spec))
+    nums, den = tree.numerator_arrays()
+    s = along(nums)
+    keys = list(map(tuple, s.tolist()))  # a ring depends on these only
+    rings = {k: _path_ring(tree, path, spec)[0]
+             for k, path in dict(zip(keys, paths)).items()}
+    ring = np.array([rings[k] for k in keys])
+    mu = (np.concatenate([s[:, :-1] - s[:, 1:], s[:, -1:]], axis=1)
+          / (den or 1)).astype(np.float64)  # the P(R_k)
+    avg = np.cumsum((mu * ring)[:, ::-1], axis=1)[:, ::-1] / meas  # f_{B_n}
+    cint = (np.triu(np.abs(ring[:, None] - avg[..., None]) ** p)
+            * mu[:, None]).sum(axis=2)
+    sem_f = ((cint / meas) ** (1.0 / p) / phis)[:, :N].max(axis=1, initial=0.0)
+
+    def off_chain(sub):  # max over k < N of |r_k| times B_{k+1}'s siblings'
+        return (np.abs(ring[:, :N]) * along(_sibling_max(tree, sub))[:, 1:]
+                ).max(axis=1, initial=0.0)
+
+    fb = np.maximum(off_chain(sub_inv), (np.abs(np.concatenate(
+        [avg[:, :N], ring[:, N:]], axis=1)) / along(phi_star_level_values(
+            tree, spec))).max(axis=1)) if want_fb else None
+    # B_n spans pieces n, ..., 2N - n of the chain's nested leaf spans, and
+    # piece j holds ring value min(j, 2N - j)
+    M = max(N, 1)  # the chain atoms with oscillation; the root at least
+    pieces = np.diff(np.concatenate([starts, (starts + lengths)[:, ::-1]],
+                                    axis=1), axis=1)
+    pick = np.concatenate([np.arange(n, 2 * N + 1 - n) for n in range(M)])
+    leafm, out = tree.leaf_measures_f(), []
+    size = max(1, BLOCK_ELEMENTS // int(lengths[:, :M].sum(axis=1).max()))
+    for b in (slice(lo, lo + size) for lo in range(0, len(idx), size)):
+        seg = lengths[b, :M].ravel()
+        at = np.cumsum(seg) - seg
+        leaf = np.repeat(starts[b, :M].ravel() - at, seg) + np.arange(at[-1]
+                                                                     + seg[-1])
+        fg = np.repeat(ring[b, np.minimum(pick, 2 * N - pick)].ravel(),
+                       pieces[b, pick].ravel()) * gv[leaf]
+        m = leafm[leaf]
+        sums = np.add.reduceat(fg * m, at)
+        dev = np.abs(fg - np.repeat(sums / meas[b, :M].ravel(), seg))
+        dev **= p
+        dev *= m
+        out.append(((np.add.reduceat(dev, at).reshape(-1, M) / meas[b, :M])
+                    ** (1.0 / p) / phis[b, :M], sums.reshape(-1, M)[:, 0]))
+    ratios, mean_fg = map(np.concatenate, zip(*out))
+    sem_fg = np.maximum(off_chain(sub_osc), ratios.max(axis=1))
+    return sem_f + np.abs(avg[:, 0]), sem_fg + np.abs(mean_fg), fb
+
+
 def _family_norms(g, p, spec, members, want_fb=False):
     """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
     every family member, in family order.
@@ -181,14 +285,15 @@ def _family_norms(g, p, spec, members, want_fb=False):
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
     (one label:n,i per atom) and Atom members read one _indicator_norms
-    pass.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    pass, and ChainPath members one _chain_norms pass, both on one scan of
+    g.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
     """
     tree, gv = g.tree, g.values_array
     offsets = np.cumsum([0] + [len(tree.level_arrays(n)[0])
                                for n in range(tree.depth + 1)])
-    labels, dense, chi, at = [], [], [], []
+    labels, dense, chi, at, chains = [], [], [], [], []
 
-    def rows():  # fills labels, dense, chi and at as scan_block consumes it
+    def rows():  # fills the lists above as scan_block consumes it
         for label, member in members:
             if member is INDICATORS:
                 chi.extend(range(len(labels), len(labels) + offsets[-1]))
@@ -198,6 +303,9 @@ def _family_norms(g, p, spec, members, want_fb=False):
             elif isinstance(member, Atom):
                 chi.append(len(labels))
                 at.append(offsets[member.level] + member.index)
+                labels.append(label)
+            elif isinstance(member, ChainPath):
+                chains.append((len(labels), member))
                 labels.append(label)
             else:
                 dense.append(len(labels))
@@ -209,13 +317,17 @@ def _family_norms(g, p, spec, members, want_fb=False):
     norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     norms = sups.max(axis=1) + np.abs(mean)
     norm_f[dense], norm_fg[dense] = norms[0::2], norms[1::2]
-    if want_fb:
-        fb_all[dense] = fb[0::2]
+    fb_all[dense] = fb[0::2] if want_fb else 0.0
+    tables = _subtree_tables(g, p, spec, want_fb) if chi or chains else None
     if chi:
-        block = _indicator_norms(g, p, spec, want_fb)
-        norm_f[chi], norm_fg[chi] = block[0][at], block[1][at]
-        if want_fb:
-            fb_all[chi] = block[2][at]
+        nf, nfg, b = _indicator_norms(g, p, spec, want_fb, tables)
+        norm_f[chi], norm_fg[chi] = nf[at], nfg[at]
+        fb_all[chi] = b[at] if want_fb else 0.0
+    if chains:
+        where, paths = map(list, zip(*chains))
+        norm_f[where], norm_fg[where], b = _chain_norms(g, p, spec, paths,
+                                                        want_fb, tables)
+        fb_all[where] = b if want_fb else 0.0
     return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 
@@ -472,8 +584,9 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     multiples of shallower members, so only chain and random members need
     explicit closure), which makes the per-level lower bounds L_n provably
     dominated by the full-tree bound L(g) up to float slack.  On the
-    truncation the dense members are averaged over the level-n atoms, and
-    the indicator block is that of its own atoms, each once: E_n of a
+    truncation the dense members, chains as leaf values among them, are
+    averaged over the level-n atoms, and the indicator block is that of
+    its own atoms, each once: E_n of a
     deeper atom B's indicator is (P(B)/P(A)) chi_A for its level-n
     ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.
     Level N runs on a fresh depth-N truncation too, so its values check
@@ -482,7 +595,7 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     tree = g.tree
     N = tree.depth
     base = list(_family_members(tree, spec, chains=chains, randoms=randoms,
-                                seed=seed))
+                                seed=seed, paths=False))
     shared = base + [(f"E{n}[{label}]", level_projection(tree, n, row))
                      for label, row in base
                      if label.startswith(("chain:", "rand:"))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -424,3 +425,20 @@ def test_out_path_of_a_file_exits_2_before_any_suite(tmp_path, capsys):
     assert code == 2 and lines and lines[0].startswith("config error: out:"), lines
     assert captured.out == ""  # no suite ran
     assert blocker.read_text() == "not a directory"
+
+
+def test_tree_ratio_not_finite_exits_2(tmp_path, capsys):
+    # 1 / 1e-320 overflows a float.  A random function is finite on this
+    # tree, but the verify suites' own chain functions would not be, so
+    # the tree itself is refused before any suite runs; so is an exact
+    # ratio of 10^310, beyond the float range
+    tiny = "1/1" + "0" * 310
+    for fractions in ([1e-320, 1], [tiny, str(1 - Fraction(tiny))]):
+        code, lines = run_config_error(
+            tmp_path, capsys, seed=3, suites=["verify"],
+            functions=[{"kind": "random", "count": 1}],
+            tree={"type": "splits", "root": {"fractions": fractions}})
+        assert code == 2 and lines, lines
+        assert lines[0] == "config error: tree: a parent/child measure " \
+            "ratio is not finite as a float", lines
+        assert not (tmp_path / "out").exists()

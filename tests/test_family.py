@@ -26,13 +26,15 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            op_norm_lower_bound, powerlog, psi, quotient_phi,
                            sin_h_multiplier, theorem1_certificate)
 from campanato_lab import norms
-from campanato_lab.constructions import (chain_values,
+from campanato_lab.constructions import (_path_values, chain_values,
                                          lipschitz_compose_check,
                                          martingale_identity_defect,
                                          measure_chain_constants)
 from campanato_lab.functions import _machine_ints
-from campanato_lab.multiplier import (INDICATORS, _family_members,
-                                      _family_norms)
+from campanato_lab import multiplier
+from campanato_lab.multiplier import (INDICATORS, ChainPath, _chain_norms,
+                                      _family_members, _family_norms,
+                                      _sibling_max)
 from campanato_lab.norms import oscillation_scan
 from campanato_lab.phi import phi_star
 from campanato_lab.report import INEQ_SLACK
@@ -169,13 +171,16 @@ def test_family_norms_match_per_member_scans(tree, p, weight, g_kind, seed):
     stats = reference_stats(g, p, spec,
                             reference_family(tree, spec, 4, 3, seed))
     assert labels == list(stats)
-    # the family with its indicator block expanded: one atom per chi: label
+    # the family with its indicator block expanded, one atom per chi:
+    # label, and each chain as its leaf values
     members = []
     for label, m in family:
         if m is INDICATORS:
             members += [(f"chi:{n},{B.index}", B)
                         for n in range(tree.depth + 1) for B in tree.atoms(n)]
         else:
+            if isinstance(m, ChainPath):
+                m = _path_values(tree, m, spec)
             members.append((label, LeafFunction.from_float_array(tree, m)))
     assert [label for label, _ in members] == labels
     for k, (label, member) in enumerate(members):
@@ -538,3 +543,76 @@ def test_equal_measure_ancestor_gives_zero_oscillation():
     assert norm_f[1] == 1.0
     assert math.isclose(norm_fg[1], float(campanato_norm(g, 1, one()).value),
                         rel_tol=TOL)
+
+
+# -- the chain path ---------------------------------------------------------
+
+
+def dense_chain_stats(g, p, spec, paths):
+    """(norm f, norm f g, fb) of each chain function from scan_block over
+    its _path_values row and that row times g."""
+    rows = []
+    for path in paths:
+        row = _path_values(g.tree, path, spec)
+        rows += [row, row * g.values_array]
+    sups, _, mean, fb = norms.scan_block(g.tree, rows, p, spec, want_fb=True)
+    norm = sups.max(axis=1) + np.abs(mean)
+    return norm[0::2], norm[1::2], fb[0::2]
+
+
+def every_chain(tree):
+    return [ChainPath(tree.ancestors(tree.depth, j))
+            for j in range(tree.leaf_count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=split_trees(), p=st.sampled_from([1, 1.5, 2]),
+       weight=st.sampled_from(sorted(WEIGHTS)),
+       g_kind=st.sampled_from(["sin_h", "random"]),
+       seed=st.integers(0, 2 ** 16))
+@example(tree=build_from_spec({"persist": {"fractions": ["1/3", "2/3"]}}),
+         p=1.5, weight="psi", g_kind="random", seed=0)
+@example(tree=build_from_spec({"fractions": [0.3, 0.7], "children": [
+    {"persist": {"fractions": [0.5, 0.5]}}, {"fractions": [0.2, 0.3, 0.5]}]}),
+    p=2, weight="powerlog(0.3)", g_kind="random", seed=1)
+def test_chain_norms_match_dense_scans(tree, p, weight, g_kind, seed):
+    # every leaf's chain, so that each persistence step lies on a chain
+    spec = WEIGHTS[weight]
+    g = multiplier_for(tree, spec, g_kind, seed)
+    paths = every_chain(tree)
+    got = _chain_norms(g, p, spec, paths, want_fb=True)
+    want = dense_chain_stats(g, p, spec, paths)
+    for name, a, b in zip(("norm f", "norm fg", "fb"), got, want):
+        for k, path in enumerate(paths):
+            assert rel(a[k], b[k]) <= TOL, (name, path, a[k], b[k])
+
+
+def test_chain_norms_do_not_depend_on_the_blocks(monkeypatch):
+    tree = build_from_spec({"fractions": ["1/4", "3/4"], "children": [
+        "persist", {"fractions": ["1/3", "1/3", "1/3"], "children": [
+            {"fractions": ["1/2", "1/2"]}, None, "persist"]}]})
+    g = multiplier_for(tree, psi(), "random", 5)
+    paths = every_chain(tree)
+    whole = _chain_norms(g, 1.5, psi(), paths, want_fb=True)
+    monkeypatch.setattr(multiplier, "BLOCK_ELEMENTS", 1)  # a chain a block
+    for a, b in zip(_chain_norms(g, 1.5, psi(), paths, want_fb=True), whole):
+        assert a.tolist() == b.tolist()
+    assert _chain_norms(g, 1.5, psi(), paths)[2] is None
+
+
+def test_sibling_max_examples():
+    # level 1: A, B, C; level 2: A persists (an only child), B and C split
+    tree = build_from_spec({"fractions": ["1/4", "1/4", "1/2"], "children": [
+        "persist", {"fractions": ["1/2", "1/2"]},
+        {"fractions": ["1/3", "2/3"]}]})
+    # B and C tie for the top of level 1; C's children tie on level 2
+    sib = _sibling_max(tree, [np.array([9.0]), np.array([3.0, 5.0, 5.0]),
+                              np.array([8.0, 2.0, 7.0, 4.0, 4.0])])
+    assert sib[0].tolist() == [0.0]
+    assert sib[1].tolist() == [5.0, 5.0, 5.0]
+    assert sib[2].tolist() == [0.0, 7.0, 2.0, 4.0, 4.0]
+    # one top per family, first and last: each child sees the others' max
+    sib = _sibling_max(tree, [np.array([0.0]), np.array([6.0, 1.0, 2.0]),
+                              np.array([0.5, 3.0, 1.0, 0.0, 2.5])])
+    assert sib[1].tolist() == [2.0, 6.0, 6.0]
+    assert sib[2].tolist() == [0.0, 1.0, 3.0, 2.5, 0.0]

@@ -18,6 +18,7 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            linf_bound_check, one,
                            op_norm_lower_bound, psi, random_functions,
                            sin_h_multiplier, theorem1_certificate, truncate)
+from campanato_lab import constructions, multiplier
 from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
 from campanato_lab.filtration import Atom
@@ -237,10 +238,12 @@ def projected_L_n(g, p, spec, chains, randoms, seed):
     indicator replaced by that of its level-n ancestor on the truncation.
     Deeper atoms repeat ancestors, and the maximum ignores repeats, so the
     walk must reach every atom of the truncation, and then its indicator
-    block stands for the projected indicators."""
+    block stands for the projected indicators.  Chains are projected as
+    their leaf values."""
     tree = g.tree
     N = tree.depth
-    base = list(_family_members(tree, spec, chains, randoms, seed))
+    base = list(_family_members(tree, spec, chains, randoms, seed,
+                                paths=False))
     shared = list(base)
     for label, row in base:
         if label.startswith(("chain:", "rand:")):
@@ -413,3 +416,31 @@ def test_foreign_tree_atoms_are_refused():
     # this tree's own atoms and chains pass
     assert op_norm_lower_bound(g, 1, one(), [tree.atom(1, 0)])[0] > 0
     extremal_chain_function(tree, chain_to_root(tree, tree.leaves[5]), one())
+
+
+def test_certificate_scans_no_chain_row(monkeypatch):
+    # the chains take the ancestors-only path: scan_block gets the constant
+    # and random members and their products, and no chain's leaf values
+    # are built
+    counts = []
+    scan = multiplier.scan_block
+
+    def counting(tree, rows, *args, **kwargs):
+        rows = list(rows)
+        counts.append(len(rows))
+        return scan(tree, rows, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("a chain's leaf values were built")
+
+    monkeypatch.setattr(multiplier, "scan_block", counting)
+    monkeypatch.setattr(multiplier, "_path_values", refuse)
+    monkeypatch.setattr(constructions, "_path_values", refuse)
+    tree = build_dyadic(6)
+    g = sin_h_multiplier(tree, chain_through_leaf(tree, 3), psi())
+    for randoms in (0, 5):
+        counts.clear()
+        cert = theorem1_certificate(g, 1.5, psi(), sample_chains=16,
+                                    randoms=randoms, seed=4)
+        assert counts == [2 + 2 * randoms]
+        assert cert.family_size == 1 + 127 + 16 + randoms
