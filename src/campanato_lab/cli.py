@@ -191,14 +191,12 @@ class ExperimentConfig:
             raise ConfigError(f"out: expected a path string, got {self.out!r}")
         # the functions of each weight, built before any suite runs
         self.functions = [self.build_functions(spec) for spec in self.phis]
-        try:  # the suites' chain functions divide by every such ratio
-            with np.errstate(over="ignore"):
-                finite = math.isfinite(regularity_constant(self.tree))
-        except OverflowError:  # an exact ratio beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError("tree: a parent/child measure ratio is not "
-                              "finite as a float")
+        # the suites' chain functions divide by these ratios; a Fraction R
+        # (a rational tree) compares with the float bound exactly
+        with np.errstate(over="ignore"):
+            if not regularity_constant(self.tree) < sys.float_info.max:
+                raise ConfigError("tree: a parent/child measure ratio is not "
+                                  "finite as a float")
 
     def _check_function(self, spec, where):
         """Reject a malformed function entry before any suite runs."""

@@ -213,13 +213,13 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
 
 def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
     """As _indicator_norms, for the chain function f along each path (atom
-    indices, root to leaf): f is its ring value r_k on R_k = B_k minus
-    B_{k+1}, which holds every atom that leaves the chain below B_k, so f
-    oscillates on the chain atoms only (O(depth^2) per chain from the r_k
-    and P(R_k)), and off the chain f g = r_k g adds |r_k| times the largest
-    subtree maximum of the siblings of B_{k+1}.  Only B_0, ..., B_{N-1}
-    get a leaf pass for f g, in blocks of at most BLOCK_ELEMENTS values,
-    and the root's gives E(f g)."""
+    indices, root to leaf): f is its ring value r_k (_path_ring) on R_k =
+    B_k minus B_{k+1}, which holds every atom that leaves the chain below
+    B_k, so f oscillates on the chain atoms only (O(depth^2) per chain
+    from the r_k and P(R_k)), and off the chain f g = r_k g adds |r_k|
+    times the largest subtree maximum of the siblings of B_{k+1}.  Only
+    B_0, ..., B_{N-1} get a leaf pass for f g, in blocks of at most
+    BLOCK_ELEMENTS values, and the root's gives E(f g)."""
     tree, gv, N = g.tree, g.values_array, g.tree.depth
     sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
     idx = np.array(paths, dtype=np.int64) + np.cumsum(
@@ -262,8 +262,8 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
     for b in (slice(lo, lo + size) for lo in range(0, len(idx), size)):
         seg = lengths[b, :M].ravel()
         at = np.cumsum(seg) - seg
-        leaf = np.repeat(starts[b, :M].ravel() - at, seg) + np.arange(at[-1]
-                                                                     + seg[-1])
+        leaf = np.repeat(starts[b, :M].ravel() - at, seg) + np.arange(
+            seg.sum())
         fg = np.repeat(ring[b, np.minimum(pick, 2 * N - pick)].ravel(),
                        pieces[b, pick].ravel()) * gv[leaf]
         m = leafm[leaf]
@@ -314,20 +314,20 @@ def _family_norms(g, p, spec, members, want_fb=False):
                 yield member * gv
 
     sups, _, mean, fb = scan_block(tree, rows(), p, spec, want_fb)
-    norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     norms = sups.max(axis=1) + np.abs(mean)
-    norm_f[dense], norm_fg[dense] = norms[0::2], norms[1::2]
-    fb_all[dense] = fb[0::2] if want_fb else 0.0
+    parts = [(dense, norms[0::2], norms[1::2], fb[0::2] if want_fb else None)]
     tables = _subtree_tables(g, p, spec, want_fb) if chi or chains else None
     if chi:
-        nf, nfg, b = _indicator_norms(g, p, spec, want_fb, tables)
-        norm_f[chi], norm_fg[chi] = nf[at], nfg[at]
-        fb_all[chi] = b[at] if want_fb else 0.0
+        block = _indicator_norms(g, p, spec, want_fb, tables)
+        parts.append((chi, *(None if b is None else b[at] for b in block)))
     if chains:
         where, paths = map(list, zip(*chains))
-        norm_f[where], norm_fg[where], b = _chain_norms(g, p, spec, paths,
-                                                        want_fb, tables)
-        fb_all[where] = b if want_fb else 0.0
+        parts.append((where, *_chain_norms(g, p, spec, paths, want_fb, tables)))
+    norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
+    for where, nf, nfg, b in parts:
+        norm_f[where], norm_fg[where] = nf, nfg
+        if want_fb:
+            fb_all[where] = b
     return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 
@@ -586,9 +586,9 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     dominated by the full-tree bound L(g) up to float slack.  On the
     truncation the dense members, chains as leaf values among them, are
     averaged over the level-n atoms, and the indicator block is that of
-    its own atoms, each once: E_n of a
-    deeper atom B's indicator is (P(B)/P(A)) chi_A for its level-n
-    ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.
+    its own atoms, each once: E_n of a deeper atom B's indicator is
+    (P(B)/P(A)) chi_A for its level-n ancestor A, whose ratio
+    norm(fg)/norm(f) is that of chi_A.
     Level N runs on a fresh depth-N truncation too, so its values check
     the full-tree computation independently.
     """

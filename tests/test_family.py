@@ -25,13 +25,12 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            h_function, indicator, linf_norm, one,
                            op_norm_lower_bound, powerlog, psi, quotient_phi,
                            sin_h_multiplier, theorem1_certificate)
-from campanato_lab import norms
+from campanato_lab import multiplier, norms
 from campanato_lab.constructions import (_path_values, chain_values,
                                          lipschitz_compose_check,
                                          martingale_identity_defect,
                                          measure_chain_constants)
 from campanato_lab.functions import _machine_ints
-from campanato_lab import multiplier
 from campanato_lab.multiplier import (INDICATORS, ChainPath, _chain_norms,
                                       _family_members, _family_norms,
                                       _sibling_max)
