@@ -150,6 +150,9 @@ class ExperimentConfig:
         else:
             phi_cfg, wheres = [phi_cfg], ["phi"]
         self.phis = [parse_phi_config(c, w) for c, w in zip(phi_cfg, wheres)]
+        # an exact measure below the float range reads 0 (an atom holds a leaf)
+        if not self.tree.leaf_measures_f().min() > 0:
+            raise ConfigError("tree: an atom measure is 0 as a float")
         # the smallest r a run evaluates a weight at: the report grid's, or
         # the smallest atom measure
         r_min = min(min(phimod.default_grid()),

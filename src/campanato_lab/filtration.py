@@ -143,9 +143,9 @@ class FiltrationTree:
         self._levels = tuple(np.asarray(m, dtype=dtype) for m in levels)
         self._parents = tuple(np.asarray(p, dtype=np.int64) for p in parents)
         self._validate()
-        # leaf-span lengths upward (an atom spans its children's leaves),
-        # then each level's starts from its lengths
-        lengths = [np.ones(self.leaf_count, dtype=np.int64)]
+        # leaf-span lengths upward (an atom spans its children's leaves;
+        # a leaf's 1s are one broadcast value), then starts from lengths
+        lengths = [np.broadcast_to(np.int64(1), (self.leaf_count,))]
         for up in reversed(self._parents):
             lengths.append(np.bincount(up, weights=lengths[-1]).astype(np.int64))
         self._lengths = tuple(reversed(lengths))
@@ -156,6 +156,15 @@ class FiltrationTree:
         # int / int rounds correctly, as float(Fraction) does
         self._float = (self._levels if den is None else
                        tuple((m / den).astype(np.float64) for m in self._levels))
+        # a level's one child count k (else 0, as _spans) and first-child
+        # offsets: on a level of one k, the view 0, k, ... of the leaf starts
+        self._arity, self._firsts = (), ()
+        for up in self._parents:
+            counts = np.bincount(up)
+            k = int(counts[0]) if (counts == counts[0]).all() else 0
+            self._arity += (k,)
+            self._firsts += (self._starts[-1][:len(up):k] if k else
+                             np.cumsum(counts) - counts,)
         self._phi_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -297,18 +306,21 @@ class FiltrationTree:
             return np.add.reduceat(rows, np.cumsum(lengths) - lengths,
                                    axis=-1)
         span = self._spans[n]
-        if not (0 < span <= COLUMN_SPAN and rows.dtype in _COLUMN_DTYPES
+        if not (rows.dtype in _COLUMN_DTYPES
                 and rows.size >= COLUMN_MIN * span * span):
-            return np.add.reduceat(rows, self._starts[n], axis=-1)
-        cols = rows.reshape(rows.shape[:-1] + (-1, span))
-        if span == 1:
-            return cols[..., 0].copy()
-        if span == 2:
-            return cols[..., 0] + cols[..., 1]
-        rest = cols[..., 1] + cols[..., 2]
-        for j in range(3, span):
-            rest += cols[..., j]
-        return np.add(cols[..., 0], rest, out=rest)
+            span = 0
+        return _run_sums(rows, span, self._starts[n])
+
+    def child_sums(self, n, rows):
+        """Sums of level-(n + 1) rows over every level-n atom's children,
+        along the last axis, by columns as in atom_sums when the atoms of
+        the level all have the same k <= COLUMN_SPAN children."""
+        return _run_sums(rows, self._arity[n], self._firsts[n])
+
+    def child_arrays(self, n):
+        """(first-child offsets of the level-n atoms, the parent of each
+        level-(n + 1) atom) as int64 arrays, for n above the deepest."""
+        return self._firsts[n], self._parents[n]
 
     def atom_leaves(self, n, atoms):
         """The leaf indices of the given level-n atoms (ascending), in
@@ -341,6 +353,23 @@ class FiltrationTree:
         measures as an object array of Python ints over the one integer D,
         on a float tree the float64 measures and None."""
         return self._levels, self._den
+
+
+def _run_sums(rows, span, starts):
+    """Sums along the last axis of the runs that begin at `starts`; runs
+    all of length 0 < span <= COLUMN_SPAN add the columns of an (...,
+    runs, span) view in reduceat's order: the first plus the rest's sum."""
+    if not 0 < span <= COLUMN_SPAN:
+        return np.add.reduceat(rows, starts, axis=-1)
+    cols = rows.reshape(rows.shape[:-1] + (-1, span))
+    if span == 1:
+        return cols[..., 0].copy()
+    if span == 2:
+        return cols[..., 0] + cols[..., 1]
+    rest = cols[..., 1] + cols[..., 2]
+    for j in range(3, span):
+        rest += cols[..., j]
+    return np.add(cols[..., 0], rest, out=rest)
 
 
 def common_denominator(values):

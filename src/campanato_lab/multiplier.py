@@ -118,8 +118,7 @@ def _subtree_max(tree, per_level):
     (per_level holds one array per level, one value per atom)."""
     out = [per_level[-1]]
     for n in range(tree.depth - 1, -1, -1):
-        kids = np.searchsorted(tree.level_arrays(n + 1)[0],
-                               tree.level_arrays(n)[0])
+        kids = tree.child_arrays(n)[0]
         out.append(np.maximum(per_level[n], np.maximum.reduceat(out[-1], kids)))
     return out[::-1]
 
@@ -130,10 +129,8 @@ def _sibling_max(tree, per_level):
     out = [np.zeros(1)]
     for n in range(1, tree.depth + 1):
         vals = per_level[n]
-        kids = np.searchsorted(tree.level_arrays(n)[0],
-                               tree.level_arrays(n - 1)[0])
-        top = np.repeat(np.maximum.reduceat(vals, kids),
-                        np.diff(kids, append=len(vals)))
+        kids, up = tree.child_arrays(n - 1)
+        top = np.maximum.reduceat(vals, kids)[up]
         # the first child at its family's top sees the rest, the others it
         first = np.minimum.reduceat(
             np.where(vals < top, len(vals), np.arange(len(vals))), kids)

@@ -7,7 +7,10 @@ The seminorm of f is the sup over levels n and level-n atoms B of
 and the norm adds |Ef|.  For functions measurable at the deepest level
 the sup over deeper levels vanishes, so finite trees give exact values.
 One per-level reduction serves every float scan, and one driver,
-scan_block, turns it into sups.  For p = 1 with the constant weight on a
+scan_block, turns it into sups.  For p = 2 the reduction is one pass up
+the tree, O(atoms) per level, from M_B = int_B |f - f_B|^2 dP = sum over
+B's children C of [M_C + P(C) (f_C - f_B)^2], within 1e-14 of exact
+rationals (level_reductions).  For p = 1 with the constant weight on a
 rational tree with rational values the scan is exact instead, on integer
 numerators: with leaf measures a_i / D and values u_i / E, the oscillation
 of atom B is I_B / (E S_B^2), where S_B = sum a_i, T_B = sum a_i u_i and
@@ -98,14 +101,39 @@ def level_reductions(tree, block, p):
     `block` is a float64 array whose last axis runs over the leaves (one
     row or a block of rows); the averages f_B and the integrals
     int_B |f - f_B|^p dP have one entry per level-n atom along the last
-    axis, and measures holds the P(B).  A whole block reduces at once,
-    through the tree's atom_sums and spread.  The deepest level is left
-    out: every leaf function is measurable there.  Every level subtracts
-    the spread averages from `block`, which is only read, into one
-    leaf-sized buffer and works in place on it; no yielded array shares
-    it.  p = 2 squares the deviations, which gives the bits of
-    |f - f_B|^2.
+    axis, and measures holds the P(B).  The deepest level is left out:
+    every leaf function is measurable there.  `block` is only read, and
+    no yielded array shares memory with it or with another.
+
+    p = 2 makes one pass up the tree, O(atoms) per level, as martingale
+    differences are orthogonal.  With the anchor a_B, f at B's first
+    leaf, and e_C = d_C + (a_C - a_B) over B's children C: f_B = a_B +
+    d_B, d_B = sum_C P(C) e_C / P(B), and M_B = int_B |f - f_B|^2 dP =
+    sum_C [M_C + P(C) (e_C - d_B)^2], where d = M = 0 at a leaf.  Against
+    exact rationals the averages read within 1e-14 of the atom's largest
+    |f| and the integrals within 1e-14 relative (at most 6.4e-16 measured;
+    the leaf pass below read up to 1e-8 at an offset of 1e9).  Other p
+    make that leaf pass per level, in place in one leaf-sized buffer.
     """
+    if p == 2:
+        a, d, cint, levels = block, 0.0, 0.0, []
+        for n in reversed(range(tree.depth)):
+            starts, _, measures = tree.level_arrays(n)
+            up, pc = tree.child_arrays(n)[1], tree.level_arrays(n + 1)[2]
+            anchor = block.take(starts, axis=-1)
+            e = anchor.take(up, axis=-1)
+            np.subtract(a, e, out=e)  # a_C - a_B, in place: fewer new arrays
+            e += d
+            d = tree.child_sums(n, e * pc) / measures
+            e -= d.take(up, axis=-1)
+            np.square(e, out=e)
+            e *= pc
+            e += cint
+            cint = tree.child_sums(n, e)
+            levels.append((n, anchor + d, cint, measures))
+            a = anchor
+        yield from reversed(levels)
+        return
     leafm = tree.leaf_measures_f()
     w = block * leafm
     dev = np.empty(w.shape)
@@ -113,12 +141,9 @@ def level_reductions(tree, block, p):
         measures = tree.level_arrays(n)[2]
         avg = tree.atom_sums(n, w) / measures
         tree.spread(n, avg, np.subtract, block, out=dev)
-        if p == 2:
-            np.square(dev, out=dev)
-        else:
-            np.abs(dev, out=dev)
-            if p != 1:
-                dev **= p
+        np.abs(dev, out=dev)
+        if p != 1:
+            dev **= p
         dev *= leafm
         yield n, avg, tree.atom_sums(n, dev), measures
 
@@ -130,12 +155,9 @@ def _level_scan(tree, block, p, spec):
     level-n atom: the atom averages f_B and the weighted oscillations
     ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).
     """
-    invp = 1.0 / p
     phis = None if spec.family == "one" else phi_level_values(tree, spec)
     for n, avg, cint, measures in level_reductions(tree, block, p):
-        ratios = cint / measures
-        if p != 1:
-            ratios = ratios ** invp
+        ratios = (cint / measures) ** (1.0 / p)  # x ** 1.0 copies x's bits
         yield n, avg, (ratios if phis is None else ratios / phis[n])
 
 
@@ -407,7 +429,6 @@ def f_norm_exact(f, p, spec):
     best = -math.inf
     witness = None
     per_level = []
-    invp = 1.0 / p
     for n, (cints, measures) in enumerate(
             _level_cints(tree, f.values_array, p)):
         k = len(measures)
@@ -415,10 +436,8 @@ def f_norm_exact(f, p, spec):
         bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
         csum = bits @ cints
         msum = np.minimum(bits @ measures, 1.0)
-        vals = csum / msum
-        if p != 1:
-            vals = vals ** invp
-        vals = vals / _weigh(phimod.evaluator(spec), msum)
+        weights = _weigh(phimod.evaluator(spec), msum)
+        vals = (csum / msum) ** (1.0 / p) / weights
         i = int(np.argmax(vals))
         level_sup = float(vals[i])
         per_level.append(level_sup)
@@ -444,27 +463,19 @@ def f_norm_lower(f, p, spec, budget):
     best = -math.inf
     witness = None
     per_level = []
-    invp = 1.0 / p
     phi = phimod.evaluator(spec)
     for n, (cints, measures) in enumerate(
             _level_cints(tree, f.values_array, p)):
         k = len(measures)
-        phis = _weigh(phi, measures)
-        singles = cints / measures
-        if p != 1:
-            singles = singles ** invp
-        singles = singles / phis
+        density = cints / measures
+        singles = density ** (1.0 / p) / _weigh(phi, measures)
         level_sup = float(np.max(singles))
         level_arg = (int(np.argmax(singles)),)
-        density = cints / measures
         order = np.lexsort((np.arange(k), -density))
         take = min(budget, k)
         csum = np.cumsum(cints[order[:take]])
         msum = np.minimum(np.cumsum(measures[order[:take]]), 1.0)
-        vals = csum / msum
-        if p != 1:
-            vals = vals ** invp
-        vals = vals / _weigh(phi, msum)
+        vals = (csum / msum) ** (1.0 / p) / _weigh(phi, msum)
         j = int(np.argmax(vals))
         if float(vals[j]) > level_sup:
             level_sup = float(vals[j])

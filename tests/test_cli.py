@@ -442,3 +442,16 @@ def test_tree_ratio_not_finite_exits_2(tmp_path, capsys):
         assert lines[0] == "config error: tree: a parent/child measure " \
             "ratio is not finite as a float", lines
         assert not (tmp_path / "out").exists()
+
+
+def test_tree_measure_zero_as_a_float_exits_2(tmp_path, capsys):
+    # 1/10^400 is a positive rational whose float is 0.0; the tree is
+    # refused, naming `tree`, before any weight is evaluated there
+    tiny = "1/1" + "0" * 400
+    code, lines = run_config_error(
+        tmp_path, capsys, tree={"type": "splits", "root": {
+            "fractions": [tiny, str(1 - Fraction(tiny))]}})
+    assert code == 2 and lines, lines
+    assert lines[0] == "config error: tree: an atom measure is 0 as a float", \
+        lines
+    assert not (tmp_path / "out").exists()

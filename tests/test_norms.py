@@ -22,6 +22,7 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            f_norm_lower, indicator, int_condition_constant,
                            int_condition_power_weight, lp_norm, one,
                            phi_star, power, powerlog, psi, random_functions)
+from campanato_lab.filtration import common_denominator
 from campanato_lab.norms import level_reductions, oscillation_scan, scan_block
 
 
@@ -455,11 +456,57 @@ BIT_TREES = {"dyadic": lambda: build_dyadic(13),
              "float split": lambda: random_split_tree(4, depth=6, exact=False)}
 
 
+def exact_square_levels(tree, row):
+    """Oracle: per level above the deepest, the averages f_B and the
+    integrals int_B |f - f_B|^2 dP of one leaf row, each the correctly
+    rounded float of its exact rational value.  Float values and float
+    measures are dyadic rationals, so with leaf measures a_i / D and
+    values u_i / E in Python ints, and S, T, Q the atom sums of a, a u and
+    a u^2, f_B = T / (E S) and the integral is (Q S - T^2) / (D E^2 S);
+    int / int rounds correctly."""
+    nums, den = tree.numerator_arrays()
+    if den is None:
+        nums, den = common_denominator(
+            list(map(Fraction, tree.leaf_measures_f().tolist())))
+    else:
+        nums = nums[-1].tolist()
+    u, e = common_denominator(list(map(Fraction, row.tolist())))
+    a, u = np.array(nums, dtype=object), np.array(u, dtype=object)
+    for n in range(tree.depth):
+        starts = tree.level_arrays(n)[0]
+        s, t, q = (np.add.reduceat(x, starts) for x in (a, a * u, a * u * u))
+        yield ((t / (e * s)).astype(np.float64),
+               ((q * s - t * t) / (den * e * e * s)).astype(np.float64))
+
+
+SQUARE_TOL = 1e-14
+
+
+def assert_square_levels_exact(tree, block, got):
+    """The p = 2 levels `got` of `block` (one row or a block of rows) are
+    within SQUARE_TOL of exact_square_levels: an average relative to the
+    largest |f| on its atom, the scale its rounding lives on (an average
+    near 0 may be all rounding), an integral relative to its own value,
+    so an atom where f is constant must read 0."""
+    assert len(got) == tree.depth
+    for row, i in zip(np.atleast_2d(block), np.ndindex(block.shape[:-1])):
+        for (n, avg, cint, measures), (want_avg, want_cint) in zip(
+                got, exact_square_levels(tree, row)):
+            starts, _, level_measures = tree.level_arrays(n)
+            assert np.array_equal(measures, level_measures)
+            scale = np.maximum.reduceat(np.abs(row), starts)
+            assert (np.abs(avg[i] - want_avg) <= SQUARE_TOL * scale).all()
+            assert (np.abs(cint[i] - want_cint)
+                    <= SQUARE_TOL * want_cint).all()
+
+
 @pytest.mark.parametrize("rows", [None, 5, 16],
                          ids=["one row", "block", "block of 16"])
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
 @pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
+    # p = 2 runs its own pass up the tree, whose bits differ from the
+    # two-pass definition; its rows compare with exact rationals instead
     tree = BIT_TREES[kind]()
     rng = np.random.default_rng(11)
     shape = (tree.leaf_count,) if rows is None else (rows, tree.leaf_count)
@@ -468,16 +515,56 @@ def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
     # every yielded array is compared after the last level has run, so a
     # level that wrote into an array yielded earlier would show
     got = list(level_reductions(tree, block, p))
-    want = list(out_of_place_level_reductions(tree, before, p))
     assert np.array_equal(block, before)  # the input is only read
-    assert len(got) == len(want) == tree.depth
-    for g, w in zip(got, want):
-        assert g[0] == w[0]
-        for a, b in zip(g[1:], w[1:]):
-            assert a.shape == b.shape and np.array_equal(a, b)
+    if p == 2:
+        assert_square_levels_exact(tree, before, got)
+    else:
+        want = list(out_of_place_level_reductions(tree, before, p))
+        assert len(got) == len(want) == tree.depth
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            for a, b in zip(g[1:], w[1:]):
+                assert a.shape == b.shape and np.array_equal(a, b)
     outputs = [a for g in got for a in g[1:3]]
     assert not any(np.shares_memory(a, b)
-                   for a, b in itertools.combinations(outputs, 2))
+                   for a, b in itertools.combinations(outputs + [block], 2))
+
+
+def multi_scale_steps(tree):
+    """A step function over eight decades, 1 to 1e8 in nine runs of
+    leaves, negative on every third leaf."""
+    i = np.arange(tree.leaf_count)
+    return 10.0 ** (9 * i // tree.leaf_count) * np.where(i % 3, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("values", ["1", "1e3", "1e6", "1e9", "steps"])
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_square_levels_match_exact_rationals(kind, values):
+    # an offset c on 3 noise: the two-pass p = 2 read up to 1e-8 relative
+    # on the integrals at c = 1e9; anchoring each atom at its first leaf
+    # keeps rounding on the scale of the noise
+    tree = BIT_TREES[kind]()
+    if values == "steps":
+        row = multi_scale_steps(tree)
+    else:
+        noise = np.random.default_rng(11).standard_normal(tree.leaf_count)
+        row = float(values) + 3.0 * noise
+    assert_square_levels_exact(tree, row, list(level_reductions(tree, row, 2)))
+
+
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_square_levels_scale_by_powers_of_two_bitwise(kind):
+    # 2^j scales every sum, difference, product and quotient of the p = 2
+    # pass exactly, far from overflow and underflow
+    tree = BIT_TREES[kind]()
+    row = 3.0 * np.random.default_rng(2).standard_normal(tree.leaf_count) + 1
+    base = list(level_reductions(tree, row, 2))
+    for j in range(-60, 61):
+        scale = 2.0 ** j
+        for (n, avg, cint, _), (_, avg_j, cint_j, _) in zip(
+                base, level_reductions(tree, row * scale, 2)):
+            assert np.array_equal(avg_j, avg * scale)
+            assert np.array_equal(cint_j, cint * scale * scale)
 
 
 def _bits(a):
