@@ -488,7 +488,7 @@ def assert_square_levels_exact(tree, block, got):
     largest |f| on its atom, the scale its rounding lives on (an average
     near 0 may be all rounding), an integral relative to its own value,
     so an atom where f is constant must read 0."""
-    assert len(got) == tree.depth
+    assert [level[0] for level in got] == list(range(tree.depth))
     for row, i in zip(np.atleast_2d(block), np.ndindex(block.shape[:-1])):
         for (n, avg, cint, measures), (want_avg, want_cint) in zip(
                 got, exact_square_levels(tree, row)):
