@@ -299,6 +299,20 @@ def _phi_rows(config):
     return rows
 
 
+def _suite_entries(suite, ctx, functions):
+    """The report entries of the verify or multiplier suite at one weight
+    and p; the multiplier suite runs on the weight's first function."""
+    if suite == "verify":
+        return [rep.to_dict() for rep in run_verify_suites(ctx)]
+    if not functions:
+        raise ConfigError("functions: the multiplier suite needs at least "
+                          "one function")
+    label, g = functions[0]
+    cert, reps = run_multiplier_suite(ctx, g, g_label=label)
+    return [{"suite": "multiplier", "certificate": cert.to_dict(),
+             "passed": cert.passed}] + [rep.to_dict() for rep in reps]
+
+
 def execute(config):
     """Run the configured suites; returns (report dict, csv tables dict)."""
     report = {
@@ -323,38 +337,15 @@ def execute(config):
                        for spec in config.phis]
             report["suites"].append({"suite": "phi_report", "passed": True,
                                      "reports": entries})
-        elif suite == "verify":
-            for spec in config.phis:
-                for p in config.ps:
-                    ctx = VerifyContext(tree=config.tree, spec=spec, p=p,
-                                        seed=config.seed or 0)
-                    for rep in run_verify_suites(ctx):
-                        entry = rep.to_dict()
-                        entry["phi"] = spec.describe()
-                        entry["p"] = p
-                        report["suites"].append(entry)
-                        passed = passed and rep.passed
-        elif suite == "multiplier":
+        elif suite in ("verify", "multiplier"):
             for spec, functions in zip(config.phis, config.functions):
                 for p in config.ps:
                     ctx = VerifyContext(tree=config.tree, spec=spec, p=p,
                                         seed=config.seed or 0)
-                    if not functions:
-                        raise ConfigError("functions: the multiplier suite "
-                                          "needs at least one function")
-                    label, g = functions[0]
-                    cert, reps = run_multiplier_suite(ctx, g, g_label=label)
-                    entry = {"suite": "multiplier", "phi": spec.describe(),
-                             "p": p, "certificate": cert.to_dict(),
-                             "passed": cert.passed}
-                    report["suites"].append(entry)
-                    passed = passed and cert.passed
-                    for rep in reps:
-                        sub = rep.to_dict()
-                        sub["phi"] = spec.describe()
-                        sub["p"] = p
-                        report["suites"].append(sub)
-                        passed = passed and rep.passed
+                    for entry in _suite_entries(suite, ctx, functions):
+                        entry.update(phi=spec.describe(), p=p)
+                        report["suites"].append(entry)
+                        passed = passed and entry["passed"]
     report["passed"] = passed
     return report, tables
 

@@ -19,9 +19,8 @@ from .constructions import _path_ring, _path_values
 from .filtration import Atom, own_atom, regularity_constant, truncate
 from .functions import (LeafFunction, _indicator_row, check_p, expectation,
                         level_means, level_projection, linf_norm)
-from .norms import (BLOCK_ELEMENTS, _level_scan, campanato_norm,
-                    campanato_seminorm, phi_level_values,
-                    phi_star_level_values, scan_block)
+from .norms import (BLOCK_ELEMENTS, _level_scan, campanato_seminorm,
+                    phi_level_values, phi_star_level_values, scan_block)
 from .report import INEQ_SLACK, Check, VerificationReport
 
 EXACT_SLACK = 1e-12
@@ -502,13 +501,14 @@ def linf_bound_check(g, p, spec):
     R = float(regularity_constant(tree))
     checks = []
 
-    # E_n |g| grows by at most R per level, pointwise.
-    gv = g.values_array
-    av = np.abs(gv)
-    growth_margin, cur = -math.inf, level_projection(tree, 0, av)
+    # E_n |g| grows by at most R per level: each atom against its parent.
+    means = [level_means(tree, n, np.abs(g.values_array))
+             for n in range(tree.depth + 1)]
+    growth_margin = -math.inf
     for n in range(1, tree.depth + 1):
-        prev, cur = cur, level_projection(tree, n, av)
-        growth_margin = max(growth_margin, float(np.max(cur - R * prev)))
+        parent = means[n - 1][tree.child_arrays(n - 1)[1]]
+        growth_margin = max(growth_margin,
+                            float(np.max(means[n] - R * parent)))
     checks.append(Check(
         name="conditional_growth_per_level",
         anchor="regularity bound on successive conditional absolute means",
@@ -517,13 +517,18 @@ def linf_bound_check(g, p, spec):
         passed=growth_margin <= INEQ_SLACK,
     ))
 
+    # norm(f), norm(f g) of the constant, then of chi_B for every atom B:
+    # the cut-offs' norms and the indicator family's lower bound
+    family = _family_norms(g, p, spec, _family_members(
+        tree, spec, chains=0, randoms=0, seed=0))[:3]
+    cutoffs = np.split(family[2][1:], np.cumsum([len(m) for m in means[:-1]]))
     nums = tree.numerator_arrays()[0]
     worst_margin = -math.inf
     worst_witness = None
     levels_checked = 0
     skipped = 0
     for n in range(1, tree.depth + 1):
-        avg = level_means(tree, n, gv)
+        avg = level_means(tree, n, g.values_array)
         j = int(np.argmax(np.abs(avg)))
         sup_en = float(np.abs(avg[j]))
         path = tree.ancestors(n, j)
@@ -536,8 +541,7 @@ def linf_bound_check(g, p, spec):
         phi_B1 = float(phimod.eval_phi(
             spec, tree.level_arrays(k)[2].item(path[k])))
         rhs = sup_en / (2.0 * R * (R + 1.0) ** (1.0 / p) * phi_B1)
-        chi = LeafFunction.from_float_array(tree, _indicator_row(tree, n, j))
-        lhs = float(campanato_norm(g * chi, p, spec, exact=False).value)
+        lhs = float(cutoffs[n][j])
         margin = rhs - lhs
         if margin > worst_margin:
             worst_margin = margin
@@ -554,8 +558,7 @@ def linf_bound_check(g, p, spec):
         witness=worst_witness,
     ))
 
-    fam = list(_family_members(tree, spec, chains=0, randoms=0, seed=0))
-    L_chi, witness = _family_lower_bound(g, p, spec, fam)
+    L_chi, witness, _ = _lower_bound(*family)
     sup_g = float(linf_norm(g))
     checks.append(Check(
         name="sup_norm_vs_indicator_lower_bound",

@@ -412,6 +412,25 @@ def _level_cints(tree, block, p):
     yield np.zeros(block.shape[:-1] + measures.shape), measures
 
 
+def _union_sup(f, p, spec, unions, note=""):
+    """The union-of-atoms sup over the unions that unions(cints, measures)
+    tries on each level: it returns their summed central integrals and
+    measures, and a map from a union's index to its atoms in increasing
+    order.  Each level's witness is its first largest union."""
+    phi = phimod.evaluator(spec)
+    per_level, witnesses = [], []
+    for n, (cints, measures) in enumerate(
+            _level_cints(f.tree, f.values_array, p)):
+        csum, msum, members = unions(cints, measures)
+        vals = (csum / msum) ** (1.0 / p) / _weigh(phi, msum)
+        i = int(np.argmax(vals))
+        per_level.append(float(vals[i]))
+        witnesses.append((n, members(i)))
+    n = max(range(len(per_level)), key=per_level.__getitem__)
+    return NormResult(value=max(per_level[n], 0.0), witness=witnesses[n],
+                      per_level=tuple(per_level), note=note)
+
+
 def f_norm_exact(f, p, spec):
     """Sup over levels and nonempty unions of level atoms.
 
@@ -426,63 +445,35 @@ def f_norm_exact(f, p, spec):
             raise ValueError(
                 f"level {n} has {count} atoms, above the enumeration bound "
                 f"{F_NORM_LEVEL_BOUND}; use f_norm_lower instead")
-    best = -math.inf
-    witness = None
-    per_level = []
-    for n, (cints, measures) in enumerate(
-            _level_cints(tree, f.values_array, p)):
+
+    def every_union(cints, measures):  # union i: the bits of i + 1
         k = len(measures)
         masks = np.arange(1, 2 ** k, dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
-        csum = bits @ cints
-        msum = np.minimum(bits @ measures, 1.0)
-        weights = _weigh(phimod.evaluator(spec), msum)
-        vals = (csum / msum) ** (1.0 / p) / weights
-        i = int(np.argmax(vals))
-        level_sup = float(vals[i])
-        per_level.append(level_sup)
-        if level_sup > best:
-            best = level_sup
-            members = tuple(int(j) for j in range(k) if (int(masks[i]) >> j) & 1)
-            witness = (n, members)
-    return NormResult(value=max(best, 0.0), witness=witness,
-                      per_level=tuple(per_level))
+        return (bits @ cints, np.minimum(bits @ measures, 1.0),
+                lambda i: tuple(np.flatnonzero(bits[i]).tolist()))
+
+    return _union_sup(f, p, spec, every_union)
 
 
 def f_norm_lower(f, p, spec, budget):
     """Greedy lower bound for the union-of-atoms norm.
 
-    Candidates are every singleton plus prefixes of the atoms sorted by
-    oscillation density, grown up to `budget` atoms per level.  Always
-    at least the plain seminorm and never above f_norm_exact.
+    Candidates are every singleton, then (losing ties to them) prefixes of
+    the atoms sorted by oscillation density, up to `budget` atoms per
+    level.  Always at least the plain seminorm, never above f_norm_exact.
     """
     check_p(p)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    tree = f.tree
-    best = -math.inf
-    witness = None
-    per_level = []
-    phi = phimod.evaluator(spec)
-    for n, (cints, measures) in enumerate(
-            _level_cints(tree, f.values_array, p)):
+
+    def singles_and_prefixes(cints, measures):
         k = len(measures)
-        density = cints / measures
-        singles = density ** (1.0 / p) / _weigh(phi, measures)
-        level_sup = float(np.max(singles))
-        level_arg = (int(np.argmax(singles)),)
-        order = np.lexsort((np.arange(k), -density))
-        take = min(budget, k)
-        csum = np.cumsum(cints[order[:take]])
-        msum = np.minimum(np.cumsum(measures[order[:take]]), 1.0)
-        vals = (csum / msum) ** (1.0 / p) / _weigh(phi, msum)
-        j = int(np.argmax(vals))
-        if float(vals[j]) > level_sup:
-            level_sup = float(vals[j])
-            level_arg = tuple(sorted(int(x) for x in order[:j + 1]))
-        per_level.append(level_sup)
-        if level_sup > best:
-            best = level_sup
-            witness = (n, level_arg)
-    return NormResult(value=max(best, 0.0), witness=witness,
-                      per_level=tuple(per_level), note="lower bound")
+        order = np.lexsort((np.arange(k), -(cints / measures)))[:budget]
+        return (np.concatenate([cints, np.cumsum(cints[order])]),
+                np.concatenate([measures, np.minimum(
+                    np.cumsum(measures[order]), 1.0)]),
+                lambda i: (i,) if i < k else tuple(sorted(
+                    order[:i - k + 1].tolist())))
+
+    return _union_sup(f, p, spec, singles_and_prefixes, note="lower bound")

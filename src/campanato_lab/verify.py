@@ -185,47 +185,41 @@ def suite_extremal_chain(ctx):
     return VerificationReport(suite="extremal_chain", checks=checks)
 
 
-def suite_product_estimate(ctx):
-    tree, spec, p = ctx.tree, ctx.spec, ctx.p
-    pairs = RANDOM_COUNT
-    fs = random_functions(tree, pairs, ctx.seed)
-    gs = random_functions(tree, pairs, ctx.seed + 1)
-    failures = 0
-    worst = -math.inf
-    for f, g in zip(fs, gs):
-        rep = check_product_estimate(f, g, p, spec)
-        m = rep.checks[0].measured
-        worst = max(worst, m["gap"] - m["bound"])
-        if not rep.passed:
-            failures += 1
-    return VerificationReport(suite="product_estimate", checks=[Check(
-        name="product_estimate_random_pairs",
-        anchor="product functional vs product seminorm gap bound",
-        measured={"pairs": pairs, "failures": failures, "worst_margin": worst},
-        threshold="0 failures",
-        passed=failures == 0,
-    )])
-
-
-def suite_lipschitz(ctx):
-    tree = ctx.tree
-    failures = 0
-    worst = -math.inf
-    for f in random_functions(tree, RANDOM_COUNT, ctx.seed):
-        composed = f.apply(lambda v: math.sin(float(v)))
-        rep = lipschitz_compose_check(f, 1.0, composed)
-        worst = max(worst, rep.checks[0].measured["worst_margin"])
-        if not rep.passed:
-            failures += 1
-    return VerificationReport(suite="lipschitz_sine", checks=[Check(
-        name="sine_composition_factor2",
-        anchor="composition with a Lipschitz map doubles mean oscillation "
-               "at most",
-        measured={"functions": RANDOM_COUNT, "failures": failures,
+def _per_function(suite, name, anchor, count_key, reports, margin):
+    """One check over a list of per-function reports: how many there are
+    (under count_key), how many failed, and the worst margin(measured) of
+    their first checks."""
+    worst = max([-math.inf] + [margin(r.checks[0].measured) for r in reports])
+    failures = sum(not r.passed for r in reports)
+    return VerificationReport(suite=suite, checks=[Check(
+        name=name,
+        anchor=anchor,
+        measured={count_key: len(reports), "failures": failures,
                   "worst_margin": worst},
         threshold="0 failures",
         passed=failures == 0,
     )])
+
+
+def suite_product_estimate(ctx):
+    fs = random_functions(ctx.tree, RANDOM_COUNT, ctx.seed)
+    gs = random_functions(ctx.tree, RANDOM_COUNT, ctx.seed + 1)
+    return _per_function(
+        "product_estimate", "product_estimate_random_pairs",
+        "product functional vs product seminorm gap bound", "pairs",
+        [check_product_estimate(f, g, ctx.p, ctx.spec)
+         for f, g in zip(fs, gs)],
+        lambda m: m["gap"] - m["bound"])
+
+
+def suite_lipschitz(ctx):
+    return _per_function(
+        "lipschitz_sine", "sine_composition_factor2",
+        "composition with a Lipschitz map doubles mean oscillation at most",
+        "functions",
+        [lipschitz_compose_check(f, 1.0, f.apply(lambda v: math.sin(float(v))))
+         for f in random_functions(ctx.tree, RANDOM_COUNT, ctx.seed)],
+        lambda m: m["worst_margin"])
 
 
 def suite_truncation_monotone(ctx):

@@ -221,6 +221,26 @@ def test_linf_bound_check_sin_h():
     assert growth.measured["R"] == 2.0
 
 
+@pytest.mark.parametrize("kind", ["dyadic", "exact split", "float split"])
+def test_linf_cutoff_norm_is_the_norm_of_the_cutoff(kind):
+    # the check reads norm(g chi_B) off the indicator block; it must be the
+    # norm of the cut-off function itself, at the witness atom
+    tree = {"dyadic": lambda: build_dyadic(6),
+            "exact split": lambda: persistent_split_tree(1, True),
+            "float split": lambda: persistent_split_tree(2, False)}[kind]()
+    for spec in (one(), psi()):
+        gs = (random_functions(tree, 1, seed=11)[0],
+              sin_h_multiplier(tree, chain_through_leaf(tree, 0), spec))
+        for g in gs:
+            for p in (1, 1.5, 2):
+                cutoff = next(c for c in linf_bound_check(g, p, spec).checks
+                              if c.name == "cutoff_norm_vs_sup")
+                w = cutoff.witness
+                chi = indicator(tree, tree.atom(w["level"], w["atom"]))
+                want = campanato_norm(g * chi, p, spec, exact=False).value
+                assert w["lhs"] == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_conditional_multiplier_check_sin_h():
     tree = build_dyadic(6)
     g = sin_h_multiplier(tree, chain_through_leaf(tree, 0), one())

@@ -21,7 +21,8 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            constant, eval_phi, expectation, f_norm_exact,
                            f_norm_lower, indicator, int_condition_constant,
                            int_condition_power_weight, lp_norm, one,
-                           phi_star, power, powerlog, psi, random_functions)
+                           phi_star, power, powerlog, psi, random_functions,
+                           table)
 from campanato_lab.filtration import common_denominator
 from campanato_lab.norms import level_reductions, oscillation_scan, scan_block
 
@@ -330,6 +331,97 @@ def test_f_norm_lower_includes_singletons():
         sem = campanato_seminorm(f, 1, one(), exact=False)
         assert float(low.value) >= float(sem.value) - 1e-15
         assert low.note == "lower bound"
+
+
+def brute_level_atoms(f, p, n):
+    """Oracle: the central integrals and measures of the level-n atoms from
+    the public per-atom operations."""
+    atoms = f.tree.atoms(n)
+    return ([float(central_p_integral(f, B, n, p)) for B in atoms],
+            [B.measure for B in atoms])
+
+
+def brute_union_value(cints, measures, union, p, spec):
+    mass = float(sum(measures[i] for i in union))
+    return (sum(cints[i] for i in union) / mass) ** (1.0 / p) \
+        / float(eval_phi(spec, min(mass, 1.0)))
+
+
+def first_max(candidates, tol=1e-12):
+    """The first (value, label) whose value is within tol (relative) of the
+    largest: the oracle's sums may land an ulp away from a tie."""
+    best = max(v for v, _ in candidates)
+    return next(c for c in candidates if c[0] >= best * (1 - tol))
+
+
+def brute_exact_witness(f, p, spec):
+    """Oracle: the first maximising (level, atoms), levels in order and the
+    unions of a level in the order of their bit masks 1, 2, 3, ..."""
+    found = []
+    for n in range(f.tree.depth + 1):
+        cints, measures = brute_level_atoms(f, p, n)
+        found += [(brute_union_value(cints, measures, u, p, spec), (n, u))
+                  for u in (tuple(j for j in range(len(cints)) if m >> j & 1)
+                            for m in range(1, 2 ** len(cints)))]
+    return first_max(found)[1]
+
+
+def brute_lower_witness(f, p, spec, budget):
+    """Oracle: per level the first best single atom, unless a prefix of the
+    atoms by decreasing density (ties by index), up to `budget` atoms, is
+    strictly larger; then the first such level."""
+    levels = []
+    for n in range(f.tree.depth + 1):
+        cints, measures = brute_level_atoms(f, p, n)
+        k = len(cints)
+        order = sorted(range(k), key=lambda i: (-cints[i] / measures[i], i))
+
+        def scored(unions):
+            return [(brute_union_value(cints, measures, u, p, spec), (n, u))
+                    for u in unions]
+
+        singles = scored([(i,) for i in range(k)])
+        prefixes = scored([tuple(sorted(order[:m]))
+                           for m in range(1, min(budget, k) + 1)])
+        best = max(v for v, _ in singles)
+        levels.append(first_max(
+            prefixes if max(v for v, _ in prefixes) > best * (1 + 1e-12)
+            else singles))
+    return first_max(levels)[1]
+
+
+def test_f_norm_witnesses_match_brute_enumeration():
+    trees = [build_dyadic(3), random_split_tree(2, depth=3),
+             random_split_tree(3, depth=3, exact=False)]
+    prefix_wins = 0
+    for tree in trees:
+        assert max(len(level) for level in tree.levels) <= 20
+        for f in random_functions(tree, 3, seed=59):
+            for p in (1, 2):
+                # larger sets weigh less under power(-0.3), so unions win
+                for spec in (one(), power(0.3), power(-0.3)):
+                    assert f_norm_exact(f, p, spec).witness == \
+                        brute_exact_witness(f, p, spec)
+                    for budget in (1, 3, 64):
+                        got = f_norm_lower(f, p, spec, budget).witness
+                        assert got == brute_lower_witness(f, p, spec, budget)
+                        prefix_wins += len(got[1]) > 1
+    assert prefix_wins > 0
+
+
+def test_f_norm_lower_single_wins_a_tie_with_a_prefix():
+    # level 1: atoms 0 and 1 of measure 1/4 and atom 2 of measure 1/2, all
+    # of density 1/2, so the prefix (0, 1) ties atom 2 exactly; phi is
+    # smallest at 1/2, which makes that tie the largest value of the tree
+    tree = build_from_spec({"fractions": ["1/4", "1/4", "1/2"],
+                            "children": [{"fractions": ["1/2", "1/2"]}] * 3})
+    f = LeafFunction(tree, [0, 1] * 3)
+    spec = table([(0.25, 2), (0.5, 1), (1, 4)])
+    for p in (1, 2):
+        for budget in (2, 3):
+            assert f_norm_lower(f, p, spec, budget).witness == (1, (2,))
+        # the mask of (0, 1), 3, comes before that of (2,), 4
+        assert f_norm_exact(f, p, spec).witness == (1, (0, 1))
 
 
 def test_chi_norm_consistent_with_atom_average_identity():
