@@ -517,8 +517,7 @@ def linf_bound_check(g, p, spec):
         passed=growth_margin <= INEQ_SLACK,
     ))
 
-    # norm(f), norm(f g) of the constant, then of chi_B for every atom B:
-    # the cut-offs' norms and the indicator family's lower bound
+    # norm(f) and norm(f g): the constant, then chi_B for each atom B
     family = _family_norms(g, p, spec, _family_members(
         tree, spec, chains=0, randoms=0, seed=0))[:3]
     cutoffs = np.split(family[2][1:], np.cumsum([len(m) for m in means[:-1]]))
