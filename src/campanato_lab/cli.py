@@ -97,6 +97,16 @@ def _int(value, where, minimum=0):
     return value
 
 
+def _one_or_list(raw, key, what):
+    """(value, where) pairs of a key that takes one value or a non-empty
+    list of them."""
+    if not isinstance(raw, list):
+        return [(raw, key)]
+    if not raw:
+        raise ConfigError(f"{key}: expected {what} or a non-empty list")
+    return [(value, f"{key}[{i}]") for i, value in enumerate(raw)]
+
+
 def _nesting(value):
     """Levels of objects and lists nested in a parsed JSON value."""
     depth, level = 0, [value]
@@ -113,9 +123,6 @@ def _nesting(value):
 # nested close to the interpreter's recursion limit would run every suite
 # and then fail to write; such configs are refused up front.
 MAX_NESTING = 500
-
-FUNCTION_KINDS = ("indicator", "extremal", "h", "sin_h", "random",
-                  "leaf_values")
 
 
 class ExperimentConfig:
@@ -141,15 +148,9 @@ class ExperimentConfig:
         except TreeSpecError as exc:
             raise ConfigError(f"tree: {exc}")
 
-        phi_cfg = raw.get("phi", {"family": "one"})
-        if isinstance(phi_cfg, list):
-            if not phi_cfg:
-                raise ConfigError("phi: expected a weight object or a "
-                                  "non-empty list")
-            wheres = [f"phi[{i}]" for i in range(len(phi_cfg))]
-        else:
-            phi_cfg, wheres = [phi_cfg], ["phi"]
-        self.phis = [parse_phi_config(c, w) for c, w in zip(phi_cfg, wheres)]
+        phis = _one_or_list(raw.get("phi", {"family": "one"}), "phi",
+                            "a weight object")
+        self.phis = [parse_phi_config(c, w) for c, w in phis]
         # an exact measure below the float range reads 0 (an atom holds a leaf)
         if not self.tree.leaf_measures_f().min() > 0:
             raise ConfigError("tree: an atom measure is 0 as a float")
@@ -157,16 +158,11 @@ class ExperimentConfig:
         # the smallest atom measure
         r_min = min(min(phimod.default_grid()),
                     float(self.tree.leaf_measures_f().min()))
-        for spec, where in zip(self.phis, wheres):
+        for spec, (_, where) in zip(self.phis, phis):
             _check_weight_range(spec, where, r_min)
 
-        p_cfg = raw.get("p", 1)
-        p_list = p_cfg if isinstance(p_cfg, list) else [p_cfg]
-        if not p_list:
-            raise ConfigError("p: expected a number or a non-empty list")
         self.ps = []
-        for i, p in enumerate(p_list):
-            where = f"p[{i}]" if isinstance(p_cfg, list) else "p"
+        for p, where in _one_or_list(raw.get("p", 1), "p", "a number"):
             if not _is_number(p) or not math.isfinite(p) or p < 1:
                 raise ConfigError(f"{where}: must be a finite number >= 1, "
                                   f"got {p!r}")
@@ -179,8 +175,8 @@ class ExperimentConfig:
                                       [{"kind": "sin_h", "leaf": 0}])
         if not isinstance(self.function_specs, list):
             raise ConfigError("functions: expected a list")
-        for i, spec in enumerate(self.function_specs):
-            self._check_function(spec, f"functions[{i}]")
+        # the functions of each weight, built before any suite runs
+        self.functions = [self.build_functions(spec) for spec in self.phis]
 
         self.suites = raw.get("suites", ["verify"])
         if not isinstance(self.suites, list):
@@ -192,8 +188,6 @@ class ExperimentConfig:
         self.out = raw.get("out", "reports")
         if not isinstance(self.out, str):
             raise ConfigError(f"out: expected a path string, got {self.out!r}")
-        # the functions of each weight, built before any suite runs
-        self.functions = [self.build_functions(spec) for spec in self.phis]
         # the suites' chain functions divide by these ratios; a Fraction R
         # (a rational tree) compares with the float bound exactly
         with np.errstate(over="ignore"):
@@ -201,49 +195,27 @@ class ExperimentConfig:
                 raise ConfigError("tree: a parent/child measure ratio is not "
                                   "finite as a float")
 
-    def _check_function(self, spec, where):
-        """Reject a malformed function entry before any suite runs."""
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where}: expected an object, got {spec!r}")
-        kind = spec.get("kind")
-        if kind not in FUNCTION_KINDS:
-            raise ConfigError(f"{where}: unknown function kind {kind!r}")
-        if kind == "indicator":
-            if "level" not in spec:
-                raise ConfigError(f"{where}: indicator needs 'level'")
-            _int(spec["level"], f"{where}.level")
-            _int(spec.get("index", 0), f"{where}.index")
-        elif kind in ("extremal", "h", "sin_h"):
-            _int(spec.get("leaf", 0), f"{where}.leaf")
-        elif kind == "random":
-            _int(spec.get("count", 1), f"{where}.count", minimum=1)
-            if spec.get("seed") is not None:
-                _int(spec["seed"], f"{where}.seed")
-            elif self.seed is None:
-                raise ConfigError(f"{where}: random functions need a seed")
-        else:
-            values = spec.get("values")
-            if not isinstance(values, list) \
-                    or len(values) != self.tree.leaf_count:
-                raise ConfigError(f"{where}: 'values' must list "
-                                  f"{self.tree.leaf_count} numbers")
-            for j, v in enumerate(values):
-                _finite(v, f"{where}.values[{j}]")
-
     def build_functions(self, phi_spec):
-        """Instantiate the configured functions for one weight; refuse an
-        atom or leaf the tree lacks, or a function not finite on it."""
+        """Instantiate the configured functions for one weight, checking
+        each entry's keys as they are read; refuse an atom or leaf the
+        tree lacks, or a function not finite on it."""
         tree = self.tree
         out = []
         for i, spec in enumerate(self.function_specs):
-            kind = spec["kind"]
+            where = f"functions[{i}]"
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{where}: expected an object, got {spec!r}")
+            kind = spec.get("kind")
             try:
                 if kind == "indicator":
-                    level, index = spec["level"], spec.get("index", 0)
+                    if "level" not in spec:
+                        raise ConfigError(f"{where}: indicator needs 'level'")
+                    level = _int(spec["level"], f"{where}.level")
+                    index = _int(spec.get("index", 0), f"{where}.index")
                     out.append((f"indicator:{level},{index}",
                                 indicator(tree, tree.atom(level, index))))
                 elif kind in ("extremal", "h", "sin_h"):
-                    leaf = spec.get("leaf", 0)
+                    leaf = _int(spec.get("leaf", 0), f"{where}.leaf")
                     chain = chain_through_leaf(tree, leaf)
                     if kind == "extremal":
                         f = extremal_chain_function(tree, chain, phi_spec).f
@@ -253,15 +225,32 @@ class ExperimentConfig:
                         f = sin_h_multiplier(tree, chain, phi_spec)
                     out.append((f"{kind}:leaf={leaf}", f))
                 elif kind == "random":
-                    count = spec.get("count", 1)
-                    seed = spec.get("seed", self.seed)
+                    count = _int(spec.get("count", 1), f"{where}.count",
+                                 minimum=1)
+                    # an absent or null seed is the config's
+                    seed = self.seed if spec.get("seed") is None \
+                        else _int(spec["seed"], f"{where}.seed")
+                    if seed is None:
+                        raise ConfigError(f"{where}: random functions need "
+                                          "a seed")
                     out += [(f"random:{seed}:{k}", f) for k, f in
                             enumerate(random_functions(tree, count, seed))]
+                elif kind == "leaf_values":
+                    values = spec.get("values")
+                    if not isinstance(values, list) \
+                            or len(values) != tree.leaf_count:
+                        raise ConfigError(f"{where}: 'values' must list "
+                                          f"{tree.leaf_count} numbers")
+                    for j, v in enumerate(values):
+                        _finite(v, f"{where}.values[{j}]")
+                    out.append((f"leaf_values:{i}", LeafFunction(tree, values)))
                 else:
-                    out.append((f"leaf_values:{i}",
-                                LeafFunction(tree, spec["values"])))
+                    raise ConfigError(f"{where}: unknown function kind "
+                                      f"{kind!r}")
+            except ConfigError:
+                raise
             except ValueError as exc:
-                raise ConfigError(f"functions[{i}]: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
         return out
 
 
@@ -435,14 +424,17 @@ def main(argv=None):
                     "filtrations: norm tables, weight reports, and "
                     "inequality verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "norms": "compute norm tables for the configured functions",
-        "verify": "run the inequality verification suites",
-        "phi": "report weight-function condition constants",
-        "multiplier": "run the multiplier certificate",
-        "run": "run the suites listed in the config",
+    # each command's help text and suites (None: the config's)
+    commands = {
+        "norms": ("compute norm tables for the configured functions",
+                  ["norms"]),
+        "verify": ("run the inequality verification suites", ["verify"]),
+        "phi": ("report weight-function condition constants",
+                ["phi_report"]),
+        "multiplier": ("run the multiplier certificate", ["multiplier"]),
+        "run": ("run the suites listed in the config", None),
     }
-    for name, help_text in specs.items():
+    for name, (help_text, _) in commands.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory")
@@ -453,15 +445,9 @@ def main(argv=None):
         sp.add_argument("--format", choices=("json", "csv", "both"),
                         default="both", help="which outputs to write")
     args = parser.parse_args(argv)
-    suites = {
-        "norms": ["norms"],
-        "verify": ["verify"],
-        "phi": ["phi_report"],
-        "multiplier": ["multiplier"],
-        "run": None,
-    }[args.command]
     return run(args.config, out_dir=args.out, fmt=args.format,
-               seed=args.seed, depth=args.depth, suites=suites)
+               seed=args.seed, depth=args.depth,
+               suites=commands[args.command][1])
 
 
 if __name__ == "__main__":

@@ -214,10 +214,9 @@ def lipschitz_compose_check(f, lip_constant, composed):
                                                 f.values_array]), 1))
     # every atom in level order; the witness is the first largest margin
     lhs, rhs = np.concatenate([cint for cint, _ in levels], axis=-1)
-    starts = np.cumsum([0] + [len(m) for _, m in levels])
     margins = lhs - 2.0 * lip_constant * rhs
     i = int(np.argmax(margins))
-    n = int(np.searchsorted(starts, i, side="right")) - 1
+    n = int(np.searchsorted(tree.offsets, i, side="right")) - 1
     usable = rhs > 1e-15
     worst_margin = float(margins[i])
     check = Check(
@@ -231,7 +230,7 @@ def lipschitz_compose_check(f, lip_constant, composed):
                   "atoms_checked": len(margins)},
         threshold=f"margin <= {INEQ_SLACK}",
         passed=worst_margin <= INEQ_SLACK,
-        witness=[n, i - int(starts[n])],
+        witness=[n, i - int(tree.offsets[n])],
     )
     return VerificationReport(suite="lipschitz_composition", checks=[check])
 

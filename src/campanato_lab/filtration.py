@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .report import Check, VerificationReport
+
 # Allowed drift of level measure sums (and other structural identities)
 # when measures are floats.  Exact mode tolerates nothing.
 PARTITION_TOL = 1e-12
@@ -105,6 +107,8 @@ class FiltrationTree:
     ``parents[n - 1]`` gives, for each level-n atom, the index of its
     parent at level n - 1; it is non-decreasing, so each atom's children
     are contiguous.  ``measures[n]`` gives the level-n atom measures.
+    ``offsets``, read-only, holds the cumulative atom counts of the levels:
+    atom (n, i) is number ``offsets[n] + i`` in level order.
     ``mode`` is "exact" when all measures are rationals (Fraction/int) and
     "float" otherwise.  An exact tree stores one integer D, the lcm of the
     denominators of every atom measure, and each level's measures as
@@ -150,6 +154,8 @@ class FiltrationTree:
             lengths.append(np.bincount(up, weights=lengths[-1]).astype(np.int64))
         self._lengths = tuple(reversed(lengths))
         self._starts = tuple(np.cumsum(n) - n for n in self._lengths)
+        self.offsets = np.cumsum([0] + [len(m) for m in self._levels])
+        self.offsets.flags.writeable = False
         # the one span length of a level whose atoms all have it, else 0
         self._spans = tuple(int(n[0]) if (n == n[0]).all() else 0
                             for n in self._lengths)
@@ -606,8 +612,6 @@ def check_chain_gaps(tree, R):
     tree float64 measures with PARTITION_TOL of slack.  Violations are
     reported, not raised.  Returns a VerificationReport.
     """
-    from .report import Check, VerificationReport
-
     if R <= 0:
         raise ValueError("R must be positive")
     den = tree._den

@@ -218,8 +218,7 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
     BLOCK_ELEMENTS values, and the root's gives E(f g)."""
     tree, gv, N = g.tree, g.values_array, g.tree.depth
     sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
-    idx = np.array(paths, dtype=np.int64) + np.cumsum(
-        [0] + [len(tree.level_arrays(n)[0]) for n in range(N)])
+    idx = np.array(paths, dtype=np.int64) + tree.offsets[:-1]
 
     def along(per_level):  # each chain atom's entry, per chain and level
         return np.concatenate(per_level)[idx]
@@ -285,8 +284,7 @@ def _family_norms(g, p, spec, members, want_fb=False):
     g.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
     """
     tree, gv = g.tree, g.values_array
-    offsets = np.cumsum([0] + [len(tree.level_arrays(n)[0])
-                               for n in range(tree.depth + 1)])
+    offsets = tree.offsets
     labels, dense, chi, at, chains = [], [], [], [], []
 
     def rows():  # fills the lists above as scan_block consumes it
@@ -520,7 +518,7 @@ def linf_bound_check(g, p, spec):
     # norm(f) and norm(f g): the constant, then chi_B for each atom B
     family = _family_norms(g, p, spec, _family_members(
         tree, spec, chains=0, randoms=0, seed=0))[:3]
-    cutoffs = np.split(family[2][1:], np.cumsum([len(m) for m in means[:-1]]))
+    cutoffs = np.split(family[2][1:], tree.offsets[1:-1])
     nums = tree.numerator_arrays()[0]
     worst_margin = -math.inf
     worst_witness = None

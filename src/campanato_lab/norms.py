@@ -34,7 +34,8 @@ import numpy as np
 
 from . import phi as phimod
 from .filtration import RATIO_TOL, first_max_ratio
-from .functions import _leaf_ints, _machine_ints, check_p, level_sums
+from .functions import (_integer_sums, _leaf_ints, _machine_ints, check_p,
+                        level_sums)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def _level_weights(tree, key, fn):
     if cached is None:
         measures = [tree.level_arrays(n)[2] for n in range(tree.depth + 1)]
         cached = np.split(_weigh(fn, np.concatenate(measures)),
-                          np.cumsum([len(m) for m in measures])[:-1])
+                          tree.offsets[1:-1])
         tree._phi_cache[key] = cached
     return cached
 
@@ -270,14 +271,10 @@ def _exact_scan(f, spec, want_fb):
         dev = (u if s.dtype == object else v) * tree.spread(n, s)
         dev -= tree.spread(n, t)
         np.abs(dev, out=dev)
-        if top * largest ** 2 < 1 << 62:
+        if s.dtype == object or top * largest ** 2 < 1 << 62:
             i_b = tree.atom_sums(n, a * dev)
             i = first_max_ratio(i_b, s * s)
             i_b = int(i_b[i])
-        elif s.dtype == object:
-            i_b = tree.atom_sums(n, nums[-1] * dev)
-            i = first_max_ratio(i_b, s * s)
-            i_b = i_b[i]
         else:
             i, i_b = _ranked_max(tree, n, a, dev, s)
         per_level.append(Fraction(i_b, den * nums[n][i] ** 2))
@@ -312,8 +309,7 @@ def _ranked_max(tree, n, a, dev, s):
 
 
 def _use_exact(f, p, spec):
-    return (f.tree.mode == "exact" and p == 1 and spec.family == "one"
-            and f.has_exact_values)
+    return p == 1 and spec.family == "one" and _integer_sums(f)
 
 
 def oscillation_scan(f, p, spec, want_fb=False, exact=None):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from numpy.polynomial.legendre import leggauss
@@ -485,14 +485,7 @@ class RegimeResult:
     quotient_at_rmin: float
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "sup_star_over_phi": self.sup_star_over_phi,
-            "sup_star": self.sup_star,
-            "ratio_at_rmin": self.ratio_at_rmin,
-            "star_at_rmin": self.star_at_rmin,
-            "quotient_at_rmin": self.quotient_at_rmin,
-        }
+        return asdict(self)
 
 
 def classify_regime(spec, grid):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 INEQ_SLACK = 1e-10  # the absolute slack of a check's inequality
@@ -22,14 +22,7 @@ class Check:
     witness: object = None
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "measured": _jsonable(self.measured),
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "witness": _jsonable(self.witness),
-        }
+        return _jsonable(asdict(self))
 
 
 @dataclass

@@ -72,8 +72,7 @@ def suite_chain_gaps(ctx):
 def suite_indicator_norms(ctx):
     tree, spec, p = ctx.tree, ctx.spec, ctx.p
     # atoms by position k in level order, level n from the level offsets
-    offsets = np.cumsum([0] + [len(tree.level_arrays(n)[2])
-                               for n in range(tree.depth + 1)])
+    offsets = tree.offsets
     picks = np.arange(offsets[-1])
     if len(picks) > ATOM_SAMPLE:
         picks = np.sort(np.random.default_rng(ctx.seed).choice(

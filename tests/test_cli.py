@@ -242,6 +242,88 @@ def names_key(lines, key):
     return any(re.search(rf"\b{re.escape(key)}\b", line) for line in lines)
 
 
+RANDOM, LEAF_VALUES = {"kind": "random"}, {"kind": "leaf_values"}
+
+# each config error's exact line, one bad key per case (seed None: no seed)
+CONFIG_ERRORS = {
+    "entry-empty": ({"functions": [{}]},
+                    "functions[0]: unknown function kind None"),
+    "kind-unknown": ({"functions": [{"kind": "bogus"}]},
+                     "functions[0]: unknown function kind 'bogus'"),
+    "indicator-no-level": ({"functions": [{"kind": "indicator"}]},
+                           "functions[0]: indicator needs 'level'"),
+    "level-bool": ({"functions": [{"kind": "indicator", "level": True}]},
+                   "functions[0].level: must be an integer >= 0, got True"),
+    "index-negative": (
+        {"functions": [{"kind": "indicator", "level": 1, "index": -1}]},
+        "functions[0].index: must be an integer >= 0, got -1"),
+    "atom-missing": (
+        {"functions": [{"kind": "indicator", "level": 1, "index": 2}]},
+        "functions[0]: no atom (1, 2) in tree"),
+    "leaf-string": ({"functions": [{"kind": "h", "leaf": "x"}]},
+                    "functions[0].leaf: must be an integer >= 0, got 'x'"),
+    "leaf-missing": ({"functions": [{"kind": "extremal", "leaf": 99}]},
+                     "functions[0]: no atom (4, 99) in tree"),
+    "count-zero": ({"functions": [dict(RANDOM, count=0)]},
+                   "functions[0].count: must be an integer >= 1, got 0"),
+    "seed-string": ({"functions": [dict(RANDOM, seed="s")]},
+                    "functions[0].seed: must be an integer >= 0, got 's'"),
+    "seed-nowhere": ({"functions": [RANDOM], "seed": None},
+                     "functions[0]: random functions need a seed"),
+    "seed-null-nowhere": ({"functions": [dict(RANDOM, seed=None)],
+                           "seed": None},
+                          "functions[0]: random functions need a seed"),
+    "values-short": ({"functions": [dict(LEAF_VALUES, values=[0.0] * 15)]},
+                     "functions[0]: 'values' must list 16 numbers"),
+    "values-string": (
+        {"functions": [dict(LEAF_VALUES, values=[0, 0, 0, "a"] + [0] * 12)]},
+        "functions[0].values[3]: must be a finite number, got 'a'"),
+    "values-object": ({"functions": [dict(LEAF_VALUES, values={"0": 1})]},
+                      "functions[0]: 'values' must list 16 numbers"),
+    "functions-string": ({"functions": "x"}, "functions: expected a list"),
+    "second-entry": (
+        {"functions": [{"kind": "sin_h"}, {"kind": "sin_h", "leaf": -1}]},
+        "functions[1].leaf: must be an integer >= 0, got -1"),
+    "phi-empty": ({"phi": []},
+                  "phi: expected a weight object or a non-empty list"),
+    "p-empty": ({"p": []}, "p: expected a number or a non-empty list"),
+    "phi1-unknown": ({"phi": [{"family": "one"}, {"family": "bogus"}]},
+                     "phi[1].family: unknown weight family 'bogus'"),
+    "p1-below-1": ({"p": [1, 0.5]},
+                   "p[1]: must be a finite number >= 1, got 0.5"),
+    # a bad entry is named before a bad suite list or output path
+    "function-and-suites": (
+        {"functions": [{"kind": "bogus"}], "suites": ["nope"]},
+        "functions[0]: unknown function kind 'bogus'"),
+    "function-and-out": ({"functions": [dict(RANDOM, count=0)], "out": 3},
+                         "functions[0].count: must be an integer >= 1, got 0"),
+    "two-weights": ({"phi": [{"family": "one"}, {"family": "psi"}],
+                     "functions": [{"kind": "sin_h"},
+                                   {"kind": "sin_h", "leaf": 16}]},
+                    "functions[1]: no atom (4, 16) in tree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_line_is_exact(tmp_path, capsys, case):
+    changes, message = CONFIG_ERRORS[case]
+    code, lines = run_config_error(tmp_path, capsys, **changes)
+    assert code == 2 and lines == [f"config error: {message}"], lines
+
+
+def test_random_entry_with_a_null_seed_uses_the_config_seed(tmp_path):
+    tables = []
+    for name, seed in (("a", None), ("b", None), ("explicit", 7)):
+        cfg = write_config(tmp_path / f"{name}.json", dict(
+            BASE, suites=["norms"],
+            functions=[dict(RANDOM, count=1, seed=seed)]))
+        assert run(cfg, out_dir=str(tmp_path / name)) == 0
+        tables.append((tmp_path / name / "norms.csv").read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+    rows = csv.DictReader(tables[0].decode("utf-8").splitlines())
+    assert {row["function"] for row in rows} == {"random:7:0"}
+
+
 def test_function_entry_not_an_object_exits_2(tmp_path, capsys):
     code, lines = run_config_error(tmp_path, capsys, functions=[1])
     assert code == 2 and names_key(lines, "functions"), lines

@@ -13,6 +13,10 @@ from campanato_lab import (TreeSpecError, build_dyadic, build_from_spec,
                            regularity_constant, truncate)
 from campanato_lab.filtration import (PARTITION_TOL, FiltrationTree,
                                       first_max_ratio, is_dyadic)
+from campanato_lab.functions import LeafFunction
+from campanato_lab.multiplier import INDICATORS, _family_norms
+from campanato_lab.norms import phi_level_values
+from campanato_lab.phi import evaluator, psi
 from campanato_lab.report import canonical_json
 
 
@@ -208,6 +212,35 @@ def seeded_split_tree(seed, exact, depth=5):
                 "children": [node(level + 1) for _ in range(k)]}
 
     return build_from_spec(node(0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_dyadic(0), lambda: build_dyadic(3),
+    lambda: seeded_split_tree(3, exact=True),
+    lambda: seeded_split_tree(3, exact=False),
+], ids=["dyadic0", "dyadic3", "exact-splits", "float-splits"])
+def test_offsets_number_the_atoms_in_level_order(make):
+    tree = make()
+    offsets, levels = tree.offsets, range(tree.depth + 1)
+    if tree.depth > 0 and not is_dyadic(tree):  # the trees with persistence
+        assert any((np.bincount(tree.child_arrays(n)[1]) == 1).any()
+                   for n in range(tree.depth))
+    assert offsets[0] == 0 and len(offsets) == tree.depth + 2
+    assert [offsets[n + 1] - offsets[n] for n in levels] \
+        == [len(tree.atoms(n)) for n in levels]
+    g = LeafFunction.from_float_array(
+        tree, np.linspace(-1.0, 2.0, tree.leaf_count))
+    labels = _family_norms(g, 1, psi(), [("chi", INDICATORS)])[0]
+    per_level = phi_level_values(tree, psi())
+    weights = np.concatenate(per_level)
+    assert len(labels) == len(weights) == offsets[-1]
+    for atom in (B for n in levels for B in tree.atoms(n)):
+        k = offsets[atom.level] + atom.index
+        assert labels[k] == f"chi:{atom.level},{atom.index}"
+        assert weights[k] == per_level[atom.level][atom.index] \
+            == evaluator(psi())(float(atom.measure))
+    with pytest.raises(ValueError):
+        offsets[0] = 1
 
 
 def _gaps_json(tree, R):

@@ -113,6 +113,19 @@ def test_exact_and_float_paths_agree():
     assert exact.witness == floaty.witness
 
 
+def test_exact_values_on_a_float_tree_take_the_float_scan():
+    # integer values keep their numerators on a float tree too, but with no
+    # integer measures there is no exact sum
+    tree = random_split_tree(0, exact=False)
+    f = LeafFunction(tree, list(range(tree.leaf_count)))
+    assert f.has_exact_values
+    scan = oscillation_scan(f, 1, one())
+    assert scan == oscillation_scan(f, 1, one(), exact=False)
+    assert isinstance(scan[0], float)
+    with pytest.raises(ValueError, match="exact scan needs a rational tree"):
+        oscillation_scan(f, 1, one(), exact=True)
+
+
 def test_seminorm_matches_brute_oracle():
     for seed in range(3):
         for exact in (True, False):
