@@ -7,6 +7,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 INEQ_SLACK = 1e-10  # the absolute slack of a check's inequality
 
 
@@ -64,8 +66,8 @@ def _jsonable(obj):
         return list(map(_jsonable, obj))
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
-    if hasattr(obj, "__float__"):
-        return float(obj)
+    if hasattr(obj, "__float__"):  # a numpy bool has one, but is no bool
+        return bool(obj) if isinstance(obj, np.bool_) else float(obj)
     return str(obj)
 
 

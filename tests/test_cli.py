@@ -9,12 +9,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import campanato_lab
 from campanato_lab import phi as phimod
 from campanato_lab.cli import MAX_NESTING, ConfigError, load_config, main, run
-from campanato_lab.report import content_hash
+from campanato_lab.report import Check, _jsonable, canonical_json, content_hash
 
 
 def write_config(path, payload):
@@ -197,9 +198,9 @@ def test_shipped_example_configs(tmp_path):
 PINNED_HASHES = {
     "dyadic": ("configs", "0725f2a1634ee303"),
     "psi": ("configs", "400ed0df991d621e"),
-    "sinh": ("configs", "db4f1177dd06c5d1"),
+    "sinh": ("configs", "f578253a00c113d9"),
     "splits": ("configs", "deae4815d19d75c1"),
-    "verify_depth8": ("perfbench/configs", "3c5fdfe5276f07fa"),
+    "verify_depth8": ("perfbench/configs", "a78a7ea8ab6fb612"),
     "phi_weights": ("perfbench/configs", "481500e6dc107845"),
 }
 
@@ -211,6 +212,18 @@ def test_committed_config_content_hash_pinned(tmp_path, name):
     assert run(str(config), out_dir=str(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["content_hash"].startswith(pinned), report["content_hash"]
+
+
+def test_numpy_bools_write_as_json_bools():
+    # np.bool_ has __float__ but is no bool; other numpy scalars still
+    # write as floats, as the pinned hashes were taken with them
+    assert _jsonable(np.bool_(True)) is True
+    assert _jsonable(np.bool_(False)) is False
+    assert repr(_jsonable(np.int64(3))) == "3.0"
+    check = Check("c", "a", {"x": np.float64(0.5)}, "t",
+                  passed=np.float64(1) < 2)
+    assert json.loads(canonical_json(check))["passed"] is True
+    assert '"passed": true' in canonical_json(check)
 
 
 def test_phi_weights_rerun_in_one_process(tmp_path):

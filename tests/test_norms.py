@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -528,13 +529,19 @@ def test_p_outside_one_to_infinity_rejected(entry, p):
 
 
 def out_of_place_level_reductions(tree, block, p):
-    """level_reductions written out of place, one new array per step: the
+    """level_reductions at p != 2 written out of place, one new array per
+    step: the atom integrals S_B = int_B f dP summed up the tree, each
+    parent's by np.add.reduceat over its children, then f_B = S_B / P(B)
+    and the reduceat of |f - f_B|^p P(leaf) over each atom's leaves.  The
     in-place kernel must give the same bits."""
     leafm = tree.leaf_measures_f()
-    w = block * leafm
+    sums = [block * leafm]
+    for n in reversed(range(tree.depth)):
+        firsts = tree.child_arrays(n)[0]
+        sums.insert(0, np.add.reduceat(sums[0], firsts, axis=-1))
     for n in range(tree.depth):
         starts, lengths, measures = tree.level_arrays(n)
-        avg = np.add.reduceat(w, starts, axis=-1) / measures
+        avg = sums[n] / measures
         dev = np.abs(block - np.repeat(avg, lengths, axis=-1))
         if p != 1:
             dev = dev ** p
@@ -561,14 +568,11 @@ BIT_TREES = {"dyadic": lambda: build_dyadic(13),
              "float split": lambda: random_split_tree(4, depth=6, exact=False)}
 
 
-def exact_square_levels(tree, row):
-    """Oracle: per level above the deepest, the averages f_B and the
-    integrals int_B |f - f_B|^2 dP of one leaf row, each the correctly
-    rounded float of its exact rational value.  Float values and float
-    measures are dyadic rationals, so with leaf measures a_i / D and
-    values u_i / E in Python ints, and S, T, Q the atom sums of a, a u and
-    a u^2, f_B = T / (E S) and the integral is (Q S - T^2) / (D E^2 S);
-    int / int rounds correctly."""
+def exact_leaves(tree, row):
+    """(a, D, u, E): the leaf measures a_i / D and the values u_i / E of
+    one float leaf row over common denominators, a and u as object arrays
+    of Python ints.  Float values and float measures are dyadic rationals,
+    so these are exact."""
     nums, den = tree.numerator_arrays()
     if den is None:
         nums, den = common_denominator(
@@ -576,12 +580,37 @@ def exact_square_levels(tree, row):
     else:
         nums = nums[-1].tolist()
     u, e = common_denominator(list(map(Fraction, row.tolist())))
-    a, u = np.array(nums, dtype=object), np.array(u, dtype=object)
+    return np.array(nums, dtype=object), den, np.array(u, dtype=object), e
+
+
+def exact_square_levels(tree, row):
+    """Oracle: per level above the deepest, the averages f_B and the
+    integrals int_B |f - f_B|^2 dP of one leaf row, each the correctly
+    rounded float of its exact rational value.  With S, T, Q the atom
+    sums of a, a u and a u^2 (exact_leaves), f_B = T / (E S) and the
+    integral is (Q S - T^2) / (D E^2 S); int / int rounds correctly."""
+    a, den, u, e = exact_leaves(tree, row)
     for n in range(tree.depth):
         starts = tree.level_arrays(n)[0]
         s, t, q = (np.add.reduceat(x, starts) for x in (a, a * u, a * u * u))
         yield ((t / (e * s)).astype(np.float64),
                ((q * s - t * t) / (den * e * e * s)).astype(np.float64))
+
+
+def exact_first_levels(tree, row):
+    """Oracle: per level above the deepest, the averages f_B and the
+    integrals int_B |f - f_B| dP of one leaf row, correctly rounded, by
+    the exact p = 1 scan's formula: with S and T the atom sums of a and
+    a u (exact_leaves), f_B = T / (E S) and the integral is
+    sum a_i |u_i S - T| / (D E S) over B's leaves."""
+    a, den, u, e = exact_leaves(tree, row)
+    for n in range(tree.depth):
+        starts, lengths, _ = tree.level_arrays(n)
+        s, t = (np.add.reduceat(x, starts) for x in (a, a * u))
+        dev = np.abs(u * np.repeat(s, lengths) - np.repeat(t, lengths))
+        yield ((t / (e * s)).astype(np.float64),
+               (np.add.reduceat(a * dev, starts) / (den * e * s)).astype(
+                   np.float64))
 
 
 SQUARE_TOL = 1e-14
@@ -610,8 +639,8 @@ def assert_square_levels_exact(tree, block, got):
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
 @pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_level_reductions_in_place_is_bit_identical(kind, p, rows):
-    # p = 2 runs its own pass up the tree, whose bits differ from the
-    # two-pass definition; its rows compare with exact rationals instead
+    # p = 2 runs its own recurrence up the tree, whose bits differ from
+    # the out-of-place definition; its rows compare with exact rationals
     tree = BIT_TREES[kind]()
     rng = np.random.default_rng(11)
     shape = (tree.leaf_count,) if rows is None else (rows, tree.leaf_count)
@@ -642,34 +671,85 @@ def multi_scale_steps(tree):
     return 10.0 ** (9 * i // tree.leaf_count) * np.where(i % 3, 1.0, -1.0)
 
 
-@pytest.mark.parametrize("values", ["1", "1e3", "1e6", "1e9", "steps"])
+def oracle_row(tree, values):
+    """The row of an oracle case: multi_scale_steps, or an offset plus
+    3 times seeded noise."""
+    if values == "steps":
+        return multi_scale_steps(tree)
+    noise = np.random.default_rng(11).standard_normal(tree.leaf_count)
+    return float(values) + 3.0 * noise
+
+
+ORACLE_VALUES = ["1", "1e3", "1e6", "1e9", "steps"]
+
+
+@pytest.mark.parametrize("values", ORACLE_VALUES)
 @pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_square_levels_match_exact_rationals(kind, values):
     # an offset c on 3 noise: the two-pass p = 2 read up to 1e-8 relative
     # on the integrals at c = 1e9; anchoring each atom at its first leaf
     # keeps rounding on the scale of the noise
     tree = BIT_TREES[kind]()
-    if values == "steps":
-        row = multi_scale_steps(tree)
-    else:
-        noise = np.random.default_rng(11).standard_normal(tree.leaf_count)
-        row = float(values) + 3.0 * noise
+    row = oracle_row(tree, values)
     assert_square_levels_exact(tree, row, list(level_reductions(tree, row, 2)))
+
+
+FIRST_TOL = 1e-14
+
+
+@pytest.mark.parametrize("values", ORACLE_VALUES)
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_first_power_levels_match_exact_rationals(kind, values):
+    # p = 1 sums the atom integrals of f up the tree: an average is within
+    # FIRST_TOL of the largest |f| on its atom, and an integral within
+    # FIRST_TOL of that |f| times P(B), the error that f_B carries into
+    # |f - f_B|; an integral near 0 at a large offset is all rounding
+    tree = BIT_TREES[kind]()
+    row = oracle_row(tree, values)
+    got = list(level_reductions(tree, row, 1))
+    assert [level[0] for level in got] == list(range(tree.depth))
+    for (n, avg, cint, measures), (want_avg, want_cint) in zip(
+            got, exact_first_levels(tree, row)):
+        scale = np.maximum.reduceat(np.abs(row), tree.level_arrays(n)[0])
+        assert (np.abs(avg - want_avg) <= FIRST_TOL * scale).all()
+        assert (np.abs(cint - want_cint)
+                <= FIRST_TOL * scale * measures).all()
 
 
 @pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_square_levels_scale_by_powers_of_two_bitwise(kind):
     # 2^j scales every sum, difference, product and quotient of the p = 2
-    # pass exactly, far from overflow and underflow
+    # pass exactly, far from overflow and underflow, and at p = 1 the
+    # child sums, divisions, subtractions, abs and products with the
+    # measures as well
     tree = BIT_TREES[kind]()
     row = 3.0 * np.random.default_rng(2).standard_normal(tree.leaf_count) + 1
-    base = list(level_reductions(tree, row, 2))
-    for j in range(-60, 61):
-        scale = 2.0 ** j
-        for (n, avg, cint, _), (_, avg_j, cint_j, _) in zip(
-                base, level_reductions(tree, row * scale, 2)):
-            assert np.array_equal(avg_j, avg * scale)
-            assert np.array_equal(cint_j, cint * scale * scale)
+    for p in (1, 2):
+        base = list(level_reductions(tree, row, p))
+        for j in range(-60, 61):
+            scale = 2.0 ** j
+            for (n, avg, cint, _), (_, avg_j, cint_j, _) in zip(
+                    base, level_reductions(tree, row * scale, p)):
+                assert np.array_equal(avg_j, avg * scale)
+                assert np.array_equal(cint_j, cint * scale ** p)
+
+
+@pytest.mark.parametrize("p, rows", [(1, 5.0), (2, 4.25)])
+def test_one_row_norm_reads_its_row_in_place(p, rows):
+    # a one-row float scan on dyadic depth 16 (a 512 KiB row) peaks at
+    # 5.5 rows (p = 1) and 4.75 rows (p = 2) when it copies its row into
+    # a block, and a row fewer when it reads the row in place
+    tree = build_dyadic(16)
+    f = LeafFunction.from_float_array(
+        tree, np.random.default_rng(3).standard_normal(tree.leaf_count))
+    campanato_norm(f, p, one())  # fills the tree's caches first
+    tracemalloc.start()
+    try:
+        campanato_norm(f, p, one())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * f.values_array.nbytes, peak / 1024
 
 
 def _bits(a):
