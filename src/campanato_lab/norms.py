@@ -10,17 +10,17 @@ One per-level reduction serves every float scan, and one driver,
 scan_block, turns it into sups.  For p = 2 the reduction is one pass up
 the tree, O(atoms) per level, from M_B = int_B |f - f_B|^2 dP = sum over
 B's children C of [M_C + P(C) (f_C - f_B)^2], within 1e-14 of exact
-rationals.  Other p sum the atom integrals int_B f dP up the tree and make
-one leaf pass per level (level_reductions).  For p = 1 with the constant
-weight on a rational tree with rational values the scan is exact instead,
-on integer numerators: with leaf measures a_i / D and values u_i / E, the
-oscillation of atom B is I_B / (E S_B^2), where S_B = sum a_i, T_B = sum
-a_i u_i and I_B = sum a_i |u_i S_B - T_B| over the leaves of B.  A level
-whose integers are bounded below 2^62 sums them in int64; one where only
-the deviations |u_i S_B - T_B| are ranks its atoms by float I_B / S_B^2
-and sums Python ints for the atoms near the largest; any other level sums
-Python ints (_exact_scan).  The sups are Fractions either way.  Ties in
-the sup are broken by (level, atom index).
+rationals.  Other p sum the atom integrals int_B f dP up the tree and
+make one leaf pass per level (level_reductions).  For p = 1 with the
+constant weight on a rational tree with rational values the scan is exact
+instead, on integer numerators: with leaf measures a_i / D and values u_i
+/ E, the oscillation of atom B is I_B / (E S_B^2), where S_B = sum a_i,
+T_B = sum a_i u_i and I_B = sum a_i |u_i S_B - T_B| over the leaves of B.
+A level whose integers are bounded below 2^62 sums them in int64; one
+where only the deviations |u_i S_B - T_B| are ranks its atoms by float
+I_B / S_B^2 and sums Python ints for the atoms near the largest; any
+other level sums Python ints (_exact_scan).  The sups are Fractions
+either way.  Ties in the sup are broken by (level, atom index).
 """
 
 from __future__ import annotations
