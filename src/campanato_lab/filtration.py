@@ -33,11 +33,16 @@ PARTITION_TOL = 1e-12
 # first_max_ratio settles the order in integers.
 RATIO_TOL = 1e-9
 
-# A level whose atoms all span the same L <= COLUMN_SPAN leaves sums
-# float64 and int64 rows by columns (FiltrationTree.atom_sums) when it
-# forms at least COLUMN_MIN * L sums.  Up to 8 leaves np.add.reduceat
-# adds an atom's leaves one after another; from 9 on its pairwise sum
-# takes another order, whose bits columns would not keep.  Each of the
+# Sums over runs (an atom's leaves, or a parent's children) of at most
+# L = COLUMN_SPAN entries add float64 and int64 rows by columns
+# (FiltrationTree._run_sums) when they form at least COLUMN_MIN * L sums.
+# Up to 8 entries np.add.reduceat adds a run one entry after another;
+# from 9 on its pairwise sum takes another order, whose bits columns
+# would not keep, so longer runs stay with reduceat.  A level whose runs
+# all have one length L reads an (..., runs, L) view; a ragged level
+# gathers a (..., L, runs) array through a table of each run's j-th index
+# (L its longest run, built on first use), where short runs point at a
+# pad of -0.0 (0 in int64), which leaves every sum's bits.  Each of the
 # L - 1 column adds has a fixed cost of about a microsecond, against
 # reduceat's 11-20 ns per sum, so columns pay from about 50 (L - 1) sums.
 COLUMN_SPAN, COLUMN_MIN = 8, 128
@@ -171,7 +176,7 @@ class FiltrationTree:
             self._arity += (k,)
             self._firsts += (self._starts[-1][:len(up):k] if k else
                              np.cumsum(counts) - counts,)
-        self._phi_cache = {}
+        self._phi_cache, self._tables = {}, {}
 
     # -- structure ---------------------------------------------------------
 
@@ -297,31 +302,69 @@ class FiltrationTree:
     def atom_sums(self, n, rows, atoms=None):
         """Sums of leaf rows over every level-n atom, along the last axis.
 
-        Float rows get np.add.reduceat's bits: on a level whose atoms all
-        span L <= COLUMN_SPAN leaves, float64 and int64 rows with at least
-        COLUMN_MIN L sums to form add the columns of an (..., atoms, L)
-        view in reduceat's order, the first leaf plus the left-to-right
-        sum of the rest, without a call per atom.  Other rows, object rows
-        (whose sums are the leaf-by-leaf loop) included, use reduceat
-        itself.  With `atoms`, ascending level-n indices, `rows` holds
-        only those atoms' leaves, in order (atom_leaves), and the sums are
-        over those atoms.  No result shares memory with `rows`.
+        Float rows get np.add.reduceat's bits: _run_sums adds float64 and
+        int64 rows by columns when every atom spans at most COLUMN_SPAN
+        leaves, the first leaf plus the left-to-right sum of the rest,
+        without a call per atom (on a ragged level, through a -0.0 or 0
+        pad).  Longer spans and object rows (whose sums are the
+        leaf-by-leaf loop) use reduceat itself.  With `atoms`, ascending
+        level-n indices, `rows` holds only those atoms' leaves, in order
+        (atom_leaves), and the sums are over those atoms.  No result
+        shares memory with `rows`.
         """
         if atoms is not None:
             lengths = self._lengths[n][atoms]
             return np.add.reduceat(rows, np.cumsum(lengths) - lengths,
                                    axis=-1)
-        span = self._spans[n]
-        if not (rows.dtype in _COLUMN_DTYPES
-                and rows.size >= COLUMN_MIN * span * span):
-            span = 0
-        return _run_sums(rows, span, self._starts[n])
+        return self._run_sums(rows, ("atoms", n), self._starts[n],
+                              self._spans[n])
 
     def child_sums(self, n, rows):
         """Sums of level-(n + 1) rows over every level-n atom's children,
-        along the last axis, by columns as in atom_sums when the atoms of
-        the level all have the same k <= COLUMN_SPAN children."""
-        return _run_sums(rows, self._arity[n], self._firsts[n])
+        along the last axis, with reduceat's bits: by columns as in
+        atom_sums when no atom of the level has more than COLUMN_SPAN
+        children, by reduceat otherwise."""
+        return self._run_sums(rows, ("children", n), self._firsts[n],
+                              self._arity[n])
+
+    def _run_sums(self, rows, key, starts, span):
+        """Sums along the last axis of the runs that begin at `starts`, in
+        reduceat's order: the first entry plus the rest's sum.  Runs all
+        of length `span` add the columns of an (..., runs, span) view.  On
+        a ragged level (span 0) whose longest run L is at most COLUMN_SPAN,
+        column j gathers each run's j-th entry through an (L, runs) table,
+        built on first use and kept under `key`, in which a shorter run
+        points at a pad appended to the rows.  Rows outside _COLUMN_DTYPES,
+        longer runs and fewer than COLUMN_MIN * L sums use reduceat."""
+        table = None
+        if rows.dtype not in _COLUMN_DTYPES:
+            span = 0
+        elif not span:
+            if key not in self._tables:
+                size = rows.shape[-1]
+                lengths = np.diff(starts, append=size)
+                j = np.arange(lengths.max())[:, None]
+                self._tables[key] = (np.where(j < lengths, starts + j, size)
+                                     if len(j) <= COLUMN_SPAN else None)
+            table = self._tables[key]
+            span = 0 if table is None else len(table)
+        if not (0 < span <= COLUMN_SPAN and rows.size // rows.shape[-1]
+                * len(starts) >= COLUMN_MIN * span):
+            return np.add.reduceat(rows, starts, axis=-1)
+        if table is None:
+            cols = rows.reshape(rows.shape[:-1] + (-1, span))
+        else:  # x + -0.0 is x, signed zeros included; int64 pads with 0
+            pad = np.full(rows.shape[:-1] + (1,), -0.0, rows.dtype)
+            cols = np.concatenate((rows, pad), axis=-1).take(
+                table, axis=-1).swapaxes(-1, -2)
+        if span == 1:
+            return cols[..., 0].copy()
+        if span == 2:
+            return cols[..., 0] + cols[..., 1]
+        rest = cols[..., 1] + cols[..., 2]
+        for j in range(3, span):
+            rest += cols[..., j]
+        return np.add(cols[..., 0], rest, out=rest)
 
     def child_arrays(self, n):
         """(first-child offsets of the level-n atoms, the parent of each
@@ -359,23 +402,6 @@ class FiltrationTree:
         measures as an object array of Python ints over the one integer D,
         on a float tree the float64 measures and None."""
         return self._levels, self._den
-
-
-def _run_sums(rows, span, starts):
-    """Sums along the last axis of the runs that begin at `starts`; runs
-    all of length 0 < span <= COLUMN_SPAN add the columns of an (...,
-    runs, span) view in reduceat's order: the first plus the rest's sum."""
-    if not 0 < span <= COLUMN_SPAN:
-        return np.add.reduceat(rows, starts, axis=-1)
-    cols = rows.reshape(rows.shape[:-1] + (-1, span))
-    if span == 1:
-        return cols[..., 0].copy()
-    if span == 2:
-        return cols[..., 0] + cols[..., 1]
-    rest = cols[..., 1] + cols[..., 2]
-    for j in range(3, span):
-        rest += cols[..., j]
-    return np.add(cols[..., 0], rest, out=rest)
 
 
 def common_denominator(values):

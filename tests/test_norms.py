@@ -24,7 +24,8 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            int_condition_power_weight, lp_norm, one,
                            phi_star, power, powerlog, psi, random_functions,
                            table)
-from campanato_lab.filtration import common_denominator
+from campanato_lab.filtration import (COLUMN_MIN, COLUMN_SPAN,
+                                      FiltrationTree, common_denominator)
 from campanato_lab.norms import level_reductions, oscillation_scan, scan_block
 
 
@@ -557,15 +558,40 @@ def uniform_tree(arity, depth):
     return build_from_spec(spec)
 
 
+def ragged_split_tree(seed, depth, most, nines=()):
+    """A seeded float tree whose atoms split into 1 to `most` parts of
+    random weights, the first atom of every level into exactly `most`,
+    and the last atom of each level in `nines` into 9."""
+    rng = np.random.default_rng(seed)
+    parents, measures = [], [np.ones(1)]
+    for n in range(depth):
+        counts = rng.integers(1, most + 1, len(measures[-1]))
+        counts[0] = most
+        if n in nines:
+            counts[-1] = 9
+        up = np.repeat(np.arange(len(counts)), counts)
+        weights = rng.integers(1, 6, len(up)).astype(np.float64)
+        weights /= np.add.reduceat(weights, np.cumsum(counts) - counts)[up]
+        parents.append(up)
+        measures.append(measures[-1][up] * weights)
+    return FiltrationTree(parents, measures, "float")
+
+
 # Dyadic trees sum levels of 2, 4 and 8 leaves by columns (one row of
 # depth 13, blocks of 16 rows of depth 10, the certificate's shape); the
 # ternary tree has spans 3 (by columns), 9 and 27 (by reduceat).  Blocks
 # of depth 13 and of the ternary tree's 16 rows are beyond BROADCAST_MIN.
+# The split trees are ragged, so short runs pad to the level's longest:
+# up to 3 on the two small ones and 8 on the 19,709-leaf ragged one,
+# whose level-2 atoms have a run of 9 children (by reduceat) and whose
+# deepest level sums one row and a block of 16 by padded columns
+# (test_ragged_levels_pad_runs_up_to_column_span).
 BIT_TREES = {"dyadic": lambda: build_dyadic(13),
              "dyadic 10": lambda: build_dyadic(10),
              "uniform ternary": lambda: uniform_tree(3, 7),
              "rational split": lambda: random_split_tree(3, depth=6),
-             "float split": lambda: random_split_tree(4, depth=6, exact=False)}
+             "float split": lambda: random_split_tree(4, depth=6, exact=False),
+             "ragged split": lambda: ragged_split_tree(6, 6, 8, nines=(2,))}
 
 
 def exact_leaves(tree, row):
@@ -734,15 +760,29 @@ def test_square_levels_scale_by_powers_of_two_bitwise(kind):
                 assert np.array_equal(cint_j, cint * scale ** p)
 
 
-@pytest.mark.parametrize("p, rows", [(1, 5.0), (2, 4.25)])
-def test_one_row_norm_reads_its_row_in_place(p, rows):
+# a 33,065-leaf split tree of runs of 1 to 3, whose ragged levels sum
+# through pad tables built on the first call
+ONE_ROW_TREES = {"dyadic 16": lambda: build_dyadic(16),
+                 "split": lambda: ragged_split_tree(3, 14, 3)}
+
+
+@pytest.mark.parametrize("p, rows, kind", [
+    (1, 5.0, "dyadic 16"), (2, 4.25, "dyadic 16"),
+    (1, 6.0, "split"), (2, 5.25, "split")],
+    ids=["1-5.0", "2-4.25", "split-1-6.0", "split-2-5.25"])
+def test_one_row_norm_reads_its_row_in_place(p, rows, kind):
     # a one-row float scan on dyadic depth 16 (a 512 KiB row) peaks at
     # 5.5 rows (p = 1) and 4.75 rows (p = 2) when it copies its row into
-    # a block, and a row fewer when it reads the row in place
-    tree = build_dyadic(16)
+    # a block, and a row fewer when it reads the row in place; on the
+    # split tree the deepest level's padded sums gather 1.5 rows beside a
+    # padded copy of the row, and peak at 5.79 and 5.01 rows (4.54 and
+    # 3.76 by reduceat)
+    tree = ONE_ROW_TREES[kind]()
     f = LeafFunction.from_float_array(
         tree, np.random.default_rng(3).standard_normal(tree.leaf_count))
     campanato_norm(f, p, one())  # fills the tree's caches first
+    tables = dict(tree._tables)
+    assert any(t is not None for t in tables.values()) == (kind == "split")
     tracemalloc.start()
     try:
         campanato_norm(f, p, one())
@@ -750,6 +790,9 @@ def test_one_row_norm_reads_its_row_in_place(p, rows):
     finally:
         tracemalloc.stop()
     assert peak <= rows * f.values_array.nbytes, peak / 1024
+    # the warm call built no table: the same keys, the same arrays
+    assert tree._tables.keys() == tables.keys()
+    assert all(tree._tables[key] is table for key, table in tables.items())
 
 
 def _bits(a):
@@ -758,19 +801,27 @@ def _bits(a):
     return a.view(np.int64) if a.dtype == np.float64 else a
 
 
+def sum_rows(rng, shape, dtype):
+    """Integers in [-9, 9] as `dtype`; as float64, times powers of ten
+    from 1e-8 to 1e8 (so the order of a sum shows in its bits), with
+    zeros of either sign."""
+    rows = rng.integers(-9, 10, shape)
+    if dtype == "float64":  # wide exponents and signed zeros
+        rows = rows * 10.0 ** rng.integers(-8, 9, shape)
+        rows[rows == 0] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[
+            rows == 0]
+    return rows.astype(dtype)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "int64", "object"])
 @pytest.mark.parametrize("kind", ["dyadic", "uniform ternary",
-                                  "rational split", "float split"])
+                                  "rational split", "float split",
+                                  "ragged split"])
 def test_atom_sums_and_spread_match_reduceat_and_repeat(kind, dtype):
     tree = BIT_TREES[kind]()
     rng = np.random.default_rng(5)
     for shape in ((tree.leaf_count,), (16, tree.leaf_count)):
-        rows = rng.integers(-9, 10, shape)
-        if dtype == "float64":  # wide exponents and signed zeros
-            rows = rows * 10.0 ** rng.integers(-8, 9, shape)
-            rows[rows == 0] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[
-                rows == 0]
-        rows = rows.astype(dtype)
+        rows = sum_rows(rng, shape, dtype)
         for n in range(tree.depth + 1):
             starts, lengths, _ = tree.level_arrays(n)
             sums = tree.atom_sums(n, rows)
@@ -795,3 +846,53 @@ def test_atom_sums_and_spread_match_reduceat_and_repeat(kind, dtype):
             if atoms.size:
                 part = tree.atom_sums(n, rows[..., leaves], atoms)
                 assert np.array_equal(part, want[..., atoms])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "int64", "object"])
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_child_sums_match_reduceat(kind, dtype):
+    tree = BIT_TREES[kind]()
+    rng = np.random.default_rng(7)
+    for n in range(tree.depth):
+        firsts, up = tree.child_arrays(n)
+        for shape in ((len(up),), (16, len(up))):
+            rows = sum_rows(rng, shape, dtype)
+            sums = tree.child_sums(n, rows)
+            want = np.add.reduceat(rows, firsts, axis=-1)
+            assert sums.dtype == want.dtype
+            assert np.array_equal(_bits(sums), _bits(want))
+            assert not np.shares_memory(sums, rows)
+
+
+def test_ragged_levels_pad_runs_up_to_column_span():
+    # the sizes of the two tests above reach the padded columns on the
+    # ragged tree: a ragged level's runs pad to its longest, L, when L is
+    # at most COLUMN_SPAN and the rows form at least COLUMN_MIN * L sums;
+    # its run of 9 children and its longer leaf spans stay with reduceat,
+    # and a level of one run length reads a view, with no table
+    tree = BIT_TREES["ragged split"]()
+    rng = np.random.default_rng(7)
+    padded = set()
+    for n in range(tree.depth):
+        firsts, up = tree.child_arrays(n)
+        for kind, sums, starts, size in (
+                ("children", tree.child_sums, firsts, len(up)),
+                ("atoms", tree.atom_sums, tree.level_arrays(n)[0],
+                 tree.leaf_count)):
+            lengths = np.diff(starts, append=size)
+            longest = lengths.max()
+            for rows in (1, 16):
+                sums(n, sum_rows(rng, (size,) if rows == 1 else (rows, size),
+                                 "float64"))
+                table = tree._tables.get((kind, n))
+                if (lengths == longest).all():  # one run length: no table
+                    assert (kind, n) not in tree._tables
+                elif longest > COLUMN_SPAN:
+                    assert table is None
+                else:
+                    assert table.shape == (longest, len(starts))
+                    if rows * len(starts) >= COLUMN_MIN * longest:
+                        padded.add((kind, int(longest), rows))
+    assert padded >= {("children", 8, 1), ("children", 8, 16),
+                      ("atoms", 8, 1), ("atoms", 8, 16)}
+    assert tree._tables["children", 2] is None  # its run of 9
