@@ -18,7 +18,7 @@ from .functions import (LeafFunction, MartingaleSequence,
                         conditional_expectation, linf_norm)
 from .norms import _level_cints, campanato_norm
 from .phi import eval_phi, phi_star, quotient_phi
-from .report import INEQ_SLACK, Check, VerificationReport
+from .report import VerificationReport, limit_check, margins
 
 
 def _validate_chain(tree, chain):
@@ -214,24 +214,16 @@ def lipschitz_compose_check(f, lip_constant, composed):
                                                 f.values_array]), 1))
     # every atom in level order; the witness is the first largest margin
     lhs, rhs = np.concatenate([cint for cint, _ in levels], axis=-1)
-    margins = lhs - 2.0 * lip_constant * rhs
-    i = int(np.argmax(margins))
-    n = int(np.searchsorted(tree.offsets, i, side="right")) - 1
+    m = margins(lhs, 2.0 * lip_constant * rhs)
+    n = int(np.searchsorted(tree.offsets, m.index, side="right")) - 1
     usable = rhs > 1e-15
-    worst_margin = float(margins[i])
-    check = Check(
-        name="lipschitz_composition_factor2",
-        anchor="composition with a Lipschitz map doubles mean oscillation "
-               "at most",
-        measured={"worst_margin": worst_margin,
-                  "worst_ratio": float(np.max(lhs[usable] / rhs[usable],
-                                              initial=0.0)),
-                  "lip_constant": float(lip_constant),
-                  "atoms_checked": len(margins)},
-        threshold=f"margin <= {INEQ_SLACK}",
-        passed=worst_margin <= INEQ_SLACK,
-        witness=[n, i - int(tree.offsets[n])],
-    )
+    check = limit_check(
+        "lipschitz_composition_factor2",
+        "composition with a Lipschitz map doubles mean oscillation at most",
+        {"worst_margin": m.worst,
+         "worst_ratio": float(np.max(lhs[usable] / rhs[usable], initial=0.0)),
+         "lip_constant": float(lip_constant), "atoms_checked": len(lhs)},
+        "margin <= {0}", m, witness=[n, m.index - int(tree.offsets[n])])
     return VerificationReport(suite="lipschitz_composition", checks=[check])
 
 
@@ -261,10 +253,6 @@ def martingale_identity_defect(construction):
     the int 0 when the identity holds, else an int or Fraction for
     rational f and partial sums on a rational tree, or a float."""
     f = construction.f
-    worst = 0
-    for n in range(f.tree.depth):
-        d = linf_norm(conditional_expectation(f, n)
-                      - construction.partial_sum(n))
-        if d > worst:
-            worst = d
-    return worst
+    return max([0, *(linf_norm(conditional_expectation(f, n)
+                               - construction.partial_sum(n))
+                     for n in range(f.tree.depth))])

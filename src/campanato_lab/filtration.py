@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import Check, VerificationReport
+from .report import VerificationReport, count_check
 
 # Allowed drift of level measure sums (and other structural identities)
 # when measures are floats.  Exact mode tolerates nothing.
@@ -666,13 +666,8 @@ def check_chain_gaps(tree, R):
                      "parent_measure": show(parent[i]),
                      "lower_ok": bool(lo[i]), "upper_ok": bool(hi[i])}
                     for i in bad[:8 - len(witness)].tolist()]
-    check = Check(
-        name="chain_gap_two_sided",
-        anchor="refinement-edge gap bounds for regular filtrations",
-        measured={"R": float(R), "edges": edges, "persistence_steps": persistence,
-                  "violations": violations},
-        threshold="0 violations",
-        passed=not violations,
-        witness=witness or None,
-    )
-    return VerificationReport(suite="chain_gaps", checks=[check])
+    return VerificationReport(suite="chain_gaps", checks=[count_check(
+        "chain_gap_two_sided",
+        "refinement-edge gap bounds for regular filtrations",
+        {"R": float(R), "edges": edges, "persistence_steps": persistence,
+         "violations": violations}, "violations", witness=witness or None)])

@@ -21,9 +21,9 @@ from .functions import (LeafFunction, _indicator_row, check_p, expectation,
                         level_means, level_projection, linf_norm)
 from .norms import (BLOCK_ELEMENTS, _level_scan, campanato_seminorm,
                     phi_level_values, phi_star_level_values, scan_block)
-from .report import INEQ_SLACK, Check, VerificationReport
+from .report import (EXACT_SLACK, VerificationReport, limit_check, margins,
+                     reported_check)
 
-EXACT_SLACK = 1e-12
 # A family member is the witness of L when its ratio is at least
 # L (1 - WITNESS_TIE): the first such member in family order, so that the
 # summation order of a scan cannot move the label between tied members.
@@ -62,15 +62,12 @@ def check_product_estimate(f, g, p, spec):
     sup_g = float(linf_norm(g))
     gap = abs(F - sem_fg)
     bound = 2.0 * sem_f * sup_g
-    check = Check(
-        name="product_estimate_two_sided",
-        anchor="product functional vs product seminorm gap bound",
-        measured={"F": F, "seminorm_fg": sem_fg, "seminorm_f": sem_f,
-                  "sup_g": sup_g, "gap": gap, "bound": bound},
-        threshold=f"gap <= bound + {INEQ_SLACK}",
-        passed=gap <= bound + INEQ_SLACK,
-    )
-    return VerificationReport(suite="product_estimate", checks=[check])
+    return VerificationReport(suite="product_estimate", checks=[limit_check(
+        "product_estimate_two_sided",
+        "product functional vs product seminorm gap bound",
+        {"F": F, "seminorm_fg": sem_fg, "seminorm_f": sem_f, "sup_g": sup_g,
+         "gap": gap, "bound": bound},
+        "gap <= bound + {0}", margins(gap, bound))])
 
 
 # -- families and operator-norm lower bounds ----------------------------------
@@ -460,9 +457,7 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
 
     phi_at_1 = float(phimod.eval_phi(spec, 1.0))
     upper_coeff = c_fb * sem_q + (2.0 + max(1.0, phi_at_1)) * sup_g
-    margins = norm_fg - upper_coeff * norm_f
-    worst_margin = float(np.max(margins))
-    violations = int(np.count_nonzero(~(margins <= INEQ_SLACK)))  # NaN too
+    upper = margins(norm_fg, upper_coeff * norm_f)
     members = int(np.count_nonzero(usable))
 
     return MultiplierReport(
@@ -476,8 +471,8 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
         c_fb=c_fb,
         family_size=members,
         upper_checked=members,
-        upper_violations=violations,
-        upper_worst_margin=worst_margin,
+        upper_violations=upper.failures,
+        upper_worst_margin=upper.worst,
         conditions=conditions,
         status="ok" if conditions["ok"] else "assumptions unmet",
     )
@@ -502,27 +497,20 @@ def linf_bound_check(g, p, spec):
     # E_n |g| grows by at most R per level: each atom against its parent.
     means = [level_means(tree, n, np.abs(g.values_array))
              for n in range(tree.depth + 1)]
-    growth_margin = -math.inf
-    for n in range(1, tree.depth + 1):
-        parent = means[n - 1][tree.child_arrays(n - 1)[1]]
-        growth_margin = max(growth_margin,
-                            float(np.max(means[n] - R * parent)))
-    checks.append(Check(
-        name="conditional_growth_per_level",
-        anchor="regularity bound on successive conditional absolute means",
-        measured={"R": R, "worst_margin": growth_margin},
-        threshold=f"margin <= {INEQ_SLACK}",
-        passed=growth_margin <= INEQ_SLACK,
-    ))
+    parents = [m[tree.child_arrays(n)[1]] for n, m in enumerate(means[:-1])]
+    growth = margins(np.concatenate([[], *means[1:]]),
+                     R * np.concatenate([[], *parents]))
+    checks.append(limit_check(
+        "conditional_growth_per_level",
+        "regularity bound on successive conditional absolute means",
+        {"R": R, "worst_margin": growth.worst}, "margin <= {0}", growth))
 
     # norm(f) and norm(f g): the constant, then chi_B for each atom B
     family = _family_norms(g, p, spec, _family_members(
         tree, spec, chains=0, randoms=0, seed=0))[:3]
     cutoffs = np.split(family[2][1:], tree.offsets[1:-1])
     nums = tree.numerator_arrays()[0]
-    worst_margin = -math.inf
-    worst_witness = None
-    levels_checked = 0
+    sides = []  # (rhs, lhs) of each checked level and its witness
     skipped = 0
     for n in range(1, tree.depth + 1):
         avg = level_means(tree, n, g.values_array)
@@ -534,38 +522,30 @@ def linf_bound_check(g, p, spec):
         if k is None:
             skipped += 1  # atom persists to the root; no coarser ancestor
             continue
-        levels_checked += 1
         phi_B1 = float(phimod.eval_phi(
             spec, tree.level_arrays(k)[2].item(path[k])))
         rhs = sup_en / (2.0 * R * (R + 1.0) ** (1.0 / p) * phi_B1)
         lhs = float(cutoffs[n][j])
-        margin = rhs - lhs
-        if margin > worst_margin:
-            worst_margin = margin
-            worst_witness = {"level": n, "atom": j, "ancestor_level": k,
-                             "lhs": lhs, "rhs": rhs}
-    checks.append(Check(
-        name="cutoff_norm_vs_sup",
-        anchor="norm of the atom cut-off dominates the scaled conditional "
-               "sup norm",
-        measured={"levels_checked": levels_checked, "levels_skipped": skipped,
-                  "worst_margin": worst_margin if levels_checked else 0.0},
-        threshold=f"margin <= {INEQ_SLACK}",
-        passed=(worst_margin <= INEQ_SLACK) if levels_checked else True,
-        witness=worst_witness,
-    ))
+        sides.append((rhs, lhs, {"level": n, "atom": j, "ancestor_level": k,
+                                 "lhs": lhs, "rhs": rhs}))
+    rhs, lhs, witnesses = zip(*sides) if sides else ((), (), ())
+    cut = margins(rhs, lhs)
+    checks.append(limit_check(
+        "cutoff_norm_vs_sup",
+        "norm of the atom cut-off dominates the scaled conditional sup norm",
+        {"levels_checked": len(sides), "levels_skipped": skipped,
+         "worst_margin": cut.worst if sides else 0.0},
+        "margin <= {0}", cut,
+        witness=witnesses[cut.index] if sides else None))
 
     L_chi, witness, _ = _lower_bound(*family)
     sup_g = float(linf_norm(g))
-    checks.append(Check(
-        name="sup_norm_vs_indicator_lower_bound",
-        anchor="sup norm against the indicator-family operator lower bound",
-        measured={"sup_norm": sup_g, "op_lower_indicators": L_chi,
-                  "ratio": (sup_g / L_chi) if L_chi > 0 else math.inf},
-        threshold="reported",
-        passed=True,
-        witness=witness,
-    ))
+    checks.append(reported_check(
+        "sup_norm_vs_indicator_lower_bound",
+        "sup norm against the indicator-family operator lower bound",
+        {"sup_norm": sup_g, "op_lower_indicators": L_chi,
+         "ratio": (sup_g / L_chi) if L_chi > 0 else math.inf},
+        witness=witness))
     return VerificationReport(suite="linf_bound", checks=checks)
 
 
@@ -617,48 +597,36 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
         L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
         T_n.append(T_of(g_proj))
 
-    forward_margin = max(l - L_full for l in L_n)
-    sup_margin = max(t - T_full for t in T_n)
+    forward = margins(L_n, L_full)
+    sup = margins(T_n, T_full)
     identity_diff = abs(L_n[N] - L_full)
-    identity_tol = EXACT_SLACK * max(1.0, L_full)
     T_diff = abs(T_n[N] - T_full)
-    T_tol = EXACT_SLACK * max(1.0, T_full)
     eg = abs(float(expectation(g)))
     checks = [
-        Check(
-            name="truncated_lower_bounds_dominated",
-            anchor="conditioned multiplier never beats the full-tree lower "
-                   "bound on the shared family",
-            measured={"L_full": L_full, "L_n": L_n,
-                      "worst_margin": forward_margin},
-            threshold=f"margin <= {INEQ_SLACK}",
-            passed=forward_margin <= INEQ_SLACK,
-        ),
-        Check(
-            name="deepest_truncation_identity",
-            anchor="the depth-N truncation, rebuilt with projected members, "
-                   "reproduces the full-tree lower bound",
-            measured={"L_N": L_n[N], "L_full": L_full,
-                      "diff": identity_diff},
-            threshold=f"diff <= {EXACT_SLACK} * max(1, L_full)",
-            passed=identity_diff <= identity_tol,
-        ),
-        Check(
-            name="level0_lower_bound_is_mean",
-            anchor="conditioning to the trivial level leaves only the mean",
-            measured={"L_0": L_n[0], "abs_mean": eg,
-                      "diff": abs(L_n[0] - eg)},
-            threshold=f"diff <= {EXACT_SLACK}",
-            passed=abs(L_n[0] - eg) <= EXACT_SLACK,
-        ),
-        Check(
-            name="quotient_norm_sup_at_deepest",
-            anchor="quotient-weight norms of truncations peak at full depth",
-            measured={"T_full": T_full, "T_n": T_n, "worst_margin": sup_margin,
-                      "diff_at_N": T_diff},
-            threshold=f"margin <= {INEQ_SLACK} and diff at N <= "
-                      f"{EXACT_SLACK} * max(1, T_full)",
-            passed=sup_margin <= INEQ_SLACK and T_diff <= T_tol,
-        ),
+        limit_check(
+            "truncated_lower_bounds_dominated",
+            "conditioned multiplier never beats the full-tree lower bound on "
+            "the shared family",
+            {"L_full": L_full, "L_n": L_n, "worst_margin": forward.worst},
+            "margin <= {0}", forward),
+        limit_check(
+            "deepest_truncation_identity",
+            "the depth-N truncation, rebuilt with projected members, "
+            "reproduces the full-tree lower bound",
+            {"L_N": L_n[N], "L_full": L_full, "diff": identity_diff},
+            "diff <= {0} * max(1, L_full)",
+            margins(identity_diff, slack=EXACT_SLACK, scale=L_full)),
+        limit_check(
+            "level0_lower_bound_is_mean",
+            "conditioning to the trivial level leaves only the mean",
+            {"L_0": L_n[0], "abs_mean": eg, "diff": abs(L_n[0] - eg)},
+            "diff <= {0}", margins(abs(L_n[0] - eg), slack=EXACT_SLACK)),
+        limit_check(
+            "quotient_norm_sup_at_deepest",
+            "quotient-weight norms of truncations peak at full depth",
+            {"T_full": T_full, "T_n": T_n, "worst_margin": sup.worst,
+             "diff_at_N": T_diff},
+            "margin <= {0} and diff at N <= {1} * max(1, T_full)",
+            sup, margins(T_diff, slack=EXACT_SLACK, scale=T_full)),
     ]
     return VerificationReport(suite="conditional_multipliers", checks=checks)

@@ -1,4 +1,5 @@
-"""Shared result containers for verification suites and norm computations."""
+"""Result containers for verification suites, and the rule by which every
+check of a report reaches its verdict."""
 
 from __future__ import annotations
 
@@ -6,10 +7,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 INEQ_SLACK = 1e-10  # the absolute slack of a check's inequality
+EXACT_SLACK = 1e-12  # the slack of an identity, or of a calibrated bound
+REL_TOL = 1e-10  # the slack of a relative error
 
 
 @dataclass
@@ -25,6 +29,50 @@ class Check:
 
     def to_dict(self):
         return _jsonable(asdict(self))
+
+
+class Margins(NamedTuple):
+    """The margins lhs - rhs of an inequality lhs <= rhs, judged."""
+
+    worst: float  # the largest margin; NaN if any is NaN, -inf if none
+    index: object  # the first position of the worst margin, or None
+    failures: int  # margins above the slack, NaN included
+    passed: bool  # worst <= slack
+    slack: float
+
+
+def margins(lhs, rhs=0.0, slack=INEQ_SLACK, scale=1.0):
+    """Judge lhs <= rhs, sides as scalars or arrays: every verdict of a
+    report is reached here.  A margin lhs - rhs holds iff it is at most
+    slack * max(1, scale).  NaN counts as the worst margin, so a NaN side
+    and inf against inf fail."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.subtract(lhs, rhs, dtype=np.float64).ravel()
+    if not m.size:
+        return Margins(-np.inf, None, 0, True, slack)
+    ok = m <= slack * max(1.0, scale)
+    i = int(np.argmax(m))  # argmax returns the first NaN, if any
+    return Margins(float(m[i]), i, int(np.count_nonzero(~ok)), bool(ok[i]),
+                   slack)
+
+
+def limit_check(name, anchor, measured, threshold, *judged, witness=None):
+    """A check that passes iff every judged inequality holds; threshold
+    names their slacks as {0}, {1}, ..."""
+    return Check(name, anchor, measured,
+                 threshold.format(*(m.slack for m in judged)),
+                 all(m.passed for m in judged), witness)
+
+
+def count_check(name, anchor, measured, key, witness=None):
+    """A check that passes iff measured[key] counts nothing: "0 <key>"."""
+    return Check(name, anchor, measured, f"0 {key}", measured[key] == 0,
+                 witness)
+
+
+def reported_check(name, anchor, measured, witness=None):
+    """A measured value that has no threshold and always passes."""
+    return Check(name, anchor, measured, "reported", True, witness)
 
 
 @dataclass

@@ -22,9 +22,8 @@ from .functions import _indicator_row, level_projection, random_functions
 from .multiplier import (check_product_estimate, conditional_multiplier_check,
                          linf_bound_check, theorem1_certificate)
 from .norms import chi_norm_closed_form, scan_block
-from .report import INEQ_SLACK, Check, VerificationReport
-
-REL_TOL = 1e-10
+from .report import (EXACT_SLACK, REL_TOL, VerificationReport, count_check,
+                     limit_check, margins, reported_check)
 
 # Random functions per suite, sampled chains, and at most this many
 # sampled atoms for the indicator suite.
@@ -39,10 +38,18 @@ class VerifyContext:
     seed: int = 0
 
 
-def _known_regime(ctx):
-    """True when the derived numeric thresholds below were calibrated:
-    dyadic tree, constant weight, p = 1."""
-    return is_dyadic(ctx.tree) and ctx.spec.family == "one" and ctx.p == 1
+def _calibrated(ctx, name, anchor, measured, known, other=None):
+    """A check of (threshold, *judged) = known in the regime where its
+    derived numeric thresholds were calibrated (dyadic tree, constant
+    weight, p = 1); elsewhere of other, or else the reported value."""
+    if is_dyadic(ctx.tree) and ctx.spec.family == "one" and ctx.p == 1:
+        threshold, *judged = known
+        return limit_check(name, anchor, measured,
+                           threshold + " (dyadic, constant weight, p=1)",
+                           *judged)
+    if other is None:
+        return reported_check(name, anchor, measured)
+    return limit_check(name, anchor, measured, *other)
 
 
 def _rel_err(a, b):
@@ -59,13 +66,9 @@ def _rel_err(a, b):
 def suite_chain_gaps(ctx):
     R = regularity_constant(ctx.tree)
     rep = check_chain_gaps(ctx.tree, R)
-    rep.checks.insert(0, Check(
-        name="regularity_constant",
-        anchor="largest parent/child measure ratio",
-        measured={"R": float(R)},
-        threshold="reported",
-        passed=True,
-    ))
+    rep.checks.insert(0, reported_check(
+        "regularity_constant", "largest parent/child measure ratio",
+        {"R": float(R)}))
     return rep
 
 
@@ -83,34 +86,25 @@ def suite_indicator_norms(ctx):
 
     full = scan_block(tree, (_indicator_row(tree, B.level, B.index)
                              for B in atoms), p, spec)[0].max(axis=1)
-    worst_rel = 0.0
-    worst_atom = None
+    rels = []
     bound = 0.0
     for B, full_B in zip(atoms, full):
         closed = chi_norm_closed_form(B, p, spec)
-        rel = _rel_err(closed.value, full_B)
-        if rel > worst_rel:
-            worst_rel = rel
-            worst_atom = B.id
+        rels.append(_rel_err(closed.value, full_B))
         measure = tree.level_arrays(B.level)[2].item(B.index)
         norm_B = float(closed.value) + measure
         bound = max(bound, norm_B * float(phimod.eval_phi(spec, measure)))
-    known = _known_regime(ctx)
-    return VerificationReport(suite="indicator_norms", checks=[Check(
-        name="indicator_closed_form_equivalence",
-        anchor="ancestor-chain closed form equals the full sup scan",
-        measured={"atoms": len(atoms), "worst_rel_err": worst_rel},
-        threshold=f"rel err <= {REL_TOL}",
-        passed=worst_rel <= REL_TOL,
-        witness=list(worst_atom) if worst_atom else None,
-    ), Check(
-        name="indicator_norm_bound",
-        anchor="weighted indicator norms are uniformly bounded",
-        measured={"max_norm_times_phi": bound},
-        threshold="<= 1 (dyadic, constant weight, p=1)" if known
-                  else "reported",
-        passed=(bound <= 1.0 + 1e-12) if known else True,
-    )])
+    rel = margins(rels, slack=REL_TOL)
+    return VerificationReport(suite="indicator_norms", checks=[limit_check(
+        "indicator_closed_form_equivalence",
+        "ancestor-chain closed form equals the full sup scan",
+        {"atoms": len(atoms), "worst_rel_err": rel.worst}, "rel err <= {0}",
+        rel, witness=list(atoms[rel.index].id) if rel.worst != 0 else None,
+    ), _calibrated(
+        ctx, "indicator_norm_bound",
+        "weighted indicator norms are uniformly bounded",
+        {"max_norm_times_phi": bound},
+        ("<= 1", margins(bound, 1.0, EXACT_SLACK)))])
 
 
 def suite_atom_average_growth(ctx):
@@ -123,14 +117,11 @@ def suite_atom_average_growth(ctx):
     norm_f = sups.max(axis=1) + np.abs(mean)
     usable = norm_f > 0
     worst = float(np.max(fb[usable] / norm_f[usable], initial=0.0))
-    known = _known_regime(ctx)
-    return VerificationReport(suite="atom_average_growth", checks=[Check(
-        name="atom_average_phistar_growth",
-        anchor="atom averages grow at most like phi_star times the norm",
-        measured={"max_ratio": worst, "family": len(family)},
-        threshold="<= 3 (dyadic, constant weight, p=1)" if known else "reported",
-        passed=(worst <= 3.0) if known else True,
-    )])
+    return VerificationReport(suite="atom_average_growth", checks=[_calibrated(
+        ctx, "atom_average_phistar_growth",
+        "atom averages grow at most like phi_star times the norm",
+        {"max_ratio": worst, "family": len(family)},
+        ("<= 3", margins(worst, 3.0, 0.0)))])
 
 
 def suite_extremal_chain(ctx):
@@ -139,65 +130,45 @@ def suite_extremal_chain(ctx):
     count = min(CHAIN_COUNT, tree.leaf_count)
     picks = sorted(int(x) for x in
                    rng.choice(tree.leaf_count, size=count, replace=False))
-    defect = 0.0
-    c1 = 0.0
-    c1_min = math.inf
-    c2 = math.inf
-    tail = 0.0
-    for j in picks:
-        con = extremal_chain_function(tree, chain_through_leaf(tree, j), spec)
-        defect = max(defect, float(martingale_identity_defect(con)))
-        upper, lower = measure_chain_constants(con, p, spec)
-        c1 = max(c1, upper)
-        c1_min = min(c1_min, upper)
-        c2 = min(c2, lower)
-        tail = max(tail, con.truncation_tail_scale(p))
-    spread = (c1 - c1_min) / c1 if c1 > 0 else 0.0
-    known = _known_regime(ctx)
+    cons = [extremal_chain_function(tree, chain_through_leaf(tree, j), spec)
+            for j in picks]
+    defect = margins([float(martingale_identity_defect(c)) for c in cons])
+    upper, lower = zip(*(measure_chain_constants(c, p, spec) for c in cons))
+    c1, c2 = max(0.0, *upper), min(lower)
+    spread = (c1 - min(upper)) / c1 if c1 > 0 else 0.0
+    tail = max(0.0, *(c.truncation_tail_scale(p) for c in cons))
     checks = [
-        Check(
-            name="partial_sums_are_conditional_expectations",
-            anchor="conditioning the chain function reproduces its partial sums",
-            measured={"chains": count, "max_defect": defect},
-            threshold=f"defect <= {INEQ_SLACK}",
-            passed=defect <= INEQ_SLACK,
-        ),
-        Check(
-            name="chain_norm_bounded",
-            anchor="chain functions have uniformly bounded norm",
-            measured={"C1": c1, "spread": spread,
-                      "truncation_tail_scale": tail},
-            threshold="<= 3 and spread <= 5% (dyadic, constant weight, p=1)"
-                      if known else "reported",
-            passed=(c1 <= 3.0 + INEQ_SLACK and spread <= 0.05)
-                   if known else True,
-        ),
-        Check(
-            name="chain_average_growth",
-            anchor="chain atom averages dominate phi_star",
-            measured={"C2": c2},
-            threshold=">= 1 (dyadic, constant weight, p=1)" if known
-                      else "> 0",
-            passed=(c2 >= 1.0 - INEQ_SLACK) if known else c2 > 0.0,
-        ),
+        limit_check(
+            "partial_sums_are_conditional_expectations",
+            "conditioning the chain function reproduces its partial sums",
+            {"chains": count, "max_defect": defect.worst}, "defect <= {0}",
+            defect),
+        _calibrated(
+            ctx, "chain_norm_bounded",
+            "chain functions have uniformly bounded norm",
+            {"C1": c1, "spread": spread, "truncation_tail_scale": tail},
+            ("<= 3 and spread <= 5%", margins(c1, 3.0),
+             margins(spread, 0.05, 0.0))),
+        _calibrated(
+            ctx, "chain_average_growth",
+            "chain atom averages dominate phi_star", {"C2": c2},
+            (">= 1", margins(1.0, c2)),
+            # c2 > 0: for floats, 0 - c2 <= -ulp(0) iff 0 < c2
+            ("> 0", margins(0.0, c2, -math.ulp(0.0)))),
     ]
     return VerificationReport(suite="extremal_chain", checks=checks)
 
 
-def _per_function(suite, name, anchor, count_key, reports, margin):
+def _per_function(suite, name, anchor, count_key, reports, sides):
     """One check over a list of per-function reports: how many there are
-    (under count_key), how many failed, and the worst margin(measured) of
-    their first checks."""
-    worst = max([-math.inf] + [margin(r.checks[0].measured) for r in reports])
-    failures = sum(not r.passed for r in reports)
-    return VerificationReport(suite=suite, checks=[Check(
-        name=name,
-        anchor=anchor,
-        measured={count_key: len(reports), "failures": failures,
-                  "worst_margin": worst},
-        threshold="0 failures",
-        passed=failures == 0,
-    )])
+    (under count_key), how many failed, and the worst margin of the sides
+    (lhs, rhs) = sides(measured) of their first checks."""
+    worst = margins(*zip(*(sides(r.checks[0].measured)
+                           for r in reports))).worst
+    return VerificationReport(suite=suite, checks=[count_check(
+        name, anchor, {count_key: len(reports),
+                       "failures": sum(not r.passed for r in reports),
+                       "worst_margin": worst}, "failures")])
 
 
 def suite_product_estimate(ctx):
@@ -208,7 +179,7 @@ def suite_product_estimate(ctx):
         "product functional vs product seminorm gap bound", "pairs",
         [check_product_estimate(f, g, ctx.p, ctx.spec)
          for f, g in zip(fs, gs)],
-        lambda m: m["gap"] - m["bound"])
+        lambda m: (m["gap"], m["bound"]))
 
 
 def suite_lipschitz(ctx):
@@ -218,7 +189,7 @@ def suite_lipschitz(ctx):
         "functions",
         [lipschitz_compose_check(f, 1.0, f.apply(lambda v: math.sin(float(v))))
          for f in random_functions(ctx.tree, RANDOM_COUNT, ctx.seed)],
-        lambda m: m["worst_margin"])
+        lambda m: (m["worst_margin"], 0.0))
 
 
 def suite_truncation_monotone(ctx):
@@ -233,25 +204,18 @@ def suite_truncation_monotone(ctx):
 
     sems = scan_block(tree, rows(), p, spec)[0].max(axis=1)
     sems = sems.reshape(len(functions), tree.depth + 2)
-    worst = float(np.max(sems[:, 1:] - sems[:, :1], initial=-math.inf))
+    growth = margins(sems[:, 1:], sems[:, :1])
     # E_N f is computed by averaging over the leaves
-    eq_rel = max((_rel_err(sem[-1], sem[0]) for sem in sems), default=0.0)
+    eq = margins([_rel_err(sem[-1], sem[0]) for sem in sems], slack=REL_TOL)
     return VerificationReport(suite="truncation_monotone", checks=[
-        Check(
-            name="truncation_never_increases_seminorm",
-            anchor="conditioned truncations have no larger seminorm",
-            measured={"worst_margin": worst},
-            threshold=f"margin <= {INEQ_SLACK}",
-            passed=worst <= INEQ_SLACK,
-        ),
-        Check(
-            name="deepest_truncation_equality",
-            anchor="the level-N projection has the seminorm of the function "
-                   "itself",
-            measured={"max_rel_err": eq_rel},
-            threshold=f"rel err <= {REL_TOL}",
-            passed=eq_rel <= REL_TOL,
-        ),
+        limit_check(
+            "truncation_never_increases_seminorm",
+            "conditioned truncations have no larger seminorm",
+            {"worst_margin": growth.worst}, "margin <= {0}", growth),
+        limit_check(
+            "deepest_truncation_equality",
+            "the level-N projection has the seminorm of the function itself",
+            {"max_rel_err": eq.worst}, "rel err <= {0}", eq),
     ])
 
 

@@ -26,7 +26,7 @@ from campanato_lab.multiplier import (INDICATORS, WITNESS_TIE,
                                       _family_lower_bound, _family_members,
                                       _family_norms)
 from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
-                                  run_verify_suites)
+                                  run_verify_suites, suite_product_estimate)
 
 
 def brute_capital_F(f, g, p, spec):
@@ -342,6 +342,27 @@ def test_certificate_fails_on_nan_margins():
     assert math.isnan(cert.upper_worst_margin)
     assert cert.upper_violations > 0
     assert not cert.passed
+
+
+def test_product_estimate_fails_when_its_sides_overflow():
+    # at p = 1000 |f - f_B|^p overflows float64, so seminorms read inf:
+    # gap = bound = inf is no evidence, and inf - inf is a NaN margin
+    tree = build_dyadic(6)
+    fs = random_functions(tree, 50, 0)
+    gs = random_functions(tree, 50, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pairs = [check_product_estimate(f, g, 1000, one()).checks[0]
+                 for f, g in zip(fs, gs)]
+        suite = suite_product_estimate(
+            VerifyContext(tree, one(), 1000, 0)).checks[0]
+    for i in (17, 37):
+        assert pairs[i].measured["gap"] == pairs[i].measured["bound"] \
+            == math.inf
+    assert not any(check.passed for check in pairs)
+    assert suite.measured["failures"] == 50
+    assert math.isnan(suite.measured["worst_margin"])
+    assert not suite.passed
 
 
 def test_conditional_norm_of_products_never_increases():
