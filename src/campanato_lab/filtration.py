@@ -316,30 +316,34 @@ class FiltrationTree:
             lengths = self._lengths[n][atoms]
             return np.add.reduceat(rows, np.cumsum(lengths) - lengths,
                                    axis=-1)
-        return self._run_sums(rows, ("atoms", n), self._starts[n],
-                              self._spans[n])
+        return self._run_sums(rows, self._starts[n], self._spans[n],
+                              "atoms", n)
 
     def child_sums(self, n, rows):
         """Sums of level-(n + 1) rows over every level-n atom's children,
         along the last axis, with reduceat's bits: by columns as in
         atom_sums when no atom of the level has more than COLUMN_SPAN
         children, by reduceat otherwise."""
-        return self._run_sums(rows, ("children", n), self._firsts[n],
-                              self._arity[n])
+        return self._run_sums(rows, self._firsts[n], self._arity[n],
+                              "children", n)
 
-    def _run_sums(self, rows, key, starts, span):
+    def _run_sums(self, rows, starts, span, kind, n):
         """Sums along the last axis of the runs that begin at `starts`, in
         reduceat's order: the first entry plus the rest's sum.  Runs all
         of length `span` add the columns of an (..., runs, span) view.  On
         a ragged level (span 0) whose longest run L is at most COLUMN_SPAN,
         column j gathers each run's j-th entry through an (L, runs) table,
-        built on first use and kept under `key`, in which a shorter run
+        built on first use and kept under (kind, n), in which a shorter run
         points at a pad appended to the rows.  Rows outside _COLUMN_DTYPES,
         longer runs and fewer than COLUMN_MIN * L sums use reduceat."""
-        table = None
-        if rows.dtype not in _COLUMN_DTYPES:
-            span = 0
-        elif not span:
+        if span > COLUMN_SPAN or rows.dtype not in _COLUMN_DTYPES:
+            return np.add.reduceat(rows, starts, axis=-1)
+        if span:  # rows.size is the number of sums times span
+            if rows.size < COLUMN_MIN * span * span:
+                return np.add.reduceat(rows, starts, axis=-1)
+            cols = rows.reshape(rows.shape[:-1] + (-1, span))
+        else:
+            key = kind, n
             if key not in self._tables:
                 size = rows.shape[-1]
                 lengths = np.diff(starts, append=size)
@@ -347,13 +351,11 @@ class FiltrationTree:
                 self._tables[key] = (np.where(j < lengths, starts + j, size)
                                      if len(j) <= COLUMN_SPAN else None)
             table = self._tables[key]
-            span = 0 if table is None else len(table)
-        if not (0 < span <= COLUMN_SPAN and rows.size // rows.shape[-1]
-                * len(starts) >= COLUMN_MIN * span):
-            return np.add.reduceat(rows, starts, axis=-1)
-        if table is None:
-            cols = rows.reshape(rows.shape[:-1] + (-1, span))
-        else:  # x + -0.0 is x, signed zeros included; int64 pads with 0
+            if table is None or (rows.size // rows.shape[-1] * len(starts)
+                                 < COLUMN_MIN * len(table)):
+                return np.add.reduceat(rows, starts, axis=-1)
+            span = len(table)
+            # x + -0.0 is x, signed zeros included; int64 pads with 0
             pad = np.full(rows.shape[:-1] + (1,), -0.0, rows.dtype)
             cols = np.concatenate((rows, pad), axis=-1).take(
                 table, axis=-1).swapaxes(-1, -2)

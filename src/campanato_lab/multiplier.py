@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,34 +160,41 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
     per-atom oscillation (and of 1/phi_star) cover those atoms.  Only the
     strict ancestors A of B need leaves: chi_B g averages S_B / P(A) on A,
     with S_B = int_B g, and each leaf of A outside B deviates by exactly
-    that average, so a pass over B's leaves suffices.  It runs once per
-    pair (level of B, level of A) for all atoms of B's level together, so
-    the whole indicator family costs O(leaves * depth^2).
+    that average, so a pass over B's leaves suffices.  For all atoms of a
+    level together, their ancestors' levels stack as the rows of one leaf
+    pass per BLOCK_ELEMENTS values, so the family costs O(leaves depth^2).
     """
     tree = g.tree
     gv = g.values_array
     leafm = tree.leaf_measures_f()
-    phis = phi_level_values(tree, spec)
-    stars = phi_star_level_values(tree, spec) if want_fb else None
+    # each atom's measure, weight and phi_star, at its place in level order
+    measures = np.concatenate([tree.level_arrays(n)[2]
+                               for n in range(tree.depth + 1)])
+    phis = np.concatenate(phi_level_values(tree, spec))
+    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
     invp = 1.0 / p
     sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
 
     w = gv * leafm
-    dev = np.empty_like(w)  # one leaf-sized buffer for every pair of levels
+    size = max(1, BLOCK_ELEMENTS // tree.leaf_count)
+    anc = np.empty((0, 1), dtype=np.int64)  # row n: level-n ancestors' places
     per_level = []
     for m in range(tree.depth + 1):
-        starts, _, meas = tree.level_arrays(m)
+        meas = tree.level_arrays(m)[2]
+        if m:
+            up = tree.child_arrays(m - 1)[1]
+            anc = np.vstack([anc.take(up, axis=1), tree.offsets[m - 1] + up])
         S = tree.atom_sums(m, w)
         sem_f = np.zeros(len(meas))
         sem_fg = sub_osc[m].copy()
         fb = sub_inv[m].copy() if want_fb else None
-        for n in range(m):
-            a_starts, _, a_meas = tree.level_arrays(n)
-            anc = np.searchsorted(a_starts, starts, side="right") - 1
-            PA = a_meas[anc]
+        for a in (anc[lo:lo + size] for lo in range(0, m, size)):
+            PA, phi = measures[a], phis[a]
             r = meas / PA
             avg = S / PA
-            np.abs(tree.spread(m, avg, np.subtract, gv, out=dev), out=dev)
+            dev = np.empty((len(a), len(gv)))
+            np.abs(tree.spread(m, avg, np.subtract, np.broadcast_to(
+                gv, dev.shape), out=dev), out=dev)
             # x ** 1 copies x bit for bit, so p = 1 takes the same lines
             dev **= p
             dev *= leafm
@@ -194,10 +202,11 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
                    / PA) ** invp
             cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
             prod = (cint / PA) ** invp
-            np.maximum(sem_f, chi / phis[n][anc], out=sem_f)
-            np.maximum(sem_fg, prod / phis[n][anc], out=sem_fg)
+            np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
+            np.maximum(sem_fg, (prod / phi).max(axis=0), out=sem_fg)
             if want_fb:
-                np.maximum(fb, r / stars[n][anc], out=fb)
+                np.maximum(fb, (r / stars[a]).max(axis=0), out=fb)
+            del PA, phi, r, avg, dev, chi, cint, prod  # before the next's
         per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
     norm_f, norm_fg, fb = zip(*per_level)
     return (np.concatenate(norm_f), np.concatenate(norm_fg),
@@ -270,15 +279,37 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
     return sem_f + np.abs(avg[:, 0]), sem_fg + np.abs(mean_fg), fb
 
 
+class _Labels(Sequence):
+    """A family's labels.  At each place of an indicator block, one atom B
+    in level order, (label, the block's first place) reads as label:n,i,
+    formatted only when read (for a warning or the witness)."""
+
+    def __init__(self, names, offsets):
+        self._names, self._offsets = names, offsets
+
+    def __len__(self):
+        return len(self._names)
+
+    def __getitem__(self, k):
+        name = self._names[k]
+        if isinstance(name, str):
+            return name
+        label, first = name
+        j = k % len(self) - first  # B's place among all atoms
+        n = int(np.searchsorted(self._offsets, j, side="right")) - 1
+        return f"{label}:{n},{j - self._offsets[n]}"
+
+
 def _family_norms(g, p, spec, members, want_fb=False):
     """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
     every family member, in family order.
 
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
-    (one label:n,i per atom) and Atom members read one _indicator_norms
-    pass, and ChainPath members one _chain_norms pass, both on one scan of
-    g.  Returns (labels, norm_f, norm_fg, fb), fb None unless want_fb.
+    (label:n,i per atom, see _Labels) and Atom members read one
+    _indicator_norms pass, and ChainPath members one _chain_norms pass,
+    both on one scan of g.  Returns (labels, norm_f, norm_fg, fb), fb None
+    unless want_fb.
     """
     tree, gv = g.tree, g.values_array
     offsets = tree.offsets
@@ -289,8 +320,7 @@ def _family_norms(g, p, spec, members, want_fb=False):
             if member is INDICATORS:
                 chi.extend(range(len(labels), len(labels) + offsets[-1]))
                 at.extend(range(offsets[-1]))
-                labels.extend(f"{label}:{n},{i}" for n in range(tree.depth + 1)
-                              for i in range(offsets[n + 1] - offsets[n]))
+                labels.extend([(label, len(labels))] * offsets[-1])
             elif isinstance(member, Atom):
                 chi.append(len(labels))
                 at.append(offsets[member.level] + member.index)
@@ -319,6 +349,7 @@ def _family_norms(g, p, spec, members, want_fb=False):
         norm_f[where], norm_fg[where] = nf, nfg
         if want_fb:
             fb_all[where] = b
+    labels = _Labels(labels, offsets)
     return labels, norm_f, norm_fg, (fb_all if want_fb else None)
 
 

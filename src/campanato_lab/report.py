@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -98,12 +99,13 @@ def _jsonable(obj):
     """Recursively convert report payloads to JSON-serializable values.
 
     Fractions become "p/q" strings so exact-mode results stay exact in the
-    report; floats pass through (Python's repr round-trips them).
+    report; finite floats pass through (Python's repr round-trips them),
+    and the others, which JSON cannot hold, become "nan", "inf", "-inf".
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj
+        return obj if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, Fraction):
         return str(obj)
     # map keeps the recursion at one frame per nesting level, where a
@@ -115,7 +117,8 @@ def _jsonable(obj):
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
     if hasattr(obj, "__float__"):  # a numpy bool has one, but is no bool
-        return bool(obj) if isinstance(obj, np.bool_) else float(obj)
+        return bool(obj) if isinstance(obj, np.bool_) else _jsonable(
+            float(obj))
     return str(obj)
 
 

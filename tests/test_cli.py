@@ -225,6 +225,24 @@ def test_numpy_bools_write_as_json_bools():
     assert '"passed": true' in canonical_json(check)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_values_write_strict_json(tmp_path):
+    # at p = 1000 some measured values overflow to inf or NaN (numpy warns
+    # of it); the report writes them as strings, which strict JSON accepts
+    cfg = dict(BASE, tree={"type": "dyadic", "depth": 6}, p=1000)
+    run(write_config(tmp_path / "cfg.json", cfg), out_dir=str(tmp_path))
+    text = (tmp_path / "report.json").read_text()
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    json.loads(text, parse_constant=refuse)
+    assert '"inf"' in text and '"nan"' in text
+    assert _jsonable([math.nan, -math.inf, np.float32(math.inf)]) == [
+        "nan", "-inf", "inf"]
+
+
 def test_phi_weights_rerun_in_one_process(tmp_path):
     # the phi_star memo and the per-weight evaluators outlive a run; a cold
     # run and a warm one must write the same report

@@ -419,7 +419,7 @@ def test_atom_members_take_the_indicator_block_values():
     # member has exactly the block's values at its own label
     for members in (atoms, atoms[::-1] + atoms[5:9]):
         labels, norm_f, norm_fg, _ = _family_norms(g, 1.5, psi(), members)
-        assert labels == [label for label, _ in members]
+        assert list(labels) == [label for label, _ in members]
         k = [at[label] for label in labels]
         assert norm_f.tolist() == block[1][k].tolist()
         assert norm_fg.tolist() == block[2][k].tolist()
