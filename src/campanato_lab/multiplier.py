@@ -164,10 +164,7 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
     level together, their ancestors' levels stack as the rows of one leaf
     pass per BLOCK_ELEMENTS values, so the family costs O(leaves depth^2).
     """
-    tree = g.tree
-    gv = g.values_array
-    leafm = tree.leaf_measures_f()
-    # each atom's measure, weight and phi_star, at its place in level order
+    tree, gv, leafm = g.tree, g.values_array, g.tree.leaf_measures_f()
     measures = np.concatenate([tree.level_arrays(n)[2]
                                for n in range(tree.depth + 1)])
     phis = np.concatenate(phi_level_values(tree, spec))
@@ -177,7 +174,7 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
 
     w = gv * leafm
     size = max(1, BLOCK_ELEMENTS // tree.leaf_count)
-    anc = np.empty((0, 1), dtype=np.int64)  # row n: level-n ancestors' places
+    anc = np.empty((0, 1), np.int64)  # row n: level-n ancestors' places
     per_level = []
     for m in range(tree.depth + 1):
         meas = tree.level_arrays(m)[2]
@@ -280,9 +277,7 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
 
 
 class _Labels(Sequence):
-    """A family's labels.  At each place of an indicator block, one atom B
-    in level order, (label, the block's first place) reads as label:n,i,
-    formatted only when read (for a warning or the witness)."""
+    """A family's labels, each indicator's label:n,i formatted when read."""
 
     def __init__(self, names, offsets):
         self._names, self._offsets = names, offsets
@@ -291,13 +286,11 @@ class _Labels(Sequence):
         return len(self._names)
 
     def __getitem__(self, k):
-        name = self._names[k]
-        if isinstance(name, str):
+        if isinstance(name := self._names[k], str):
             return name
-        label, first = name
-        j = k % len(self) - first  # B's place among all atoms
+        j = k % len(self) - name[1]  # name[1]: the block's first place
         n = int(np.searchsorted(self._offsets, j, side="right")) - 1
-        return f"{label}:{n},{j - self._offsets[n]}"
+        return f"{name[0]}:{n},{j - self._offsets[n]}"
 
 
 def _family_norms(g, p, spec, members, want_fb=False):
@@ -307,12 +300,10 @@ def _family_norms(g, p, spec, members, want_fb=False):
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
     (label:n,i per atom, see _Labels) and Atom members read one
-    _indicator_norms pass, and ChainPath members one _chain_norms pass,
-    both on one scan of g.  Returns (labels, norm_f, norm_fg, fb), fb None
-    unless want_fb.
+    _indicator_norms pass, ChainPath members one _chain_norms pass, both
+    on one scan of g.  Returns (labels, norm_f, norm_fg, fb or None).
     """
-    tree, gv = g.tree, g.values_array
-    offsets = tree.offsets
+    tree, gv, offsets = g.tree, g.values_array, g.tree.offsets
     labels, dense, chi, at, chains = [], [], [], [], []
 
     def rows():  # fills the lists above as scan_block consumes it
@@ -349,8 +340,8 @@ def _family_norms(g, p, spec, members, want_fb=False):
         norm_f[where], norm_fg[where] = nf, nfg
         if want_fb:
             fb_all[where] = b
-    labels = _Labels(labels, offsets)
-    return labels, norm_f, norm_fg, (fb_all if want_fb else None)
+    return (_Labels(labels, offsets), norm_f, norm_fg,
+            fb_all if want_fb else None)
 
 
 def _lower_bound(labels, norm_f, norm_fg):

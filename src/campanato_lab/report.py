@@ -98,9 +98,8 @@ class VerificationReport:
 def _jsonable(obj):
     """Recursively convert report payloads to JSON-serializable values.
 
-    Fractions become "p/q" strings so exact-mode results stay exact in the
-    report; finite floats pass through (Python's repr round-trips them),
-    and the others, which JSON cannot hold, become "nan", "inf", "-inf".
+    Fractions become "p/q" strings so exact-mode results stay exact; finite
+    floats pass through (repr round-trips them), others as "nan"/"inf"/"-inf".
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -117,8 +116,7 @@ def _jsonable(obj):
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
     if hasattr(obj, "__float__"):  # a numpy bool has one, but is no bool
-        return bool(obj) if isinstance(obj, np.bool_) else _jsonable(
-            float(obj))
+        return bool(obj) if isinstance(obj, np.bool_) else _jsonable(float(obj))
     return str(obj)
 
 
