@@ -203,7 +203,7 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
             np.maximum(sem_fg, (prod / phi).max(axis=0), out=sem_fg)
             if want_fb:
                 np.maximum(fb, (r / stars[a]).max(axis=0), out=fb)
-            del PA, phi, r, avg, dev, chi, cint, prod  # before the next's
+            del PA, phi, r, avg, dev, chi, cint, prod  # free before next block
         per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
     norm_f, norm_fg, fb = zip(*per_level)
     return (np.concatenate(norm_f), np.concatenate(norm_fg),
