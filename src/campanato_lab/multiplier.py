@@ -8,6 +8,7 @@ inequalities, never exact operator norms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Sequence
@@ -20,7 +21,7 @@ from .constructions import _path_ring, _path_values
 from .filtration import Atom, own_atom, regularity_constant, truncate
 from .functions import (LeafFunction, _indicator_row, check_p, expectation,
                         level_means, level_projection, linf_norm)
-from .norms import (BLOCK_ELEMENTS, _level_scan, campanato_seminorm,
+from .norms import (BLOCK_ELEMENTS, campanato_seminorm, level_reductions,
                     phi_level_values, phi_star_level_values, scan_block)
 from .report import (EXACT_SLACK, VerificationReport, limit_check, margins,
                      reported_check)
@@ -31,6 +32,7 @@ from .report import (EXACT_SLACK, VerificationReport, limit_check, margins,
 WITNESS_TIE = 1e-12
 
 INDICATORS = object()  # a family's indicator block, as in _family_norms
+CONSTANT = object()  # the family's constant 1, as in _family_norms
 
 
 class ChainPath(tuple):
@@ -43,13 +45,12 @@ class ChainPath(tuple):
 def capital_F(f, g, p, spec):
     """sup over all atoms B of
     (|f_B| / phi(P(B))) * ((1/P(B)) int_B |g - E_n g|^p dP)^(1/p)."""
-    check_p(p)
     tree = f.tree
     if g.tree is not tree:
         raise ValueError("functions live on different trees")
     best = 0.0
-    for n, _, ratios in _level_scan(tree, g.values_array[None, :], p, spec):
-        terms = np.abs(level_means(tree, n, f.values_array)) * ratios[0]
+    for n, ratios in enumerate(_oscillations(g, p, spec)[0]):
+        terms = np.abs(level_means(tree, n, f.values_array)) * ratios
         best = max(best, float(np.max(terms)))
     return best
 
@@ -75,17 +76,18 @@ def check_product_estimate(f, g, p, spec):
 
 
 def _family_members(tree, spec, chains, randoms, seed, paths=True):
-    """The default test family as (label, member) pairs: the indicator
-    block ("chi", INDICATORS), each sampled chain a ChainPath (its leaf
+    """The default test family as (label, member) pairs: CONSTANT, the
+    indicator block INDICATORS, each sampled chain a ChainPath (its leaf
     values unless paths), every other member an array of leaf values."""
     rng = np.random.default_rng(seed)
-    yield "const:1", np.ones(tree.leaf_count)
+    yield "const:1", CONSTANT
     yield "chi", INDICATORS
     count = min(chains, tree.leaf_count)
     if count > 0:
-        picks = rng.choice(tree.leaf_count, size=count, replace=False)
-        for j in sorted(int(x) for x in picks):
-            path = tree.ancestors(tree.depth, j)
+        up = [np.sort(rng.choice(tree.leaf_count, size=count, replace=False))]
+        for n in reversed(range(tree.depth)):  # the picks' ancestors, upwards
+            up.append(tree.child_arrays(n)[1][up[-1]])
+        for j, path in zip(up[0].tolist(), np.array(up[::-1]).T.tolist()):
             yield f"chain:leaf={j}", (ChainPath(path) if paths
                                       else _path_values(tree, path, spec))
     for k in range(randoms):
@@ -101,6 +103,7 @@ def default_test_family(tree, spec, chains=8, randoms=32, seed=0):
     """
     for label, member in _family_members(tree, spec, chains, randoms, seed,
                                          paths=False):
+        member = np.ones(tree.leaf_count) if member is CONSTANT else member
         if member is not INDICATORS:
             yield label, LeafFunction.from_float_array(tree, member)
             continue
@@ -138,16 +141,47 @@ def _sibling_max(tree, per_level):
     return out
 
 
-def _subtree_tables(g, p, spec, want_fb):
+def _oscillations(g, p, *specs):
+    """Per spec, g's oscillation per level above the deepest, weighed as
+    in scan_block, from one leaf reduction of g for T and the family."""
+    raw = [((cint / measures) ** (1.0 / p))[0] for _, _, cint, measures
+           in level_reductions(g.tree, g.values_array[None, :], check_p(p))]
+    return [[r / phi for r, phi in zip(raw, phi_level_values(g.tree, spec))]
+            for spec in specs]  # x / 1.0 is x: weight one keeps the bits
+
+
+def _subtree_tables(g, p, spec, want_fb, osc=None):
     """Per level, the max over each atom and its descendants of g's
-    weighted oscillation and, when want_fb (else None), of 1/phi_star: one
-    scan of g for the indicator block and the chains."""
+    weighted oscillation osc (_oscillations) and, when want_fb (else None),
+    of 1/phi_star: one scan of g for the indicator block and the chains."""
     tree = g.tree
-    osc = [ratios[0] for _, _, ratios
-           in _level_scan(tree, g.values_array[None, :], p, spec)]
+    osc = _oscillations(g, p, spec)[0] if osc is None else osc
     stars = phi_star_level_values(tree, spec) if want_fb else None
     return (_subtree_max(tree, osc + [np.zeros(tree.leaf_count)]),
             _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None)
+
+
+def _constant_norms(g, p, spec, want_fb, osc):
+    """norm(1), norm(1 g) and sup_B 1 / phi_star(P(B)) (None unless
+    want_fb) as scan_block reads them off rows of ones and of g: g's from
+    osc, and 1's averages from the leaf measures summed up the tree."""
+    tree, leafm, offsets = g.tree, g.tree.leaf_measures_f(), g.tree.offsets
+    sums = [leafm]  # int_B 1 dP per level, from the leaves up
+    for n in reversed(range(tree.depth)):
+        sums.append(tree.child_sums(n, sums[-1]))
+    avg = np.concatenate(sums[::-1]) / np.concatenate(
+        [tree.level_arrays(n)[2] for n in range(tree.depth + 1)])
+    avg = avg if p != 2 else np.ones_like(avg)  # what p = 2's pass reads
+    dev, sem = np.abs(1.0 - avg) ** p, [0.0]
+    for n in range(tree.depth):  # a leaf pass where an average is not 1
+        if (d := dev[offsets[n]:offsets[n + 1]]).any():
+            cint = tree.atom_sums(n, tree.spread(n, d) * leafm)
+            sem.append(((cint / tree.level_arrays(n)[2]) ** (1.0 / p)
+                        / phi_level_values(tree, spec)[n]).max())
+    return (max(sem) + abs(leafm.sum()), max([0.0] + [r.max() for r in osc])
+            + abs((g.values_array * leafm)[None].sum(axis=1)[0]),
+            (np.abs(avg) / np.concatenate(phi_star_level_values(tree, spec))
+             ).max() if want_fb else None)
 
 
 def _indicator_norms(g, p, spec, want_fb=False, tables=None):
@@ -192,8 +226,8 @@ def _indicator_norms(g, p, spec, want_fb=False, tables=None):
             dev = np.empty((len(a), len(gv)))
             np.abs(tree.spread(m, avg, np.subtract, np.broadcast_to(
                 gv, dev.shape), out=dev), out=dev)
-            # x ** 1 copies x bit for bit, so p = 1 takes the same lines
-            dev **= p
+            if p != 1:
+                dev **= p
             dev *= leafm
             chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
                    / PA) ** invp
@@ -267,7 +301,8 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
         m = leafm[leaf]
         sums = np.add.reduceat(fg * m, at)
         dev = np.abs(fg - np.repeat(sums / meas[b, :M].ravel(), seg))
-        dev **= p
+        if p != 1:
+            dev **= p
         dev *= m
         out.append(((np.add.reduceat(dev, at).reshape(-1, M) / meas[b, :M])
                     ** (1.0 / p) / phis[b, :M], sums.reshape(-1, M)[:, 0]))
@@ -286,6 +321,8 @@ class _Labels(Sequence):
         return len(self._names)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
         if isinstance(name := self._names[k], str):
             return name
         j = k % len(self) - name[1]  # name[1]: the block's first place
@@ -293,50 +330,61 @@ class _Labels(Sequence):
         return f"{name[0]}:{n},{j - self._offsets[n]}"
 
 
-def _family_norms(g, p, spec, members, want_fb=False):
+def _family_norms(g, p, spec, members, want_fb=False, osc=None):
     """norm(f), norm(f g) and, when asked, sup_B |f_B| / phi_star(P(B)) for
     every family member, in family order.
 
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
     (label:n,i per atom, see _Labels) and Atom members read one
-    _indicator_norms pass, ChainPath members one _chain_norms pass, both
-    on one scan of g.  Returns (labels, norm_f, norm_fg, fb or None).
+    _indicator_norms pass, ChainPath members one _chain_norms pass and
+    CONSTANT _constant_norms, all on g's oscillation osc (_oscillations,
+    unless given).  Returns (labels, norm_f, norm_fg, fb or None).
     """
     tree, gv, offsets = g.tree, g.values_array, g.tree.offsets
-    labels, dense, chi, at, chains = [], [], [], [], []
+    labels, dense, const, chi, at, chains = [], [], [], [], [], []
 
     def rows():  # fills the lists above as scan_block consumes it
         for label, member in members:
+            k = len(labels)  # the member's place
             if member is INDICATORS:
-                chi.extend(range(len(labels), len(labels) + offsets[-1]))
+                chi.extend(range(k, k + offsets[-1]))
                 at.extend(range(offsets[-1]))
-                labels.extend([(label, len(labels))] * offsets[-1])
+                labels.extend([(label, k)] * offsets[-1])
+                continue
+            labels.append(label)
+            if member is CONSTANT:
+                const.append(k)
             elif isinstance(member, Atom):
-                chi.append(len(labels))
+                chi.append(k)
                 at.append(offsets[member.level] + member.index)
-                labels.append(label)
             elif isinstance(member, ChainPath):
-                chains.append((len(labels), member))
-                labels.append(label)
+                chains.append((k, member))
             else:
-                dense.append(len(labels))
-                labels.append(label)
+                dense.append(k)
                 yield member
                 yield member * gv
 
-    sups, _, mean, fb = scan_block(tree, rows(), p, spec, want_fb)
-    norms = sups.max(axis=1) + np.abs(mean)
-    parts = [(dense, norms[0::2], norms[1::2], fb[0::2] if want_fb else None)]
-    tables = _subtree_tables(g, p, spec, want_fb) if chi or chains else None
+    parts, stream = [], rows()
+    if (first := next(stream, None)) is not None:  # a dense member came
+        sups, _, mean, fb = scan_block(tree, itertools.chain([first], stream),
+                                       p, spec, want_fb)
+        norms = (sups.max(axis=1) + np.abs(mean)).reshape(-1, 2).T  # f, f g
+        parts.append((dense, *norms, fb[0::2] if want_fb else None))
+    if const or chi or chains:  # one leaf reduction of g serves all three
+        osc = _oscillations(g, p, spec)[0] if osc is None else osc
+        tables = _subtree_tables(g, p, spec, want_fb, osc)
+    if const:
+        parts.append((const, *_constant_norms(g, p, spec, want_fb, osc)))
     if chi:
-        block = _indicator_norms(g, p, spec, want_fb, tables)
+        block, at = _indicator_norms(g, p, spec, want_fb, tables), np.array(at)
         parts.append((chi, *(None if b is None else b[at] for b in block)))
     if chains:
         where, paths = map(list, zip(*chains))
         parts.append((where, *_chain_norms(g, p, spec, paths, want_fb, tables)))
     norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     for where, nf, nfg, b in parts:
+        where = np.array(where)  # one conversion, not one per array
         norm_f[where], norm_fg[where] = nf, nfg
         if want_fb:
             fb_all[where] = b
@@ -464,15 +512,15 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
         "int_condition": int_cond,
         "ok": math.isfinite(doubling) and math.isfinite(int_cond),
     }
-    quotient = phimod.quotient_phi(spec)
-    sem_q = float(campanato_seminorm(g, p, quotient, exact=False).value)
+    osc, quot = _oscillations(g, p, spec, phimod.quotient_phi(spec))
+    sem_q = float(max([0.0] + [r.max() for r in quot]))
     sup_g = float(linf_norm(g))
     T = sem_q + sup_g
 
     family = _family_members(tree, spec, chains=sample_chains,
                              randoms=randoms, seed=seed)
     labels, norm_f, norm_fg, fb = _family_norms(g, p, spec, family,
-                                                want_fb=True)
+                                                want_fb=True, osc=osc)
     L, L_witness, usable = _lower_bound(labels, norm_f, norm_fg)
     norm_f, norm_fg = norm_f[usable], norm_fg[usable]
     c_fb = float(np.max(fb[usable] / norm_f))
@@ -584,10 +632,10 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     explicit closure), which makes the per-level lower bounds L_n provably
     dominated by the full-tree bound L(g) up to float slack.  On the
     truncation the dense members, chains as leaf values among them, are
-    averaged over the level-n atoms, and the indicator block is that of
-    its own atoms, each once: E_n of a deeper atom B's indicator is
-    (P(B)/P(A)) chi_A for its level-n ancestor A, whose ratio
-    norm(fg)/norm(f) is that of chi_A.
+    averaged over the level-n atoms, the constant stays the constant, and
+    the indicator block is that of its own atoms, each once: E_n of a
+    deeper atom B's indicator is (P(B)/P(A)) chi_A for its level-n
+    ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.
     Level N runs on a fresh depth-N truncation too, so its values check
     the full-tree computation independently.
     """
@@ -614,8 +662,8 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
         trunc = truncate(tree, n)
         g_proj = LeafFunction.from_float_array(
             trunc, level_means(tree, n, g.values_array))
-        members = [(label, row if row is INDICATORS
-                    else level_means(tree, n, row)) for label, row in shared]
+        members = [(label, level_means(tree, n, row) if isinstance(
+            row, np.ndarray) else row) for label, row in shared]
         L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
         T_n.append(T_of(g_proj))
 

@@ -158,19 +158,6 @@ def level_reductions(tree, block, p):
         yield n, avg, tree.atom_sums(n, dev), measures
 
 
-def _level_scan(tree, block, p, spec):
-    """Yield (n, averages, ratios) for every level n above the deepest.
-
-    Both arrays have one row per member of `block` and one column per
-    level-n atom: the atom averages f_B and the weighted oscillations
-    ((1/P(B)) int_B |f - f_B|^p)^(1/p) / phi(P(B)).
-    """
-    phis = None if spec.family == "one" else phi_level_values(tree, spec)
-    for n, avg, cint, measures in level_reductions(tree, block, p):
-        ratios = (cint / measures) ** (1.0 / p)  # x ** 1.0 copies x's bits
-        yield n, avg, (ratios if phis is None else ratios / phis[n])
-
-
 def scan_block(tree, rows, p, spec, want_fb=False):
     """Sup scan of leaf functions, one per row: the one per-level sup loop
     of float rows.
@@ -184,13 +171,17 @@ def scan_block(tree, rows, p, spec, want_fb=False):
     |f_B| / phi_star(P(B)), None unless want_fb.
     """
     check_p(p)
+    phis = None if spec.family == "one" else phi_level_values(tree, spec)
     stars = phi_star_level_values(tree, spec) if want_fb else None
     empty = np.zeros((0, tree.depth + 1))
     sups, atoms = [empty], [empty.astype(np.int64)]
     means, fbs = [empty[:, 0]], [empty[:, 0]]
     for block in _blocks(rows, max(1, BLOCK_ELEMENTS // tree.leaf_count)):
         sup, at, fb = [], [], []
-        for n, avg, ratios in _level_scan(tree, block, p, spec):
+        for n, avg, cint, measures in level_reductions(tree, block, p):
+            ratios = (cint / measures) ** (1.0 / p)  # x ** 1.0 copies x
+            if phis is not None:
+                ratios /= phis[n]
             sup.append(ratios.max(axis=1))
             at.append(ratios.argmax(axis=1))
             if want_fb:

@@ -31,6 +31,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
@@ -301,16 +302,17 @@ def doubling_constant(spec, grid):
     A lower bound for the analytic doubling constant; exact for monotone
     families on geometric grids.
     """
-    grid = _check_grid(grid)
-    vals = [float(eval_phi(spec, r)) for r in grid]
-    worst = 1.0
-    for i, r in enumerate(grid):
-        for j in range(i, len(grid)):
-            if grid[j] > 2.0 * r + 1e-15:
-                break
-            ratio = vals[i] / vals[j]
-            worst = max(worst, ratio, 1.0 / ratio)
-    return worst
+    grid, phi = np.array(_check_grid(grid)), evaluator(spec)
+    vals = np.array([float(phi(r)) for r in grid.tolist()])  # r in (0,1]
+    # the pairs (i, j): i <= j while grid[j] <= 2 grid[i] + 1e-15, run i
+    # of the repeated i starting at searchsorted(i, i)
+    first = np.arange(len(grid))
+    i = np.repeat(first, np.searchsorted(
+        grid, 2.0 * grid + 1e-15, side="right") - first)
+    ratio = vals[i] / vals[i + np.arange(len(i)) - np.searchsorted(i, i)]
+    # fmax skips a NaN ratio, as max(worst, ratio, 1 / ratio) did
+    return float(np.fmax.reduce(np.concatenate([ratio, 1.0 / ratio]),
+                                initial=1.0))
 
 
 def almost_monotone_constants(spec, grid):
@@ -463,7 +465,7 @@ def _check_grid(grid):
     grid = sorted(float(r) for r in grid)
     if not grid:
         raise ValueError("grid is empty")
-    if grid[0] <= 0.0 or grid[-1] > 1.0:
+    if not all(0.0 < r <= 1.0 for r in grid):  # NaN included
         raise ValueError("grid points must lie in (0,1]")
     return grid
 

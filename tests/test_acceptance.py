@@ -190,10 +190,19 @@ def test_criterion_06_multiplier_certificate(dyadic12):
     ok = (cert.op_lower > 0 and 1.0 <= cert.ratio <= 50.0
           and cert.upper_violations == 0 and cert.status == "ok"
           and elapsed < 300.0)
-    report(6, ok, f"L = {cert.op_lower:.4f} > 0, T/L = {cert.ratio:.4f} in "
-                  f"[1, 50], upper-bound violations "
+    report(6, ok, f"L = {cert.op_lower!r} > 0 ({cert.op_witness}), T = "
+                  f"{cert.T!r}, T/L = {cert.ratio:.4f} in [1, 50], "
+                  f"upper-bound violations "
                   f"{cert.upper_violations}/{cert.upper_checked} "
-                  f"(C_fb = {cert.c_fb:.4f}), {elapsed:.1f}s (< 300s)")
+                  f"(C_fb = {cert.c_fb!r}, worst margin "
+                  f"{cert.upper_worst_margin!r}), {elapsed:.1f}s (< 300s)")
+    # the certificate's bits, pinned: a change here is a change of the
+    # computation, to be made on purpose
+    assert (cert.T, cert.op_lower, cert.op_witness, cert.c_fb,
+            cert.upper_worst_margin, cert.family_size,
+            cert.seminorm_quotient) == (
+        1.8416282750446862, 1.0552451157488523, "chain:leaf=52", 1.0,
+        -1.4206442256331426, 8288, 0.8433547696143348)
 
 
 def test_criterion_07_dyadic_h_closed_form():

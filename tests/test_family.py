@@ -32,10 +32,10 @@ from campanato_lab.constructions import (_path_values, chain_values,
                                          martingale_identity_defect,
                                          measure_chain_constants)
 from campanato_lab.functions import _machine_ints
-from campanato_lab.multiplier import (INDICATORS, ChainPath, _chain_norms,
-                                      _family_members, _family_norms,
-                                      _indicator_norms, _sibling_max,
-                                      _subtree_tables)
+from campanato_lab.multiplier import (CONSTANT, INDICATORS, ChainPath,
+                                      _chain_norms, _family_members,
+                                      _family_norms, _indicator_norms,
+                                      _sibling_max, _subtree_tables)
 from campanato_lab.norms import (oscillation_scan, phi_level_values,
                                  phi_star_level_values)
 from campanato_lab.phi import phi_star
@@ -175,14 +175,17 @@ def test_family_norms_match_per_member_scans(tree, p, weight, g_kind, seed):
                             reference_family(tree, spec, 4, 3, seed))
     assert list(labels) == list(stats)
     # the family with its indicator block expanded, one atom per chi:
-    # label, and each chain as its leaf values
+    # label, its constant as a row of ones, and each chain as its leaf
+    # values
     members = []
     for label, m in family:
         if m is INDICATORS:
             members += [(f"chi:{n},{B.index}", B)
                         for n in range(tree.depth + 1) for B in tree.atoms(n)]
         else:
-            if isinstance(m, ChainPath):
+            if m is CONSTANT:
+                m = np.ones(tree.leaf_count)
+            elif isinstance(m, ChainPath):
                 m = _path_values(tree, m, spec)
             members.append((label, LeafFunction.from_float_array(tree, m)))
     assert [label for label, _ in members] == list(labels)
@@ -623,6 +626,10 @@ def test_indicator_labels_read_on_demand():
     assert [labels[k] for k in range(len(want))] == want
     assert [labels[k] for k in range(-len(want), 0)] == want
     assert list(labels) == want
+    # slices read as lists do, across and within the two blocks
+    for part in (slice(2, 9), slice(None, None, -1), slice(5, 5),
+                 slice(-3, None), slice(1, None, 3), slice(9, 2, -2)):
+        assert labels[part] == want[part], part
     with pytest.raises(IndexError):
         labels[len(want)]
     # the zero function is a dense member of zero norm: skipped, by label
@@ -650,6 +657,30 @@ def test_certificate_witnesses_hold(depth):
     assert [theorem1_certificate(g, 1, one(), sample_chains=64, randoms=32,
                                  seed=seed).op_witness
             for seed in range(1, 11)] == CERTIFICATE_WITNESSES[depth]
+
+
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_one_reduction_of_g_keeps_the_scans_bits(kind):
+    # T's seminorm and the constant member read one leaf reduction of g:
+    # the bits of the quotient-weight scan, and of scan_block's rows of
+    # ones and of g (the product 1 g) for the constant
+    tree = BIT_TREES[kind]()
+    g = multiplier_for(tree, one(), "random", 3)
+    rows = [np.ones(tree.leaf_count), g.values_array]
+    for weight, p in itertools.product(sorted(WEIGHTS), (1, 1.5, 2, 3)):
+        spec = WEIGHTS[weight]
+        cert = theorem1_certificate(g, p, spec, sample_chains=4, randoms=2,
+                                    seed=1)
+        want = campanato_seminorm(g, p, quotient_phi(spec), exact=False)
+        assert np.array_equal(_bits(np.array([cert.seminorm_quotient])),
+                              _bits(np.array([want.value]))), (weight, p)
+        _, norm_f, norm_fg, fb = _family_norms(
+            g, p, spec, [("const:1", CONSTANT)], want_fb=True)
+        sups, _, mean, fbs = norms.scan_block(tree, rows, p, spec, True)
+        norm = sups.max(axis=1) + np.abs(mean)
+        assert np.array_equal(
+            _bits(np.concatenate([norm_f, norm_fg, fb])),
+            _bits(np.array([norm[0], norm[1], fbs[0]]))), (weight, p)
 
 
 # -- the chain path ---------------------------------------------------------

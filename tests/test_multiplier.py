@@ -18,11 +18,11 @@ from campanato_lab import (LeafFunction, atom_average, build_dyadic,
                            linf_bound_check, one,
                            op_norm_lower_bound, psi, random_functions,
                            sin_h_multiplier, theorem1_certificate, truncate)
-from campanato_lab import constructions, multiplier
+from campanato_lab import constructions, multiplier, norms
 from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
 from campanato_lab.filtration import Atom
-from campanato_lab.multiplier import (INDICATORS, WITNESS_TIE,
+from campanato_lab.multiplier import (CONSTANT, INDICATORS, WITNESS_TIE,
                                       _family_lower_bound, _family_members,
                                       _family_norms)
 from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
@@ -285,6 +285,9 @@ def projected_L_n(g, p, spec, chains, randoms, seed):
                         projected.add(trunc.atom(B.level, B.index))
                 assert projected == {B for k in range(n + 1)
                                      for B in trunc.atoms(k)}
+            elif m is CONSTANT:  # E_n 1 is 1, up to the averages' rounding
+                assert np.allclose(level_means(tree, n, np.ones(
+                    tree.leaf_count)), 1.0, rtol=1e-14, atol=0.0)
             else:
                 m = level_means(tree, n, m)
             members.append((label, m))
@@ -460,9 +463,10 @@ def test_foreign_tree_atoms_are_refused():
 
 
 def test_certificate_scans_no_chain_row(monkeypatch):
-    # the chains take the ancestors-only path: scan_block gets the constant
-    # and random members and their products, and no chain's leaf values
-    # are built
+    # the chains take the ancestors-only path and the constant reads g's
+    # own reduction: scan_block gets the random members and their products
+    # only, and none at all without random members, and no chain's leaf
+    # values are built
     counts = []
     scan = multiplier.scan_block
 
@@ -475,6 +479,7 @@ def test_certificate_scans_no_chain_row(monkeypatch):
         raise AssertionError("a chain's leaf values were built")
 
     monkeypatch.setattr(multiplier, "scan_block", counting)
+    monkeypatch.setattr(norms, "scan_block", counting)  # T's scan included
     monkeypatch.setattr(multiplier, "_path_values", refuse)
     monkeypatch.setattr(constructions, "_path_values", refuse)
     tree = build_dyadic(6)
@@ -483,5 +488,9 @@ def test_certificate_scans_no_chain_row(monkeypatch):
         counts.clear()
         cert = theorem1_certificate(g, 1.5, psi(), sample_chains=16,
                                     randoms=randoms, seed=4)
-        assert counts == [2 + 2 * randoms]
+        assert counts == ([2 * randoms] if randoms else [])
         assert cert.family_size == 1 + 127 + 16 + randoms
+    # the sup-norm check's family is the constant and the indicators only
+    counts.clear()
+    assert linf_bound_check(g, 1.5, psi()).checks
+    assert counts == []

@@ -253,6 +253,10 @@ def test_empty_grid_rejected():
         doubling_constant(one(), [])
     with pytest.raises(ValueError):
         int_condition_constant(one(), 0.5, GRID)
+    # every point is checked, a NaN between valid points too
+    for bad in ([0.5, math.nan, 1.0], [0.25, 0.0, 1.0], [0.5, 1.5]):
+        with pytest.raises(ValueError, match="must lie in"):
+            doubling_constant(psi(), bad)
 
 
 def test_phi_star_quadrature_memoised(monkeypatch):
@@ -430,6 +434,31 @@ CONDITION_WEIGHTS = [
 # than two points, so a closed-form pass starts below the grid
 CONDITION_GRIDS = [default_grid(), default_grid(12), (1e-6, 1e-3, 0.1, 1.0),
                    (0.3, 0.6, 1.0)]
+
+
+def pair_loop_doubling(spec, grid):
+    """doubling_constant as the loop over grid pairs (r, s), r <= s <= 2 r:
+    the reference of the vectorised pairs."""
+    grid = sorted(float(r) for r in grid)
+    vals = [float(eval_phi(spec, r)) for r in grid]
+    worst = 1.0
+    for i, r in enumerate(grid):
+        for j in range(i, len(grid)):
+            if grid[j] > 2.0 * r + 1e-15:
+                break
+            ratio = vals[i] / vals[j]
+            worst = max(worst, ratio, 1.0 / ratio)
+    return worst
+
+
+@pytest.mark.parametrize("spec", CONDITION_WEIGHTS,
+                         ids=phimod.PhiSpec.describe)
+def test_doubling_constant_matches_the_pair_loop(spec):
+    # the same quotients and the same max, so the same float
+    for grid in CONDITION_GRIDS + [GRID[::-1], (0.5, 0.5, 1.0), (1.0,)]:
+        got = doubling_constant(spec, grid)
+        assert type(got) is float
+        assert got == pair_loop_doubling(spec, grid), grid
 
 
 @pytest.mark.parametrize("spec", CONDITION_WEIGHTS,
