@@ -150,6 +150,17 @@ def _oscillations(g, p, *specs):
             for spec in specs]  # x / 1.0 is x: weight one keeps the bits
 
 
+def _T_and_oscillations(g, p, spec):
+    """(T, seminorm_quotient, sup|g|, osc) from one _oscillations pass:
+    T(g) = seminorm of g for quotient_phi(spec) (the max over all atoms,
+    0 at the deepest level, NaN if any ratio is) plus sup|g|, and g's
+    oscillation osc for spec, as _family_norms reads it."""
+    osc, quot = _oscillations(g, p, spec, phimod.quotient_phi(spec))
+    sem_q = float(np.max(np.concatenate([np.zeros(1), *quot])))
+    sup_g = float(linf_norm(g))
+    return sem_q + sup_g, sem_q, sup_g, osc
+
+
 def _subtree_tables(g, p, spec, want_fb, osc=None):
     """Per level, the max over each atom and its descendants of g's
     weighted oscillation osc (_oscillations) and, when want_fb (else None),
@@ -159,29 +170,6 @@ def _subtree_tables(g, p, spec, want_fb, osc=None):
     stars = phi_star_level_values(tree, spec) if want_fb else None
     return (_subtree_max(tree, osc + [np.zeros(tree.leaf_count)]),
             _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None)
-
-
-def _constant_norms(g, p, spec, want_fb, osc):
-    """norm(1), norm(1 g) and sup_B 1 / phi_star(P(B)) (None unless
-    want_fb) as scan_block reads them off rows of ones and of g: g's from
-    osc, and 1's averages from the leaf measures summed up the tree."""
-    tree, leafm, offsets = g.tree, g.tree.leaf_measures_f(), g.tree.offsets
-    sums = [leafm]  # int_B 1 dP per level, from the leaves up
-    for n in reversed(range(tree.depth)):
-        sums.append(tree.child_sums(n, sums[-1]))
-    avg = np.concatenate(sums[::-1]) / np.concatenate(
-        [tree.level_arrays(n)[2] for n in range(tree.depth + 1)])
-    avg = avg if p != 2 else np.ones_like(avg)  # what p = 2's pass reads
-    dev, sem = np.abs(1.0 - avg) ** p, [0.0]
-    for n in range(tree.depth):  # a leaf pass where an average is not 1
-        if (d := dev[offsets[n]:offsets[n + 1]]).any():
-            cint = tree.atom_sums(n, tree.spread(n, d) * leafm)
-            sem.append(((cint / tree.level_arrays(n)[2]) ** (1.0 / p)
-                        / phi_level_values(tree, spec)[n]).max())
-    return (max(sem) + abs(leafm.sum()), max([0.0] + [r.max() for r in osc])
-            + abs((g.values_array * leafm)[None].sum(axis=1)[0]),
-            (np.abs(avg) / np.concatenate(phi_star_level_values(tree, spec))
-             ).max() if want_fb else None)
 
 
 def _indicator_norms(g, p, spec, want_fb=False, tables=None):
@@ -336,13 +324,14 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
 
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
-    (label:n,i per atom, see _Labels) and Atom members read one
-    _indicator_norms pass, ChainPath members one _chain_norms pass and
-    CONSTANT _constant_norms, all on g's oscillation osc (_oscillations,
-    unless given).  Returns (labels, norm_f, norm_fg, fb or None).
+    (label:n,i per atom, see _Labels), Atom members and CONSTANT, which
+    is 1 = chi_Omega at place 0, read one _indicator_norms pass, and
+    ChainPath members one _chain_norms pass, both on g's oscillation osc
+    (_oscillations, unless given).  Returns (labels, norm_f, norm_fg, fb
+    or None).
     """
     tree, gv, offsets = g.tree, g.values_array, g.tree.offsets
-    labels, dense, const, chi, at, chains = [], [], [], [], [], []
+    labels, dense, chi, at, chains = [], [], [], [], []
 
     def rows():  # fills the lists above as scan_block consumes it
         for label, member in members:
@@ -353,11 +342,10 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
                 labels.extend([(label, k)] * offsets[-1])
                 continue
             labels.append(label)
-            if member is CONSTANT:
-                const.append(k)
-            elif isinstance(member, Atom):
+            if member is CONSTANT or isinstance(member, Atom):
                 chi.append(k)
-                at.append(offsets[member.level] + member.index)
+                at.append(0 if member is CONSTANT
+                          else offsets[member.level] + member.index)
             elif isinstance(member, ChainPath):
                 chains.append((k, member))
             else:
@@ -371,11 +359,9 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
                                        p, spec, want_fb)
         norms = (sups.max(axis=1) + np.abs(mean)).reshape(-1, 2).T  # f, f g
         parts.append((dense, *norms, fb[0::2] if want_fb else None))
-    if const or chi or chains:  # one leaf reduction of g serves all three
+    if chi or chains:  # one leaf reduction of g serves both
         osc = _oscillations(g, p, spec)[0] if osc is None else osc
         tables = _subtree_tables(g, p, spec, want_fb, osc)
-    if const:
-        parts.append((const, *_constant_norms(g, p, spec, want_fb, osc)))
     if chi:
         block, at = _indicator_norms(g, p, spec, want_fb, tables), np.array(at)
         parts.append((chi, *(None if b is None else b[at] for b in block)))
@@ -396,7 +382,8 @@ def _lower_bound(labels, norm_f, norm_fg):
     """(L, witness, usable): L is the max of norm_fg / norm_f over members
     with nonzero norm (the others are skipped with a warning), the witness
     is the first member in family order whose ratio is at least
-    L (1 - WITNESS_TIE), and usable masks the members that count."""
+    L (1 - WITNESS_TIE), or the first NaN ratio when L is NaN, and usable
+    masks the members that count."""
     usable = norm_f != 0.0
     for k in np.flatnonzero(~usable):
         warnings.warn(f"family member {labels[k]!r} has zero norm; skipped")
@@ -405,14 +392,9 @@ def _lower_bound(labels, norm_f, norm_fg):
     ratios = np.full(len(labels), -math.inf)
     ratios[usable] = norm_fg[usable] / norm_f[usable]
     L = float(ratios.max())
-    witness = labels[int(np.argmax(ratios >= L * (1.0 - WITNESS_TIE)))]
-    return L, witness, usable
-
-
-def _family_lower_bound(g, p, spec, members):
-    """(L, witness) of g over (label, member) pairs, as in _family_norms."""
-    L, witness, _ = _lower_bound(*_family_norms(g, p, spec, members)[:3])
-    return L, witness
+    tied = (np.isnan(ratios) if math.isnan(L)
+            else ratios >= L * (1.0 - WITNESS_TIE))
+    return L, labels[int(np.argmax(tied))], usable
 
 
 def op_norm_lower_bound(g, p, spec, family):
@@ -429,10 +411,13 @@ def op_norm_lower_bound(g, p, spec, family):
         label, f = item if isinstance(item, tuple) else (f"f#{k}", item)
         if isinstance(f, Atom):
             own_atom(tree, f)
+        elif not isinstance(f, LeafFunction):
+            raise TypeError(f"family member {label!r} is a "
+                            f"{type(f).__name__}, not a LeafFunction or Atom")
         elif f.tree is not tree:
             raise ValueError(f"family member {label!r} is not on g's tree")
         members.append((label, f if isinstance(f, Atom) else f.values_array))
-    return _family_lower_bound(g, p, spec, members)
+    return _lower_bound(*_family_norms(g, p, spec, members)[:3])[:2]
 
 
 # -- the main certificate ------------------------------------------------------
@@ -512,11 +497,7 @@ def theorem1_certificate(g, p, spec, sample_chains=64, seed=0, randoms=32,
         "int_condition": int_cond,
         "ok": math.isfinite(doubling) and math.isfinite(int_cond),
     }
-    osc, quot = _oscillations(g, p, spec, phimod.quotient_phi(spec))
-    sem_q = float(max([0.0] + [r.max() for r in quot]))
-    sup_g = float(linf_norm(g))
-    T = sem_q + sup_g
-
+    T, sem_q, sup_g, osc = _T_and_oscillations(g, p, spec)
     family = _family_members(tree, spec, chains=sample_chains,
                              randoms=randoms, seed=seed)
     labels, norm_f, norm_fg, fb = _family_norms(g, p, spec, family,
@@ -635,9 +616,11 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
     averaged over the level-n atoms, the constant stays the constant, and
     the indicator block is that of its own atoms, each once: E_n of a
     deeper atom B's indicator is (P(B)/P(A)) chi_A for its level-n
-    ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.
-    Level N runs on a fresh depth-N truncation too, so its values check
-    the full-tree computation independently.
+    ancestor A, whose ratio norm(fg)/norm(f) is that of chi_A.  Each
+    tree, the full one and every truncation, reduces its g once
+    (_T_and_oscillations) for T and the family.  Level N runs on a fresh
+    depth-N truncation too, so its values check the full-tree computation
+    independently.
     """
     tree = g.tree
     N = tree.depth
@@ -648,24 +631,17 @@ def conditional_multiplier_check(g, p, spec, chains=8, randoms=16, seed=0):
                      if label.startswith(("chain:", "rand:"))
                      for n in range(1, N)]
 
-    quotient = phimod.quotient_phi(spec)
+    def bounds(g_n, members):  # (L, T) of g_n from one reduction of g_n
+        T, _, _, osc = _T_and_oscillations(g_n, p, spec)
+        family = _family_norms(g_n, p, spec, members, osc=osc)
+        return _lower_bound(*family[:3])[0], T
 
-    def T_of(g_n):
-        return float(campanato_seminorm(g_n, p, quotient, exact=False).value) \
-            + float(linf_norm(g_n))
-
-    L_full, _ = _family_lower_bound(g, p, spec, shared)
-    T_full = T_of(g)
-    L_n = []
-    T_n = []
-    for n in range(N + 1):
-        trunc = truncate(tree, n)
-        g_proj = LeafFunction.from_float_array(
-            trunc, level_means(tree, n, g.values_array))
-        members = [(label, level_means(tree, n, row) if isinstance(
-            row, np.ndarray) else row) for label, row in shared]
-        L_n.append(_family_lower_bound(g_proj, p, spec, members)[0])
-        T_n.append(T_of(g_proj))
+    L_full, T_full = bounds(g, shared)
+    L_n, T_n = map(list, zip(*[bounds(
+        LeafFunction.from_float_array(truncate(tree, n), level_means(
+            tree, n, g.values_array)),
+        [(label, level_means(tree, n, row) if isinstance(row, np.ndarray)
+          else row) for label, row in shared]) for n in range(N + 1)]))
 
     forward = margins(L_n, L_full)
     sup = margins(T_n, T_full)

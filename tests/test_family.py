@@ -634,7 +634,8 @@ def test_indicator_labels_read_on_demand():
         labels[len(want)]
     # the zero function is a dense member of zero norm: skipped, by label
     with pytest.warns(UserWarning, match="'rand:0' has zero norm"):
-        L, witness = multiplier._family_lower_bound(g, 1.5, psi(), members)
+        L, witness, _ = multiplier._lower_bound(
+            *_family_norms(g, 1.5, psi(), members)[:3])
     assert witness in want and witness != "rand:0"
 
 
@@ -661,9 +662,10 @@ def test_certificate_witnesses_hold(depth):
 
 @pytest.mark.parametrize("kind", sorted(BIT_TREES))
 def test_one_reduction_of_g_keeps_the_scans_bits(kind):
-    # T's seminorm and the constant member read one leaf reduction of g:
-    # the bits of the quotient-weight scan, and of scan_block's rows of
-    # ones and of g (the product 1 g) for the constant
+    # T's seminorm reads one leaf reduction of g with the bits of the
+    # quotient-weight scan, and the constant 1 = chi_Omega is the indicator
+    # block's place 0: chi:0,0's bits, norm 1 exactly, and within rounding
+    # of scan_block's rows of ones and of g (the product 1 g)
     tree = BIT_TREES[kind]()
     g = multiplier_for(tree, one(), "random", 3)
     rows = [np.ones(tree.leaf_count), g.values_array]
@@ -674,13 +676,17 @@ def test_one_reduction_of_g_keeps_the_scans_bits(kind):
         want = campanato_seminorm(g, p, quotient_phi(spec), exact=False)
         assert np.array_equal(_bits(np.array([cert.seminorm_quotient])),
                               _bits(np.array([want.value]))), (weight, p)
-        _, norm_f, norm_fg, fb = _family_norms(
-            g, p, spec, [("const:1", CONSTANT)], want_fb=True)
+        labels, norm_f, norm_fg, fb = _family_norms(
+            g, p, spec, [("const:1", CONSTANT), ("chi", INDICATORS)],
+            want_fb=True)
+        assert labels[:2] == ["const:1", "chi:0,0"]
+        got = np.array([norm_f, norm_fg, fb])
+        assert np.array_equal(_bits(got[:, 0]), _bits(got[:, 1])), (weight, p)
+        assert norm_f[0] == 1.0
         sups, _, mean, fbs = norms.scan_block(tree, rows, p, spec, True)
         norm = sups.max(axis=1) + np.abs(mean)
-        assert np.array_equal(
-            _bits(np.concatenate([norm_f, norm_fg, fb])),
-            _bits(np.array([norm[0], norm[1], fbs[0]]))), (weight, p)
+        assert got[:, 0] == pytest.approx([norm[0], norm[1], fbs[0]],
+                                          rel=1e-12, abs=0), (weight, p)
 
 
 # -- the chain path ---------------------------------------------------------

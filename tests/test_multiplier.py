@@ -23,8 +23,8 @@ from campanato_lab.constructions import chain_values
 from campanato_lab.functions import level_means, level_projection
 from campanato_lab.filtration import Atom
 from campanato_lab.multiplier import (CONSTANT, INDICATORS, WITNESS_TIE,
-                                      _family_lower_bound, _family_members,
-                                      _family_norms)
+                                      _family_members, _family_norms,
+                                      _lower_bound)
 from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
                                   run_verify_suites, suite_product_estimate)
 
@@ -291,7 +291,7 @@ def projected_L_n(g, p, spec, chains, randoms, seed):
             else:
                 m = level_means(tree, n, m)
             members.append((label, m))
-        L_n.append(_family_lower_bound(g_n, p, spec, members)[0])
+        L_n.append(_lower_bound(*_family_norms(g_n, p, spec, members)[:3])[0])
     return L_n
 
 
@@ -334,17 +334,29 @@ def test_conditional_L_n_match_projected_family(seed, exact):
 
 
 def test_certificate_fails_on_nan_margins():
-    # at p = 400 |f - f_B|^p overflows float64 in the scans, so the margins
-    # of some members are NaN: those count as violations
+    # at p = 400 and 1000 |f - f_B|^p overflows float64 in the scans, so the
+    # ratios and margins of some members are NaN: those count as
+    # violations, and the witness of the NaN L is the first member whose
+    # ratio is NaN, as margins reads a NaN side, not member 0
+    L, witness, _ = _lower_bound(["a", "b", "c"], np.ones(3),
+                                 np.array([1.0, np.nan, 2.0]))
+    assert math.isnan(L) and witness == "b"
     tree = build_dyadic(6)
     g = sin_h_multiplier(tree, chain_through_leaf(tree, 0), one())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cert = theorem1_certificate(g, 400, one(), sample_chains=8,
-                                    randoms=8, seed=1)
-    assert math.isnan(cert.upper_worst_margin)
-    assert cert.upper_violations > 0
-    assert not cert.passed
+    for p in (400, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cert = theorem1_certificate(g, p, one(), sample_chains=8,
+                                        randoms=8, seed=1)
+            labels, norm_f, norm_fg, _ = _family_norms(g, p, one(), (
+                _family_members(tree, one(), 8, 8, 1)))
+            ratios = norm_fg / norm_f
+        assert math.isnan(cert.upper_worst_margin)
+        assert cert.upper_violations > 0
+        assert not cert.passed
+        assert math.isnan(cert.op_lower) and math.isfinite(ratios[0])
+        assert cert.op_witness == labels[int(np.argmax(np.isnan(ratios)))]
+        assert cert.op_witness != "const:1", p
 
 
 def test_product_estimate_fails_when_its_sides_overflow():
@@ -427,7 +439,7 @@ def test_atom_members_take_the_indicator_block_values():
         assert norm_f.tolist() == block[1][k].tolist()
         assert norm_fg.tolist() == block[2][k].tolist()
     assert op_norm_lower_bound(g, 1.5, psi(), atoms) == \
-        _family_lower_bound(g, 1.5, psi(), [("chi", INDICATORS)])
+        _lower_bound(*block[:3])[:2]
     # a constant g ties every member up to rounding: the witness is the
     # first member in family order whose ratio is within WITNESS_TIE of L
     c = constant(tree, -3.0)
@@ -457,6 +469,11 @@ def test_foreign_tree_atoms_are_refused():
     g = random_functions(tree, 1, seed=0)[0]
     with pytest.raises(ValueError):
         op_norm_lower_bound(g, 1, one(), [other.atom(1, 0)])
+    # a bare array of leaf values is neither a LeafFunction nor an Atom
+    for family, label in (([np.ones(tree.leaf_count)], "'f#0'"),
+                          ([("bare", np.ones(tree.leaf_count))], "'bare'")):
+        with pytest.raises(TypeError, match=label):
+            op_norm_lower_bound(g, 1, one(), family)
     # this tree's own atoms and chains pass
     assert op_norm_lower_bound(g, 1, one(), [tree.atom(1, 0)])[0] > 0
     extremal_chain_function(tree, chain_to_root(tree, tree.leaves[5]), one())
@@ -494,3 +511,23 @@ def test_certificate_scans_no_chain_row(monkeypatch):
     counts.clear()
     assert linf_bound_check(g, 1.5, psi()).checks
     assert counts == []
+
+
+def test_truncation_check_reduces_each_g_once(monkeypatch):
+    # T and the family of the full tree and of every truncation read one
+    # one-row reduction of that tree's g: depth + 2 in all
+    calls = []
+    reduce = norms.level_reductions
+
+    def counting(tree, block, p):
+        if block.ndim == 1 or len(block) == 1:
+            calls.append(tree.depth)
+        return reduce(tree, block, p)
+
+    monkeypatch.setattr(multiplier, "level_reductions", counting)
+    monkeypatch.setattr(norms, "level_reductions", counting)  # the scans'
+    tree = build_dyadic(8)
+    g = sin_h_multiplier(tree, chain_through_leaf(tree, 0), one())
+    assert conditional_multiplier_check(g, 1, one(), seed=0).passed
+    assert sorted(calls) == sorted([8] + list(range(9)))
+    assert len(calls) == tree.depth + 2 == 10
