@@ -90,8 +90,8 @@ def _family_members(tree, spec, chains, randoms, seed, paths=True):
         for j, path in zip(up[0].tolist(), np.array(up[::-1]).T.tolist()):
             yield f"chain:leaf={j}", (ChainPath(path) if paths
                                       else _path_values(tree, path, spec))
-    for k in range(randoms):
-        yield f"rand:{k}", rng.standard_normal(tree.leaf_count)
+    for k, row in enumerate(rng.standard_normal((randoms, tree.leaf_count))):
+        yield f"rand:{k}", row
 
 
 def default_test_family(tree, spec, chains=8, randoms=32, seed=0):
@@ -161,88 +161,116 @@ def _T_and_oscillations(g, p, spec):
     return sem_q + sup_g, sem_q, sup_g, osc
 
 
-def _subtree_tables(g, p, spec, want_fb, osc=None):
-    """Per level, the max over each atom and its descendants of g's
-    weighted oscillation osc (_oscillations) and, when want_fb (else None),
-    of 1/phi_star: one scan of g for the indicator block and the chains."""
-    tree = g.tree
+def _subtree_tables(g, p, spec, osc=None):
+    """Per level, the max of g's weighted oscillation osc (_oscillations,
+    unless given) over each atom and its descendants, 0 at the deepest."""
     osc = _oscillations(g, p, spec)[0] if osc is None else osc
-    stars = phi_star_level_values(tree, spec) if want_fb else None
-    return (_subtree_max(tree, osc + [np.zeros(tree.leaf_count)]),
-            _subtree_max(tree, [1.0 / s for s in stars]) if want_fb else None)
+    return _subtree_max(g.tree, osc + [np.zeros(g.tree.leaf_count)])
 
 
-def _indicator_norms(g, p, spec, want_fb=False, tables=None):
-    """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
-    over atoms A, for every atom B of g's tree in level order, without a
-    leaf pass per member.
+def _star_tables(tree, spec):
+    """The _subtree_max of 1/phi_star and its _sibling_max, per level, once
+    per (tree, spec) in the tree's cache next to the weights."""
+    if (key := ("1/phi_star", spec)) not in tree._phi_cache:
+        sub = _subtree_max(tree, [1 / s for s in
+                                  phi_star_level_values(tree, spec)])
+        tree._phi_cache[key] = sub, _sibling_max(tree, sub)
+    return tree._phi_cache[key]
 
-    On atoms inside B or disjoint from it chi_B has zero oscillation, and
-    chi_B g has g's own oscillation or none, so subtree maxima of g's
-    per-atom oscillation (and of 1/phi_star) cover those atoms.  Only the
-    strict ancestors A of B need leaves: chi_B g averages S_B / P(A) on A,
-    with S_B = int_B g, and each leaf of A outside B deviates by exactly
-    that average, so a pass over B's leaves suffices.  For all atoms of a
-    level together, their ancestors' levels stack as the rows of one leaf
-    pass per BLOCK_ELEMENTS values, so the family costs O(leaves depth^2).
-    """
-    tree, gv, leafm = g.tree, g.values_array, g.tree.leaf_measures_f()
+
+def _ancestor_blocks(tree, spec):
+    """Per level, (P(B) of its atoms B, blocks): blocks yields (a, P(A),
+    phi(P(A))) for the places a of the strict ancestors A of B (row n: the
+    level-n one), at most BLOCK_ELEMENTS // leaves rows a block."""
     measures = np.concatenate([tree.level_arrays(n)[2]
                                for n in range(tree.depth + 1)])
     phis = np.concatenate(phi_level_values(tree, spec))
-    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
-    invp = 1.0 / p
-    sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
-
-    w = gv * leafm
     size = max(1, BLOCK_ELEMENTS // tree.leaf_count)
     anc = np.empty((0, 1), np.int64)  # row n: level-n ancestors' places
-    per_level = []
     for m in range(tree.depth + 1):
-        meas = tree.level_arrays(m)[2]
         if m:
             up = tree.child_arrays(m - 1)[1]
             anc = np.vstack([anc.take(up, axis=1), tree.offsets[m - 1] + up])
-        S = tree.atom_sums(m, w)
+        yield tree.level_arrays(m)[2], ((a, measures[a], phis[a]) for a in [
+            anc[lo:lo + size] for lo in range(0, m, size)])
+
+
+def _indicator_tables(tree, p, spec, want_fb):
+    """The half of _indicator_norms that does not read g: norm(chi_B) and,
+    when want_fb (else None), the phi_star sup, per atom B in level order.
+    chi_B averages P(B)/P(A) on B's strict ancestors A and 1 on B and the
+    atoms inside it (their 1/phi_star: _star_tables), 0 elsewhere."""
+    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
+    fb = want_fb and [top.copy() for top in _star_tables(tree, spec)[0]]
+    norm_f = []
+    for m, (meas, blocks) in enumerate(_ancestor_blocks(tree, spec)):
         sem_f = np.zeros(len(meas))
-        sem_fg = sub_osc[m].copy()
-        fb = sub_inv[m].copy() if want_fb else None
-        for a in (anc[lo:lo + size] for lo in range(0, m, size)):
-            PA, phi = measures[a], phis[a]
+        for a, PA, phi in blocks:
             r = meas / PA
+            chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
+                   / PA) ** (1.0 / p)
+            np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
+            if want_fb:
+                np.maximum(fb[m], (r / stars[a]).max(axis=0), out=fb[m])
+        norm_f.append(sem_f + meas)
+    return np.concatenate(norm_f), np.concatenate(fb) if want_fb else None
+
+
+def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
+    """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
+    over atoms A, for every atom B of g's tree in level order, without a
+    leaf pass per member; the first and last do not read g, and come from
+    the tree's cache (_indicator_tables, once per (tree, spec, p)).
+
+    On atoms inside B or disjoint from it chi_B g has g's own oscillation
+    or none, so subtree maxima of g's per-atom oscillation (sub_osc,
+    _subtree_tables unless given) cover those atoms.  Only the strict
+    ancestors A of B need leaves: chi_B g averages S_B / P(A) on A, with
+    S_B = int_B g (at the root summed as scan_block sums a row's mean),
+    and each leaf of A outside B deviates by exactly that average, so a
+    pass over B's leaves suffices.  For all atoms of a level together,
+    their ancestors' levels stack as the rows of one leaf pass per
+    BLOCK_ELEMENTS values, so the family costs O(leaves depth^2).
+    """
+    tree, gv, leafm = g.tree, g.values_array, g.tree.leaf_measures_f()
+    key = "indicators", spec, p
+    tables = tree._phi_cache.get(key)
+    if tables is None or want_fb and tables[1] is None:
+        tables = tree._phi_cache[key] = _indicator_tables(tree, p, spec,
+                                                          want_fb)
+    sub_osc = _subtree_tables(g, p, spec) if sub_osc is None else sub_osc
+    w = gv * leafm
+    norm_fg = []
+    for m, (meas, blocks) in enumerate(_ancestor_blocks(tree, spec)):
+        S = tree.atom_sums(m, w) if m else np.array([w.sum()])
+        sem_fg = sub_osc[m].copy()
+        for _, PA, phi in blocks:
             avg = S / PA
-            dev = np.empty((len(a), len(gv)))
+            dev = np.empty((len(PA), len(gv)))
             np.abs(tree.spread(m, avg, np.subtract, np.broadcast_to(
                 gv, dev.shape), out=dev), out=dev)
             if p != 1:
                 dev **= p
             dev *= leafm
-            chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
-                   / PA) ** invp
             cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
-            prod = (cint / PA) ** invp
-            np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
+            prod = (cint / PA) ** (1.0 / p)
             np.maximum(sem_fg, (prod / phi).max(axis=0), out=sem_fg)
-            if want_fb:
-                np.maximum(fb, (r / stars[a]).max(axis=0), out=fb)
-            del PA, phi, r, avg, dev, chi, cint, prod  # free before next block
-        per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
-    norm_f, norm_fg, fb = zip(*per_level)
-    return (np.concatenate(norm_f), np.concatenate(norm_fg),
-            np.concatenate(fb) if want_fb else None)
+            del PA, phi, avg, dev, cint, prod  # free before next block
+        norm_fg.append(sem_fg + np.abs(S))
+    return tables[0], np.concatenate(norm_fg), tables[1] if want_fb else None
 
 
-def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
+def _chain_norms(g, p, spec, paths, want_fb=False, sub_osc=None):
     """As _indicator_norms, for the chain function f along each path (atom
     indices, root to leaf): f is its ring value r_k (_path_ring) on R_k =
     B_k minus B_{k+1}, which holds every atom that leaves the chain below
     B_k, so f oscillates on the chain atoms only (O(depth^2) per chain
     from the r_k and P(R_k)), and off the chain f g = r_k g adds |r_k|
-    times the largest subtree maximum of the siblings of B_{k+1}.  Only
+    times the largest subtree maximum (sub_osc) of B_{k+1}'s siblings.  Only
     B_0, ..., B_{N-1} get a leaf pass for f g, in blocks of at most
     BLOCK_ELEMENTS values, and the root's gives E(f g)."""
     tree, gv, N = g.tree, g.values_array, g.tree.depth
-    sub_osc, sub_inv = tables or _subtree_tables(g, p, spec, want_fb)
+    sub_osc = _subtree_tables(g, p, spec) if sub_osc is None else sub_osc
     idx = np.array(paths, dtype=np.int64) + tree.offsets[:-1]
 
     def along(per_level):  # each chain atom's entry, per chain and level
@@ -264,13 +292,13 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
             * mu[:, None]).sum(axis=2)
     sem_f = ((cint / meas) ** (1.0 / p) / phis)[:, :N].max(axis=1, initial=0.0)
 
-    def off_chain(sub):  # max over k < N of |r_k| times B_{k+1}'s siblings'
-        return (np.abs(ring[:, :N]) * along(_sibling_max(tree, sub))[:, 1:]
-                ).max(axis=1, initial=0.0)
+    def off_chain(sib):  # max over k < N of |r_k| times B_{k+1}'s siblings'
+        return (np.abs(ring[:, :N]) * along(sib)[:, 1:]).max(axis=1,
+                                                             initial=0.0)
 
-    fb = np.maximum(off_chain(sub_inv), (np.abs(np.concatenate(
-        [avg[:, :N], ring[:, N:]], axis=1)) / along(phi_star_level_values(
-            tree, spec))).max(axis=1)) if want_fb else None
+    fb = np.maximum(off_chain(_star_tables(tree, spec)[1]), (np.abs(
+        np.concatenate([avg[:, :N], ring[:, N:]], axis=1)) / along(
+        phi_star_level_values(tree, spec))).max(axis=1)) if want_fb else None
     # B_n spans pieces n, ..., 2N - n of the chain's nested leaf spans, and
     # piece j holds ring value min(j, 2N - j)
     M = max(N, 1)  # the chain atoms with oscillation; the root at least
@@ -295,7 +323,8 @@ def _chain_norms(g, p, spec, paths, want_fb=False, tables=None):
         out.append(((np.add.reduceat(dev, at).reshape(-1, M) / meas[b, :M])
                     ** (1.0 / p) / phis[b, :M], sums.reshape(-1, M)[:, 0]))
     ratios, mean_fg = map(np.concatenate, zip(*out))
-    sem_fg = np.maximum(off_chain(sub_osc), ratios.max(axis=1))
+    sem_fg = np.maximum(off_chain(_sibling_max(tree, sub_osc)),
+                        ratios.max(axis=1))
     return sem_f + np.abs(avg[:, 0]), sem_fg + np.abs(mean_fg), fb
 
 
@@ -324,21 +353,20 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
 
     Members are (label, member) pairs, consumed lazily: an array of leaf
     values goes to scan_block, its product f g the next row; INDICATORS
-    (label:n,i per atom, see _Labels), Atom members and CONSTANT, which
-    is 1 = chi_Omega at place 0, read one _indicator_norms pass, and
-    ChainPath members one _chain_norms pass, both on g's oscillation osc
-    (_oscillations, unless given).  Returns (labels, norm_f, norm_fg, fb
-    or None).
+    (label:n,i per atom, see _Labels, at one range of places), Atom
+    members and CONSTANT, which is 1 = chi_Omega at place 0, read one
+    _indicator_norms pass, and ChainPath members one _chain_norms pass,
+    both on the _subtree_tables of g's oscillation osc (_oscillations,
+    unless given).  Returns (labels, norm_f, norm_fg, fb or None).
     """
     tree, gv, offsets = g.tree, g.values_array, g.tree.offsets
-    labels, dense, chi, at, chains = [], [], [], [], []
+    labels, dense, ranges, chi, at, chains = [], [], [], [], [], []
 
     def rows():  # fills the lists above as scan_block consumes it
         for label, member in members:
             k = len(labels)  # the member's place
             if member is INDICATORS:
-                chi.extend(range(k, k + offsets[-1]))
-                at.extend(range(offsets[-1]))
+                ranges.append(np.arange(k, k + offsets[-1]))
                 labels.extend([(label, k)] * offsets[-1])
                 continue
             labels.append(label)
@@ -359,18 +387,20 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
                                        p, spec, want_fb)
         norms = (sups.max(axis=1) + np.abs(mean)).reshape(-1, 2).T  # f, f g
         parts.append((dense, *norms, fb[0::2] if want_fb else None))
-    if chi or chains:  # one leaf reduction of g serves both
-        osc = _oscillations(g, p, spec)[0] if osc is None else osc
-        tables = _subtree_tables(g, p, spec, want_fb, osc)
-    if chi:
-        block, at = _indicator_norms(g, p, spec, want_fb, tables), np.array(at)
-        parts.append((chi, *(None if b is None else b[at] for b in block)))
+    if ranges or chi or chains:  # one leaf reduction of g serves both
+        sub_osc = _subtree_tables(g, p, spec, osc)
+    if ranges or chi:
+        block = _indicator_norms(g, p, spec, want_fb, sub_osc)
+        at = np.array(at, np.int64)
+        parts += [(where, *block) for where in ranges] + [
+            (chi, *(None if b is None else b[at] for b in block))]
     if chains:
         where, paths = map(list, zip(*chains))
-        parts.append((where, *_chain_norms(g, p, spec, paths, want_fb, tables)))
+        parts.append((where, *_chain_norms(g, p, spec, paths, want_fb,
+                                           sub_osc)))
     norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     for where, nf, nfg, b in parts:
-        where = np.array(where)  # one conversion, not one per array
+        where = np.asarray(where, np.int64)  # one conversion per part
         norm_f[where], norm_fg[where] = nf, nfg
         if want_fb:
             fb_all[where] = b

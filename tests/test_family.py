@@ -35,7 +35,8 @@ from campanato_lab.functions import _machine_ints
 from campanato_lab.multiplier import (CONSTANT, INDICATORS, ChainPath,
                                       _chain_norms, _family_members,
                                       _family_norms, _indicator_norms,
-                                      _sibling_max, _subtree_tables)
+                                      _sibling_max, _star_tables,
+                                      _subtree_tables)
 from campanato_lab.norms import (oscillation_scan, phi_level_values,
                                  phi_star_level_values)
 from campanato_lab.phi import phi_star
@@ -559,7 +560,8 @@ def per_pair_indicator_norms(g, p, spec, want_fb=False):
     leafm = tree.leaf_measures_f()
     phis = phi_level_values(tree, spec)
     stars = phi_star_level_values(tree, spec) if want_fb else None
-    sub_osc, sub_inv = _subtree_tables(g, p, spec, want_fb)
+    sub_osc = _subtree_tables(g, p, spec)
+    sub_inv = _star_tables(tree, spec)[0] if want_fb else None
     w = gv * leafm
     dev = np.empty_like(w)
     per_level = []
@@ -604,6 +606,9 @@ def test_indicator_blocks_match_the_per_pair_loop(kind, monkeypatch):
         want = per_pair_indicator_norms(g, p, spec, want_fb)
         for elements in (norms.BLOCK_ELEMENTS, 1, 1 << 20):
             monkeypatch.setattr(multiplier, "BLOCK_ELEMENTS", elements)
+            # drop the tree's table of the g-free half, so that each block
+            # size computes it too
+            tree._phi_cache.pop(("indicators", spec, p), None)
             got = _indicator_norms(g, p, spec, want_fb)
             assert (got[2] is None) == (not want_fb)
             for a, b in zip(got[:2 + want_fb], want):
@@ -687,6 +692,23 @@ def test_one_reduction_of_g_keeps_the_scans_bits(kind):
         norm = sups.max(axis=1) + np.abs(mean)
         assert got[:, 0] == pytest.approx([norm[0], norm[1], fbs[0]],
                                           rel=1e-12, abs=0), (weight, p)
+
+
+@pytest.mark.parametrize("kind", sorted(BIT_TREES))
+def test_constant_times_g_has_the_bits_of_g_scanned(kind):
+    # 1 g is g: the constant's norm(1 g), read at the root of the indicator
+    # pass, sums E g as scan_block sums a row's mean (pairwise), so it has
+    # the bits of scan_block's norm of the row g
+    tree = BIT_TREES[kind]()
+    for seed, weight, p in itertools.product(range(5), ("one", "psi"),
+                                             (1, 2)):
+        spec = WEIGHTS[weight]
+        g = LeafFunction.from_float_array(tree, np.random.default_rng(
+            seed).standard_normal(tree.leaf_count))
+        norm_fg = _family_norms(g, p, spec, [("const:1", CONSTANT)])[2]
+        sups, _, mean, _ = norms.scan_block(tree, [g.values_array], p, spec)
+        want = sups.max(axis=1) + np.abs(mean)
+        assert np.array_equal(_bits(norm_fg), _bits(want)), (seed, weight, p)
 
 
 # -- the chain path ---------------------------------------------------------

@@ -27,6 +27,7 @@ from campanato_lab.multiplier import (CONSTANT, INDICATORS, WITNESS_TIE,
                                       _lower_bound)
 from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
                                   run_verify_suites, suite_product_estimate)
+from test_norms import BIT_TREES
 
 
 def brute_capital_F(f, g, p, spec):
@@ -531,3 +532,54 @@ def test_truncation_check_reduces_each_g_once(monkeypatch):
     assert conditional_multiplier_check(g, 1, one(), seed=0).passed
     assert sorted(calls) == sorted([8] + list(range(9)))
     assert len(calls) == tree.depth + 2 == 10
+
+
+def test_tree_tables_are_keyed_by_tree_weight_and_p():
+    # the g-free tables a tree keeps between calls give the same reports,
+    # to the bit, as a fresh copy of the tree whose cache is empty, as the
+    # weight and p change and come back, and for a second g
+    builds = {"dyadic 8": lambda: build_dyadic(8),
+              "float split": BIT_TREES["float split"]}
+    cases = [(one(), 1), (psi(), 2), (one(), 1.5), (one(), 1)]
+    for kind, build in builds.items():
+        tree = build()
+        rows = [sin_h_multiplier(tree, chain_through_leaf(tree, 1),
+                                 one()).values_array,
+                np.random.default_rng(7).standard_normal(tree.leaf_count)]
+        for row in rows:
+            for spec, p in cases:
+                for check, kwargs in (
+                        (theorem1_certificate, {"sample_chains": 8,
+                                                "randoms": 4, "seed": 1}),
+                        (linf_bound_check, {}),
+                        (conditional_multiplier_check, {"chains": 2,
+                                                        "randoms": 2})):
+                    got = check(LeafFunction.from_float_array(tree, row), p,
+                                spec, **kwargs)
+                    want = check(LeafFunction.from_float_array(build(), row),
+                                 p, spec, **kwargs)
+                    assert repr(got) == repr(want), (kind, check, spec, p)
+        keys = {key[:2] for key in tree._phi_cache if key[0] == "indicators"}
+        assert keys == {("indicators", one()), ("indicators", psi())}
+
+
+def test_g_free_indicator_half_runs_once(monkeypatch):
+    # norm(chi_B) and the phi_star bound of every atom do not read g: one
+    # computation per tree, weight and p serves every later family pass
+    calls = []
+    tables = multiplier._indicator_tables
+
+    def counting(tree, p, spec, want_fb):
+        calls.append((p, spec))
+        return tables(tree, p, spec, want_fb)
+
+    monkeypatch.setattr(multiplier, "_indicator_tables", counting)
+    tree = build_dyadic(6)
+    g, h = (sin_h_multiplier(tree, chain_through_leaf(tree, j), psi())
+            for j in (3, 40))
+    for f in (g, h):
+        theorem1_certificate(f, 1.5, psi(), sample_chains=8, randoms=2)
+    assert linf_bound_check(g, 1.5, psi()).checks
+    assert calls == [(1.5, psi())]
+    theorem1_certificate(h, 2, psi(), sample_chains=8, randoms=2)
+    assert calls == [(1.5, psi()), (2, psi())]
