@@ -168,59 +168,41 @@ def _subtree_tables(g, p, spec, osc=None):
     return _subtree_max(g.tree, osc + [np.zeros(g.tree.leaf_count)])
 
 
+def _read_only(a):
+    """a, marked read-only: a table the tree's cache hands every pass."""
+    a.flags.writeable = False
+    return a
+
+
 def _star_tables(tree, spec):
     """The _subtree_max of 1/phi_star and its _sibling_max, per level, once
     per (tree, spec) in the tree's cache next to the weights."""
     if (key := ("1/phi_star", spec)) not in tree._phi_cache:
         sub = _subtree_max(tree, [1 / s for s in
                                   phi_star_level_values(tree, spec)])
-        tree._phi_cache[key] = sub, _sibling_max(tree, sub)
+        tree._phi_cache[key] = tuple(list(map(_read_only, t)) for t in
+                                     (sub, _sibling_max(tree, sub)))
     return tree._phi_cache[key]
 
 
-def _ancestor_blocks(tree, spec):
-    """Per level, (P(B) of its atoms B, blocks): blocks yields (a, P(A),
-    phi(P(A))) for the places a of the strict ancestors A of B (row n: the
-    level-n one), at most BLOCK_ELEMENTS // leaves rows a block."""
-    measures = np.concatenate([tree.level_arrays(n)[2]
-                               for n in range(tree.depth + 1)])
-    phis = np.concatenate(phi_level_values(tree, spec))
-    size = max(1, BLOCK_ELEMENTS // tree.leaf_count)
-    anc = np.empty((0, 1), np.int64)  # row n: level-n ancestors' places
-    for m in range(tree.depth + 1):
-        if m:
-            up = tree.child_arrays(m - 1)[1]
-            anc = np.vstack([anc.take(up, axis=1), tree.offsets[m - 1] + up])
-        yield tree.level_arrays(m)[2], ((a, measures[a], phis[a]) for a in [
-            anc[lo:lo + size] for lo in range(0, m, size)])
-
-
-def _indicator_tables(tree, p, spec, want_fb):
-    """The half of _indicator_norms that does not read g: norm(chi_B) and,
-    when want_fb (else None), the phi_star sup, per atom B in level order.
-    chi_B averages P(B)/P(A) on B's strict ancestors A and 1 on B and the
-    atoms inside it (their 1/phi_star: _star_tables), 0 elsewhere."""
-    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
-    fb = want_fb and [top.copy() for top in _star_tables(tree, spec)[0]]
-    norm_f = []
-    for m, (meas, blocks) in enumerate(_ancestor_blocks(tree, spec)):
-        sem_f = np.zeros(len(meas))
-        for a, PA, phi in blocks:
-            r = meas / PA
-            chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p)
-                   / PA) ** (1.0 / p)
-            np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
-            if want_fb:
-                np.maximum(fb[m], (r / stars[a]).max(axis=0), out=fb[m])
-        norm_f.append(sem_f + meas)
-    return np.concatenate(norm_f), np.concatenate(fb) if want_fb else None
+def _chi_block(meas, PA, phi, p, sem_f, fb=None, stars=None):
+    """The half of an _indicator_norms block that does not read g, into
+    sem_f and, when given, fb: chi_B averages P(B)/P(A) on B's strict
+    ancestors A (the rows of PA), 1 on B and the atoms inside it (whose
+    1/phi_star fb starts from: _star_tables), 0 elsewhere."""
+    r = meas / PA
+    chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p) / PA) ** (1.0 / p)
+    np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
+    if fb is not None:
+        np.maximum(fb, (r / stars).max(axis=0), out=fb)
 
 
 def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
     """norm(chi_B), norm(chi_B g) and the sup of |(chi_B)_A| / phi_star(P(A))
     over atoms A, for every atom B of g's tree in level order, without a
-    leaf pass per member; the first and last do not read g, and come from
-    the tree's cache (_indicator_tables, once per (tree, spec, p)).
+    leaf pass per member.  The first and last do not read g: the pass that
+    first needs them forms them block by block (_chi_block) and keeps them,
+    read-only, in the tree's cache under (spec, p); later passes read them.
 
     On atoms inside B or disjoint from it chi_B g has g's own oscillation
     or none, so subtree maxima of g's per-atom oscillation (sub_osc,
@@ -235,18 +217,29 @@ def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
     tree, gv, leafm = g.tree, g.values_array, g.tree.leaf_measures_f()
     key = "indicators", spec, p
     tables = tree._phi_cache.get(key)
-    if tables is None or want_fb and tables[1] is None:
-        tables = tree._phi_cache[key] = _indicator_tables(tree, p, spec,
-                                                          want_fb)
+    fill = tables is None or want_fb and tables[1] is None
+    measures = np.concatenate([tree.level_arrays(n)[2]
+                               for n in range(tree.depth + 1)])
+    phis = np.concatenate(phi_level_values(tree, spec))
+    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
     sub_osc = _subtree_tables(g, p, spec) if sub_osc is None else sub_osc
+
     w = gv * leafm
-    norm_fg = []
-    for m, (meas, blocks) in enumerate(_ancestor_blocks(tree, spec)):
+    size = max(1, BLOCK_ELEMENTS // tree.leaf_count)
+    anc = np.empty((0, 1), np.int64)  # row n: level-n ancestors' places
+    per_level = []
+    for m in range(tree.depth + 1):
+        meas = tree.level_arrays(m)[2]
+        if m:
+            up = tree.child_arrays(m - 1)[1]
+            anc = np.vstack([anc.take(up, axis=1), tree.offsets[m - 1] + up])
         S = tree.atom_sums(m, w) if m else np.array([w.sum()])
-        sem_fg = sub_osc[m].copy()
-        for _, PA, phi in blocks:
+        sem_fg, sem_f = sub_osc[m].copy(), np.zeros(len(meas))
+        fb = _star_tables(tree, spec)[0][m].copy() if want_fb else None
+        for a in (anc[lo:lo + size] for lo in range(0, m, size)):
+            PA, phi = measures[a], phis[a]
             avg = S / PA
-            dev = np.empty((len(PA), len(gv)))
+            dev = np.empty((len(a), len(gv)))
             np.abs(tree.spread(m, avg, np.subtract, np.broadcast_to(
                 gv, dev.shape), out=dev), out=dev)
             if p != 1:
@@ -255,8 +248,16 @@ def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
             cint = tree.atom_sums(m, dev) + (PA - meas) * np.abs(avg) ** p
             prod = (cint / PA) ** (1.0 / p)
             np.maximum(sem_fg, (prod / phi).max(axis=0), out=sem_fg)
+            if fill:
+                _chi_block(meas, PA, phi, p, sem_f, fb,
+                           stars[a] if want_fb else None)
             del PA, phi, avg, dev, cint, prod  # free before next block
-        norm_fg.append(sem_fg + np.abs(S))
+        per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
+    norm_f, norm_fg, fb = zip(*per_level)
+    if fill:
+        tables = tree._phi_cache[key] = (
+            _read_only(np.concatenate(norm_f)),
+            _read_only(np.concatenate(fb)) if want_fb else None)
     return tables[0], np.concatenate(norm_fg), tables[1] if want_fb else None
 
 
@@ -388,16 +389,15 @@ def _family_norms(g, p, spec, members, want_fb=False, osc=None):
         norms = (sups.max(axis=1) + np.abs(mean)).reshape(-1, 2).T  # f, f g
         parts.append((dense, *norms, fb[0::2] if want_fb else None))
     if ranges or chi or chains:  # one leaf reduction of g serves both
-        sub_osc = _subtree_tables(g, p, spec, osc)
+        tables = _subtree_tables(g, p, spec, osc)
     if ranges or chi:
-        block = _indicator_norms(g, p, spec, want_fb, sub_osc)
+        block = _indicator_norms(g, p, spec, want_fb, tables)
         at = np.array(at, np.int64)
         parts += [(where, *block) for where in ranges] + [
             (chi, *(None if b is None else b[at] for b in block))]
     if chains:
         where, paths = map(list, zip(*chains))
-        parts.append((where, *_chain_norms(g, p, spec, paths, want_fb,
-                                           sub_osc)))
+        parts.append((where, *_chain_norms(g, p, spec, paths, want_fb, tables)))
     norm_f, norm_fg, fb_all = np.empty((3, len(labels)))
     for where, nf, nfg, b in parts:
         where = np.asarray(where, np.int64)  # one conversion per part

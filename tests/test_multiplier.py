@@ -24,7 +24,7 @@ from campanato_lab.functions import level_means, level_projection
 from campanato_lab.filtration import Atom
 from campanato_lab.multiplier import (CONSTANT, INDICATORS, WITNESS_TIE,
                                       _family_members, _family_norms,
-                                      _lower_bound)
+                                      _indicator_norms, _lower_bound)
 from campanato_lab.verify import (ATOM_SAMPLE, CHAIN_COUNT, VerifyContext,
                                   run_verify_suites, suite_product_estimate)
 from test_norms import BIT_TREES
@@ -564,22 +564,39 @@ def test_tree_tables_are_keyed_by_tree_weight_and_p():
 
 
 def test_g_free_indicator_half_runs_once(monkeypatch):
-    # norm(chi_B) and the phi_star bound of every atom do not read g: one
-    # computation per tree, weight and p serves every later family pass
+    # norm(chi_B) and the phi_star bound of every atom do not read g: the
+    # first family pass on a tree at a weight and p forms them, block by
+    # block inside its own pass, and every later pass there reads them
     calls = []
-    tables = multiplier._indicator_tables
+    block = multiplier._chi_block
 
-    def counting(tree, p, spec, want_fb):
-        calls.append((p, spec))
-        return tables(tree, p, spec, want_fb)
+    def counting(*args):
+        calls.append(args[3])  # p
+        return block(*args)
 
-    monkeypatch.setattr(multiplier, "_indicator_tables", counting)
+    monkeypatch.setattr(multiplier, "_chi_block", counting)
     tree = build_dyadic(6)
     g, h = (sin_h_multiplier(tree, chain_through_leaf(tree, j), psi())
             for j in (3, 40))
-    for f in (g, h):
-        theorem1_certificate(f, 1.5, psi(), sample_chains=8, randoms=2)
+    theorem1_certificate(g, 1.5, psi(), sample_chains=8, randoms=2)
+    first = len(calls)
+    assert first > 0 and set(calls) == {1.5}
+    theorem1_certificate(h, 1.5, psi(), sample_chains=8, randoms=2)
     assert linf_bound_check(g, 1.5, psi()).checks
-    assert calls == [(1.5, psi())]
+    assert len(calls) == first
     theorem1_certificate(h, 2, psi(), sample_chains=8, randoms=2)
-    assert calls == [(1.5, psi()), (2, psi())]
+    assert len(calls) == 2 * first and calls[first:] == [2] * first
+
+
+def test_tree_tables_are_read_only():
+    # every later family pass on the tree reads these arrays, so a write
+    # into one that a pass returns is refused
+    tree = build_dyadic(4)
+    g = sin_h_multiplier(tree, chain_through_leaf(tree, 2), one())
+    norm_f, norm_fg, fb = _indicator_norms(g, 1, one(), want_fb=True)
+    norm_fg[0] = 5.0  # g's half is the caller's own
+    for table in (norm_f, fb, *multiplier._star_tables(tree, one())[0],
+                  *multiplier._star_tables(tree, one())[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 5.0
+    assert _indicator_norms(g, 1, one())[0][0] == 1.0
