@@ -186,10 +186,9 @@ def _star_tables(tree, spec):
 
 
 def _chi_block(meas, PA, phi, p, sem_f, fb=None, stars=None):
-    """The half of an _indicator_norms block that does not read g, into
-    sem_f and, when given, fb: chi_B averages P(B)/P(A) on B's strict
-    ancestors A (the rows of PA), 1 on B and the atoms inside it (whose
-    1/phi_star fb starts from: _star_tables), 0 elsewhere."""
+    """An _indicator_norms block's half that does not read g, into sem_f
+    and fb (if given): chi_B averages P(B)/P(A) on B's strict ancestors A
+    (PA's rows), 1 on and inside B (fb starts there), 0 elsewhere."""
     r = meas / PA
     chi = ((meas * (1.0 - r) ** p + (PA - meas) * r ** p) / PA) ** (1.0 / p)
     np.maximum(sem_f, (chi / phi).max(axis=0), out=sem_f)
@@ -221,7 +220,8 @@ def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
     measures = np.concatenate([tree.level_arrays(n)[2]
                                for n in range(tree.depth + 1)])
     phis = np.concatenate(phi_level_values(tree, spec))
-    stars = want_fb and np.concatenate(phi_star_level_values(tree, spec))
+    tops = fill and want_fb and _star_tables(tree, spec)[0]  # fb's start
+    stars = tops and np.concatenate(phi_star_level_values(tree, spec))
     sub_osc = _subtree_tables(g, p, spec) if sub_osc is None else sub_osc
 
     w = gv * leafm
@@ -235,7 +235,7 @@ def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
             anc = np.vstack([anc.take(up, axis=1), tree.offsets[m - 1] + up])
         S = tree.atom_sums(m, w) if m else np.array([w.sum()])
         sem_fg, sem_f = sub_osc[m].copy(), np.zeros(len(meas))
-        fb = _star_tables(tree, spec)[0][m].copy() if want_fb else None
+        fb = tops[m].copy() if tops else None
         for a in (anc[lo:lo + size] for lo in range(0, m, size)):
             PA, phi = measures[a], phis[a]
             avg = S / PA
@@ -249,8 +249,7 @@ def _indicator_norms(g, p, spec, want_fb=False, sub_osc=None):
             prod = (cint / PA) ** (1.0 / p)
             np.maximum(sem_fg, (prod / phi).max(axis=0), out=sem_fg)
             if fill:
-                _chi_block(meas, PA, phi, p, sem_f, fb,
-                           stars[a] if want_fb else None)
+                _chi_block(meas, PA, phi, p, sem_f, fb, tops and stars[a])
             del PA, phi, avg, dev, cint, prod  # free before next block
         per_level.append((sem_f + meas, sem_fg + np.abs(S), fb))
     norm_f, norm_fg, fb = zip(*per_level)
